@@ -17,6 +17,8 @@ from .simnet import Envelope, World
 
 ATTACK_KINDS = ("tamper", "spoof", "replay", "rollback", "freeze", "drop",
                 "delay", "slow_retrieval", "partial_bundle", "mix_bundles")
+# Rules that read the tap of earlier traffic; without one, nothing is kept.
+HISTORY_KINDS = frozenset({"replay", "freeze", "rollback", "mix_bundles"})
 
 
 class ScenarioError(Exception):
@@ -51,7 +53,9 @@ class AttackRule:
 class Adversary:
     def __init__(self, rules=(), seed: int = 0):
         self.rules = list(rules)
-        self.recorded: dict = {}       # message kind -> list of payloads
+        self.recorded: dict = {}       # message kind -> list of envelopes
+        self._keeps_history = any(rule.kind in HISTORY_KINDS
+                                  for rule in self.rules)
         self.compromised: dict = {}    # role label -> KeyPair
         self._compromised_servers: set = set()
         self.events: list = []         # (time, rule kind, message kind)
@@ -105,7 +109,8 @@ class Adversary:
         return actions
 
     def _record(self, env: Envelope):
-        self.recorded.setdefault(env.kind, []).append(env)
+        if self._keeps_history:
+            self.recorded.setdefault(env.kind, []).append(env)
 
     def _apply(self, world, rule: AttackRule, env: Envelope):
         kind = rule.kind

@@ -21,6 +21,16 @@ class CacheEntry:
     data: bytes
     manifest: msg.UpdateManifest
     size: int
+    images: dict = field(default_factory=dict)  # bucket_size -> UpdateImage
+
+    def buckets(self, bucket_size: int) -> tuple:
+        """The data's buckets at `bucket_size`, split and hashed at most once
+        per bucket size and shared by every serve of this entry."""
+        image = self.images.get(bucket_size)
+        if image is None:
+            image = self.images[bucket_size] = msg.UpdateImage(
+                self.manifest.theta.s, self.data, bucket_size)
+        return image.buckets()
 
 
 class UpdateEngine(Actor):
@@ -221,6 +231,12 @@ class Station(Actor):
             self.cache.move_to_end((software, version))
         return entry
 
+    def _entry_holding(self, mu, data: bytes):
+        """The cache entry for `mu` if it holds this very `data` object;
+        unlike `cache_get`, it leaves the LRU order alone."""
+        entry = self.cache.get((mu.theta.s, mu.tau.v))
+        return entry if entry is not None and entry.data is data else None
+
     def cache_dump(self):
         return sorted((s, v, e.size) for (s, v), e in self.cache.items())
 
@@ -239,7 +255,7 @@ class Station(Actor):
 
     def _fetch_image(self, mu, credential, on_done, from_index: int = 0,
                      received=None, attempts: int = 0):
-        received = received or []
+        received = received or msg.Received()
         self.request(
             self.repo, "fetch",
             {"l": mu.l, "credential": credential, "from_index": from_index},
@@ -256,19 +272,21 @@ class Station(Actor):
             return
         total = reply.payload["total"]
         bucket_size = reply.payload["bucket_size"]
-        for bucket in reply.payload["buckets"]:
-            index, chunk, chunk_digest = bucket
-            if digest(chunk) == chunk_digest:
-                received.append(bucket)
+        received.add(reply.payload["buckets"])
         try:
             result = msg.assemble_buckets(received, mu, total=total,
                                           bucket_size=bucket_size)
         except msg.IntegrityError:
-            received, result = [], msg.Resume(0)
+            received, result = msg.Received(), msg.Resume(0)
         if isinstance(result, msg.Complete):
-            self.cache_insert(mu.theta.s, mu.tau.v, result.image.data, mu)
+            image = result.image
+            self.cache_insert(mu.theta.s, mu.tau.v, image.data, mu)
+            entry = self._entry_holding(mu, image.data)
+            if entry is not None:
+                # Serve the buckets verified on arrival; no second split.
+                entry.images[image.bucket_size] = image
             if on_done:
-                on_done(result.image.data)
+                on_done(image.data)
             return
         if attempts >= 8:
             if on_done:
@@ -358,7 +376,11 @@ class Station(Actor):
         bucket_size = msg.DEFAULT_BUCKET_SIZE
         if env.payload.get("bucket_size"):
             bucket_size = env.payload["bucket_size"]
-        buckets = msg.split_buckets(data, bucket_size)
+        entry = self._entry_holding(mu, data)
+        if entry is not None:
+            buckets = entry.buckets(bucket_size)
+        else:
+            buckets = msg.split_buckets(data, bucket_size)  # uncached image
         out = buckets[from_index:]
         size = sum(len(chunk) for _, chunk, _ in out) + 64
         self.reply(env, "serve_ok",

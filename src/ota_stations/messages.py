@@ -10,7 +10,7 @@ signed region, so adding them never changes the digest other parties verify.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Optional, Union
 
 from .crypto import (DIGEST_LEN, KeyPair, KeyRegistry, RevocationList,
@@ -101,9 +101,16 @@ class UpdateImage:
     s: str
     data: bytes
     bucket_size: int = DEFAULT_BUCKET_SIZE
+    _buckets: Optional[tuple] = field(default=None, init=False, repr=False,
+                                      compare=False)
 
-    def buckets(self):
-        return split_buckets(self.data, self.bucket_size)
+    def buckets(self) -> tuple:
+        """The image's (index, chunk, chunk digest) buckets, split and hashed
+        on first use and shared by every later caller."""
+        if self._buckets is None:
+            object.__setattr__(self, "_buckets", tuple(
+                split_buckets(self.data, self.bucket_size)))
+        return self._buckets
 
 
 # ---------------------------------------------------------------------------
@@ -464,9 +471,18 @@ def split_buckets(data: bytes, bucket_size: int):
     return out
 
 
+def _is_split_of(buckets: tuple, size: int, bucket_size: int) -> bool:
+    """True iff in-order verified `buckets` of a `size`-byte image have the
+    chunk layout `split_buckets` gives it at `bucket_size`."""
+    count = max(-(-size // bucket_size), 1)
+    return len(buckets) == count and all(
+        len(chunk) == bucket_size for _, chunk, _ in buckets[:-1])
+
+
 @dataclass(frozen=True)
 class Complete:
     image: UpdateImage
+    data_digest: bytes     # digest(image.data), computed once at assembly
 
 
 @dataclass(frozen=True)
@@ -474,29 +490,75 @@ class Resume:
     next_index: int
 
 
+class Received:
+    """The verified buckets of one download, by bucket index.
+
+    Each chunk is hashed once, when it arrives; a bucket whose chunk does not
+    match its digest is not kept, and a later bucket for an index replaces
+    the earlier one.
+    """
+
+    __slots__ = ("buckets",)
+
+    def __init__(self):
+        self.buckets: dict = {}   # index -> (index, chunk, chunk digest)
+
+    def __len__(self) -> int:
+        return len(self.buckets)
+
+    def add(self, buckets) -> list:
+        """Keep every (index, chunk, chunk digest) bucket whose chunk matches
+        its digest; return the indexes of those that do not."""
+        bad = []
+        for bucket in buckets:
+            index, chunk, chunk_digest = bucket
+            if digest(chunk) == chunk_digest:
+                self.buckets[index] = bucket
+            else:
+                bad.append(index)
+        return bad
+
+    def next_missing(self) -> int:
+        i = 0
+        while i in self.buckets:
+            i += 1
+        return i
+
+
 def assemble_buckets(buckets_received, mu: UpdateManifest,
                      total: Optional[int] = None,
                      bucket_size: int = DEFAULT_BUCKET_SIZE):
     """Reassemble an image from in-order buckets.
 
+    `buckets_received` is a `Received`, whose chunks were verified on
+    arrival, or an iterable of (index, chunk, chunk digest) buckets, whose
+    chunks are verified here.
+
     Returns Complete once every bucket is present and the full-package digest
     matches the manifest; otherwise Resume with the first missing index.
-    Raises IntegrityError when all buckets are present but the digest does
-    not match (restart from bucket 0).
+    Raises IntegrityError when a listed chunk does not match its digest, or
+    when all buckets are present but the full-package digest does not match
+    (restart from bucket 0).
     """
-    by_index = {}
-    for index, chunk, chunk_digest in buckets_received:
-        if digest(chunk) != chunk_digest:
-            raise IntegrityError(f"bucket {index} digest mismatch")
-        by_index[index] = chunk
-    next_missing = 0
-    while next_missing in by_index:
-        next_missing += 1
+    received = buckets_received
+    if not isinstance(received, Received):
+        received = Received()
+        bad = received.add(buckets_received)
+        if bad:
+            raise IntegrityError(f"bucket {bad[0]} digest mismatch")
+    next_missing = received.next_missing()
     if total is not None and next_missing < total:
         return Resume(next_missing)
-    data = b"".join(by_index[i] for i in range(next_missing))
-    if digest(data) == mu.theta.h:
-        return Complete(UpdateImage(mu.theta.s, data, bucket_size))
+    buckets = tuple(received.buckets[i] for i in range(next_missing))
+    data = b"".join(chunk for _, chunk, _ in buckets)
+    data_digest = digest(data)
+    if data_digest == mu.theta.h:
+        image = UpdateImage(mu.theta.s, data, bucket_size)
+        if _is_split_of(buckets, len(data), bucket_size):
+            # The verified buckets are exactly split_buckets(data): keep
+            # them, so that serving this image hashes nothing again.
+            object.__setattr__(image, "_buckets", buckets)
+        return Complete(image, data_digest)
     if total is not None:
         raise IntegrityError("full-package digest mismatch")
     return Resume(next_missing)

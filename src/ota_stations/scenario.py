@@ -383,7 +383,6 @@ def build_scenario(config: ScenarioConfig) -> Scenario:
     world = World(seed=config.seed)
     world.request_timeout_ms = config.request_timeout_ms
     world.request_retries = config.request_retries
-    world.install_log = []
     provider = PROVIDERS[config.crypto]
     registry = KeyRegistry()
     keys: dict = {}
@@ -460,7 +459,8 @@ def build_scenario(config: ScenarioConfig) -> Scenario:
         data = body_rng.randbytes(size)
         version = 2
         location = location_for("repo0", software, version)
-        theta = msg.MetaRecord(digest(data), ecu, software)
+        data_digest = digest(data)
+        theta = msg.MetaRecord(data_digest, ecu, software)
         mu = msg.UpdateManifest(location, theta,
                                 msg.TimestampRecord(2, version))
         producer = sorted(producer_ids)[i % len(producer_ids)]
@@ -468,7 +468,7 @@ def build_scenario(config: ScenarioConfig) -> Scenario:
         served = i < served_count
         items.append(SoftwareItem(software, ecu, version, data, mu, served,
                                   labels[i] if served else "cellular"))
-        truth[software] = (version, digest(data))
+        truth[software] = (version, data_digest)
 
     # -- fleet -------------------------------------------------------------
     initial = {item.software: (item.ecu, msg.TimestampRecord(1, 1))

@@ -4,6 +4,12 @@ and a request/reply layer with bounded retransmission.
 
 One world is strictly single-threaded; identical (scenario, seed) pairs
 produce identical event traces.
+
+Events run in (time, seq) order, where seq is the order in which they were
+scheduled: of two events due at the same instant, the one scheduled first
+runs first.  A link keeps at most one armed finisher event, for the flow
+that completes first (see `Link`), so the heap holds O(links + timers)
+entries and each message costs O(1) heap pushes.
 """
 from __future__ import annotations
 
@@ -32,24 +38,33 @@ class LinkProfile:
 
 
 class _Flow:
-    __slots__ = ("remaining_bits", "rate_bps", "last_t", "gen", "on_done")
+    __slots__ = ("remaining_bits", "rate_bps", "last_t", "at", "on_done")
 
     def __init__(self, size_bits: float, now: float, on_done: Callable):
         self.remaining_bits = float(size_bits)
         self.rate_bps = 0.0
         self.last_t = now
-        self.gen = 0
+        self.at = now
         self.on_done = on_done
 
 
 class Link:
     """A contended channel; concurrent flows share bandwidth equally and
-    rates are recomputed at every flow start/finish."""
+    rates are recomputed at every flow start/finish.
+
+    One finisher rule: each start or finish recomputes every flow's
+    remaining bits and finish time, then arms a single finisher event, for
+    the flow with the smallest finish time; on a tie, the flow that started
+    first.  Any earlier finisher is disarmed by the link's generation
+    counter.  This is the flow a finisher per flow would complete first, at
+    the same instant, so traces do not depend on the choice.
+    """
 
     def __init__(self, name: str, profile: LinkProfile):
         self.name = name
         self.profile = profile
         self._flows: list = []
+        self._gen = 0
 
     def start_flow(self, world: "World", size_bytes: int, on_done: Callable):
         flow = _Flow(size_bytes * 8, world.now, on_done)
@@ -57,23 +72,30 @@ class Link:
         self._rebalance(world)
 
     def _rebalance(self, world: "World"):
+        self._gen += 1
         if not self._flows:
             return
+        now = world.now
         rate = self.profile.bandwidth_bps / len(self._flows)
+        first = None
+        latest = world._latest_eta
         for flow in self._flows:
-            elapsed_s = (world.now - flow.last_t) / 1000.0
+            elapsed_s = (now - flow.last_t) / 1000.0
             flow.remaining_bits = max(
                 0.0, flow.remaining_bits - flow.rate_bps * elapsed_s)
-            flow.last_t = world.now
+            flow.last_t = now
             flow.rate_bps = rate
-            flow.gen += 1
-            eta_ms = flow.remaining_bits / rate * 1000.0
-            world._schedule_raw(world.now + eta_ms,
-                               self._finisher(world, flow, flow.gen))
+            flow.at = now + flow.remaining_bits / rate * 1000.0
+            if first is None or flow.at < first.at:
+                first = flow
+            if flow.at > latest:
+                latest = flow.at
+        world._latest_eta = latest
+        world._schedule_raw(first.at, self._finisher(world, first, self._gen))
 
     def _finisher(self, world, flow, gen):
         def fire():
-            if flow.gen != gen or flow not in self._flows:
+            if gen != self._gen:
                 return
             self._flows.remove(flow)
             self._rebalance(world)
@@ -131,6 +153,10 @@ class World:
         self.request_timeout_ms: Optional[float] = None
         self.request_retries: int = 3
         self.horizon_reached = False
+        # (time, vin, ecu, software, version, digest of the installed bytes)
+        self.install_log: list = []
+        # Latest finish time any link has computed, armed or not (see run).
+        self._latest_eta = 0.0
 
     # -- scheduling --------------------------------------------------------
 
@@ -199,15 +225,26 @@ class World:
 
         A reached horizon with live timers is reported via `horizon_reached`,
         not an exception.
+
+        The run ends at the latest finish time a link has computed, even when
+        a rebalance moved that flow's finish earlier: the clock and the
+        horizon flag come out as under a finisher per flow, whose superseded
+        events stayed queued until their time.
         """
         while self._heap:
             at, _, fn = heapq.heappop(self._heap)
             if horizon_ms is not None and at > horizon_ms:
                 self.horizon_reached = True
                 self.now = horizon_ms
-                break
+                return self.trace
             self.now = at
             fn()
+        if self._latest_eta > self.now:
+            if horizon_ms is not None and self._latest_eta > horizon_ms:
+                self.horizon_reached = True
+                self.now = horizon_ms
+            else:
+                self.now = self._latest_eta
         return self.trace
 
     def trace_csv_rows(self):

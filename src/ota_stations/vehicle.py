@@ -16,19 +16,13 @@ PRIMARY_ECU = "primary"
 FETCH_ATTEMPTS = 6
 
 
-def group_digest(items) -> bytes:
+def group_digest(items, data_digests) -> bytes:
     """Digest binding an all-or-nothing install group: (manifest, image
-    bytes) pairs destined to one ECU."""
+    bytes) pairs destined to one ECU, given the digests of their bytes."""
     acc = b"group"
-    for mu, data in items:
-        acc += msg.payload_digest(mu) + digest(data)
+    for (mu, _), data_digest in zip(items, data_digests):
+        acc += msg.payload_digest(mu) + data_digest
     return digest(acc)
-
-
-def _install_log(world: World) -> list:
-    if not hasattr(world, "install_log"):
-        world.install_log = []
-    return world.install_log
 
 
 @dataclass
@@ -36,9 +30,10 @@ class PendingItem:
     mu: msg.UpdateManifest
     bundle: msg.Bundle
     data: Optional[bytes] = None
+    data_digest: Optional[bytes] = None    # digest(data), set with data
     installed: bool = False
     via_cellular: bool = False
-    buckets: list = field(default_factory=list)
+    received: msg.Received = field(default_factory=msg.Received)
     attempts: int = 0
 
 
@@ -292,7 +287,7 @@ class VehiclePrimary(Actor):
     def _start_downloads(self):
         for key in sorted(self.pending):
             item = self.pending[key]
-            if item.data is not None or item.buckets or item.installed:
+            if item.data is not None or item.received or item.installed:
                 continue
             software = item.mu.theta.s
             if (self.station is None or software in self.cellular_updates
@@ -339,7 +334,7 @@ class VehiclePrimary(Actor):
             self._station_busy = False
             return
         item = self._station_queue[0]
-        from_index = self._next_missing(item)
+        from_index = item.received.next_missing()
         payload = {"manifest": item.mu, "bundle": item.bundle,
                    "min": self.vin[:11], "from_index": from_index,
                    "bucket_size": self.bucket_size}
@@ -374,12 +369,12 @@ class VehiclePrimary(Actor):
         if item in self._station_queue:
             self._station_queue.remove(item)
         item.via_cellular = True
-        item.buckets, item.attempts = [], 0
+        item.received, item.attempts = msg.Received(), 0
         self._cellular_fetch(item)
         self._serve_next()
 
     def _cellular_fetch(self, item: PendingItem):
-        from_index = self._next_missing(item)
+        from_index = item.received.next_missing()
         payload = {"l": item.mu.l, "credential": item.bundle,
                    "from_index": from_index}
         self.request(self.repo, "fetch", payload,
@@ -400,29 +395,20 @@ class VehiclePrimary(Actor):
             item.attempts += 1
             self._cellular_fetch(item)
 
-    def _next_missing(self, item: PendingItem) -> int:
-        have = {index for index, _, _ in item.buckets}
-        i = 0
-        while i in have:
-            i += 1
-        return i
-
     def _absorb_buckets(self, item: PendingItem, payload) -> Optional[bool]:
         """Returns True on a verified complete image, False to keep pulling,
         None when the retry budget for this source is exhausted."""
-        for bucket in payload["buckets"]:
-            index, chunk, chunk_digest = bucket
-            if digest(chunk) == chunk_digest:
-                item.buckets.append(bucket)
+        item.received.add(payload["buckets"])
         try:
-            result = msg.assemble_buckets(item.buckets, item.mu,
+            result = msg.assemble_buckets(item.received, item.mu,
                                           total=payload["total"],
                                           bucket_size=payload["bucket_size"])
         except msg.IntegrityError:
-            item.buckets = []
+            item.received = msg.Received()
             result = msg.Resume(0)
         if isinstance(result, msg.Complete):
             item.data = result.image.data
+            item.data_digest = result.data_digest
             return True
         item.attempts += 1
         if item.attempts > FETCH_ATTEMPTS:
@@ -437,27 +423,28 @@ class VehiclePrimary(Actor):
                  if p.bundle is item.bundle and p.mu.theta.e == ecu]
         if any(p.data is None for p in group):
             return
-        items = tuple(sorted(((p.mu, p.data) for p in group),
-                             key=lambda pair: pair[0].theta.s))
         if ecu == PRIMARY_ECU:
             self.world.schedule(self.flash_latency_ms,
                                 lambda: self._install_local(group))
         else:
-            self._push_group(ecu, item.bundle, items, group)
+            self._push_group(ecu, item.bundle, group)
 
     def _install_local(self, group):
         for p in group:
-            self.installed[p.mu.theta.s] = (p.mu.tau, digest(p.data))
+            self.installed[p.mu.theta.s] = (p.mu.tau, p.data_digest)
             self.inventory[(PRIMARY_ECU, p.mu.theta.s)] = p.mu.tau
-            _install_log(self.world).append(
+            self.world.install_log.append(
                 (self.world.now, self.vin, PRIMARY_ECU, p.mu.theta.s,
-                 p.mu.tau.v, digest(p.data)))
+                 p.mu.tau.v, p.data_digest))
             p.installed = True
         self._check_complete()
 
-    def _push_group(self, ecu, bundle, items, group):
+    def _push_group(self, ecu, bundle, group):
         name, link = self.secondaries[ecu]
-        entry = sign(group_digest(items), self.key)
+        ordered = sorted(group, key=lambda p: p.mu.theta.s)
+        items = tuple((p.mu, p.data) for p in ordered)
+        entry = sign(group_digest(items, [p.data_digest for p in ordered]),
+                     self.key)
         size = sum(len(data) for _, data in items) + 256
         self.request(name, "install_group",
                      {"bundle": bundle, "items": items, "group_sig": entry},
@@ -500,7 +487,7 @@ class VehiclePrimary(Actor):
             for item in stuck:
                 if item.data is None:
                     item.via_cellular = True
-                    item.buckets, item.attempts = [], 0
+                    item.received, item.attempts = msg.Received(), 0
                     self._cellular_fetch(item)
             self._arm_image_deadline()
             return
@@ -609,17 +596,21 @@ class SecondaryEcu(Actor):
         bundle = env.payload["bundle"]
         items = env.payload["items"]
         entry = env.payload["group_sig"]
-        reason = self._validate_group(bundle, items, entry)
+        # Each image is hashed once; the group signature, the manifest check
+        # and the install log all use these digests of the same bytes.
+        data_digests = [digest(data) for _, data in items]
+        reason = self._validate_group(bundle, items, data_digests, entry)
         if reason is not None:
             self.reply(env, "install_err", {"reason": reason}, 64)
             return
         self.world.schedule(self.flash_latency_ms,
-                            lambda: self._flash(env, items))
+                            lambda: self._flash(env, items, data_digests))
 
-    def _validate_group(self, bundle, items, entry) -> Optional[str]:
+    def _validate_group(self, bundle, items, data_digests,
+                        entry) -> Optional[str]:
         crl = self.crl_ref()
-        if entry.signer_id != self.primary_id \
-                or not verify(group_digest(items), entry, self.registry, crl):
+        if entry.signer_id != self.primary_id or not verify(
+                group_digest(items, data_digests), entry, self.registry, crl):
             return "primary_auth"
         if not items:
             return "empty"
@@ -627,10 +618,10 @@ class SecondaryEcu(Actor):
             reason = self._full_verification(bundle, items)
             if reason is not None:
                 return reason
-        for mu, data in items:
+        for (mu, _), data_digest in zip(items, data_digests):
             if mu.theta.e != self.ecu:
                 return "wrong_ecu"
-            if digest(data) != mu.theta.h:
+            if data_digest != mu.theta.h:
                 return "integrity"
             have = self.installed.get(mu.theta.s)
             if have is not None and mu.tau.v <= have[0].v:
@@ -664,12 +655,12 @@ class SecondaryEcu(Actor):
                 return "manifest_auth"
         return None
 
-    def _flash(self, env: Envelope, items):
-        for mu, data in items:
-            self.installed[mu.theta.s] = (mu.tau, digest(data))
-            _install_log(self.world).append(
+    def _flash(self, env: Envelope, items, data_digests):
+        for (mu, _), data_digest in zip(items, data_digests):
+            self.installed[mu.theta.s] = (mu.tau, data_digest)
+            self.world.install_log.append(
                 (self.world.now, self.vin, self.ecu, mu.theta.s,
-                 mu.tau.v, digest(data)))
+                 mu.tau.v, data_digest))
         if self._image_timer is not None:
             self._image_timer.cancel()
             self._image_timer = None

@@ -72,12 +72,23 @@ def test_replay_requires_history_and_replays_first_seen():
 
 def test_recorded_tap_groups_by_kind():
     world = World(seed=1)
-    adv = Adversary([])
+    # A replay rule reads the tap; its window keeps it from firing here.
+    adv = Adversary([AttackRule("replay", t_start=1e9)])
     adv.intercept(world, _env(kind="status"))
     adv.intercept(world, _env(kind="serve"))
     adv.intercept(world, _env(kind="status"))
     assert len(adv.recorded["status"]) == 2
     assert len(adv.recorded["serve"]) == 1
+
+
+def test_tap_is_kept_only_for_rules_that_read_it():
+    world = World(seed=1)
+    for kinds, keeps in ((("drop", "tamper", "spoof", "delay"), False),
+                         (("replay",), True), (("freeze",), True),
+                         (("rollback",), True), (("mix_bundles",), True)):
+        adv = Adversary([AttackRule(kind, t_start=1e9) for kind in kinds])
+        adv.intercept(world, _env(kind="status"))
+        assert bool(adv.recorded) == keeps, kinds
 
 
 def test_sud_and_repo_compromise_is_rejected():

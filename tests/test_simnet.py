@@ -166,3 +166,66 @@ def test_trace_csv_rows_shape():
     rows = list(world.trace_csv_rows())
     assert len(rows) == 1
     assert rows[0][1:] == ("a", "b", "10", CELLULAR, "ping")
+
+
+# ---------------------------------------------------------------------------
+# One armed finisher per link
+# ---------------------------------------------------------------------------
+
+def test_many_equal_flows_cost_linear_heap_pushes():
+    # N equal flows each get bandwidth / N and all complete at N times the
+    # time one flow takes alone, as in test_fair_share_two_equal_flows.
+    n = 300
+    world = World(seed=1)
+    sink = Recorder("b", world)
+    link = _link(10.0, 0.0)
+    size = 10_000_000 // 8
+    for i in range(n):
+        world.send(Envelope("a", "b", "ping", i, size, link))
+    world.run()
+    assert world._seq <= 4 * n
+    assert [t for t, _ in sink.got] == pytest.approx([n * 1000.0] * n,
+                                                     rel=1e-9)
+    # Equal flows started at the same instant deliver in start order.
+    assert [payload for _, payload in sink.got] == list(range(n))
+
+
+def test_same_instant_ties_run_in_schedule_order():
+    # Both flows finish at exactly 2000 ms.  Events due at one instant run
+    # in the order they were scheduled: the timer armed before the flows
+    # started fires before either finisher, and the timer armed after them
+    # fires after the first finisher but before the second, whose finisher
+    # is armed only when the first one completes.
+    world = World(seed=1)
+    link = _link(10.0, 0.0)
+    order = []
+    world.schedule(2000.0, lambda: order.append("timer before"))
+    for i in range(2):
+        link.start_flow(world, 10_000_000 // 8,
+                        lambda i=i: order.append((world.now, f"flow {i}")))
+    world.schedule(2000.0, lambda: order.append("timer after"))
+    world.run()
+    assert order == ["timer before", (2000.0, "flow 0"), "timer after",
+                     (2000.0, "flow 1")]
+
+
+def test_run_ends_at_latest_finish_estimate():
+    # Sharing 10 Mbps, a 10 Mb and a 20 Mb flow are first due at 2 s and
+    # 4 s; when the first finishes the second speeds up and finishes at 3 s.
+    # The clock still ends at the superseded 4 s estimate, and a horizon
+    # before it counts as reached, as under a finisher per flow.
+    def run(horizon_ms=None):
+        world = World(seed=1)
+        sink = Recorder("b", world)
+        link = _link(10.0, 0.0)
+        world.send(Envelope("a", "b", "ping", 1, 10_000_000 // 8, link))
+        world.send(Envelope("a", "b", "ping", 2, 20_000_000 // 8, link))
+        world.run(horizon_ms)
+        return world, [round(t) for t, _ in sink.got]
+
+    world, times = run()
+    assert times == [2000, 3000]
+    assert world.now == 4000.0 and not world.horizon_reached
+    world, times = run(horizon_ms=3500.0)
+    assert times == [2000, 3000]
+    assert world.now == 3500.0 and world.horizon_reached
