@@ -212,10 +212,15 @@ class Station(Actor):
     def cache_insert(self, software: str, version: int, data: bytes,
                      manifest: msg.UpdateManifest):
         """LRU insert; returns the list of evicted software ids.  Images
-        larger than the whole cache are served pass-through, uncached."""
+        larger than the whole cache are served pass-through, uncached.  An
+        insert of a cached (software, version) replaces its entry, so its
+        bytes count once, and makes it the most recently used."""
         size = len(data)
         if size > self.capacity:
             return None
+        replaced = self.cache.pop((software, version), None)
+        if replaced is not None:
+            self.occupancy -= replaced.size
         evicted = []
         while self.occupancy + size > self.capacity and self.cache:
             (old_s, old_v), old = self.cache.popitem(last=False)

@@ -7,6 +7,14 @@ reproducible from the seed and verification uses the registered key material
 directly, so it offers no real asymmetry) and an Ed25519 one backed by the
 `cryptography` package for realistic key handling.  Simulation results must
 not depend on which provider is plugged in.
+
+`verify` is the one verification policy for both providers.  The revocation
+check and the signer lookup run on every call and are never cached.  Only
+the provider's pure check is memoised, on the `KeyRegistry`, keyed by the
+exact bytes it depends on: the registered (public key, scheme), the payload
+digest and the signature.  A registry belongs to one world, so the memo
+lives and dies with it.  Simulated time charges nothing for computation, so
+the memo saves host time only and leaves every output unchanged.
 """
 from __future__ import annotations
 
@@ -34,6 +42,10 @@ class KeyPair:
     public_key: bytes
     private_key: bytes
     scheme: str = "hmac"
+    # The provider's private-key object, built by its first `sign`; None for
+    # HMAC keys and for keys that have not signed yet.
+    _signer: object = field(default=None, init=False, repr=False,
+                            compare=False)
 
 
 class CryptoError(Exception):
@@ -79,8 +91,11 @@ class Ed25519Provider:
     def sign(self, payload_digest: bytes, key: KeyPair) -> SignatureEntry:
         from cryptography.hazmat.primitives.asymmetric import ed25519
 
-        priv = ed25519.Ed25519PrivateKey.from_private_bytes(key.private_key)
-        return SignatureEntry(key.signer_id, priv.sign(payload_digest))
+        if key._signer is None:
+            object.__setattr__(key, "_signer",
+                               ed25519.Ed25519PrivateKey.from_private_bytes(
+                                   key.private_key))
+        return SignatureEntry(key.signer_id, key._signer.sign(payload_digest))
 
     def verify(self, payload_digest: bytes, public_key: bytes, sig: bytes) -> bool:
         from cryptography.exceptions import InvalidSignature
@@ -120,6 +135,9 @@ class KeyRegistry:
     """Public keys by signer id; private halves stay with the owning actor."""
 
     keys: dict = field(default_factory=dict)  # signer_id -> (public_key, scheme)
+    # ((public_key, scheme), payload digest, sig) -> the provider's verdict
+    _checked: dict = field(default_factory=dict, init=False, repr=False,
+                           compare=False)
 
     def add(self, key: KeyPair) -> None:
         if key.signer_id in self.keys:
@@ -134,12 +152,19 @@ def verify(payload_digest: bytes, entry: SignatureEntry,
            registry: KeyRegistry, crl: RevocationList) -> bool:
     """True iff entry verifies under the registered key and is not revoked.
 
-    Unknown signers verify false rather than raising.
+    Unknown signers verify false rather than raising.  Revocation and the
+    signer lookup are checked on every call; the provider's check of the
+    registered key, digest and signature runs once per registry.
     """
     if entry.signer_id in crl.revoked:
         return False
     rec = registry.public_of(entry.signer_id)
     if rec is None:
         return False
-    public_key, scheme = rec
-    return PROVIDERS[scheme].verify(payload_digest, public_key, entry.sig)
+    memo_key = (rec, payload_digest, entry.sig)
+    ok = registry._checked.get(memo_key)
+    if ok is None:
+        public_key, scheme = rec
+        ok = registry._checked[memo_key] = PROVIDERS[scheme].verify(
+            payload_digest, public_key, entry.sig)
+    return ok

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from . import messages as msg
-from .crypto import KeyPair, KeyRegistry, digest
+from .crypto import KeyPair, KeyRegistry, digest, verify
 from .simnet import Actor, Envelope, Link, World
 
 VIN_LEN = 17
@@ -329,7 +329,6 @@ class Director(Actor):
             expected = f"{vin}.{entry.ecu}"
             if entry.sig.signer_id != expected:
                 return False
-            from .crypto import verify
             if not verify(msg.status_entry_digest(entry), entry.sig,
                           self.registry, self.crl_ref()):
                 return False

@@ -58,6 +58,8 @@ class UpdateManifest:
     theta: MetaRecord
     tau: TimestampRecord
     sigma: tuple = ()      # SignatureEntry list, append-only
+    _region: Optional[bytes] = field(default=None, init=False, repr=False,
+                                     compare=False)
 
 
 @dataclass(frozen=True)
@@ -77,6 +79,8 @@ class Bundle:
     sigma: tuple = ()
     grants: tuple = ()     # Grant chain, outside the signed region
     ecu_sigs: tuple = ()   # (ecu_id, SignatureEntry), outside the signed region
+    _region: Optional[bytes] = field(default=None, init=False, repr=False,
+                                     compare=False)
 
 
 @dataclass(frozen=True)
@@ -94,6 +98,8 @@ class StatusReport:
     nonce: bytes            # 16 bytes, unique per message per sender
     sigma: tuple = ()
     bundles: tuple = ()     # present only in director replies
+    _region: Optional[bytes] = field(default=None, init=False, repr=False,
+                                     compare=False)
 
 
 @dataclass(frozen=True)
@@ -227,7 +233,20 @@ def _dec_sigma(r: _Reader) -> tuple:
 
 
 def signed_region(msg) -> bytes:
-    """Canonical bytes of the signature-covered part of a message."""
+    """Canonical bytes of the signature-covered part of a message.
+
+    Signed messages are frozen, so the region of a manifest, bundle or status
+    report is encoded on first use and kept on the instance; `replace` gives
+    a new instance, which encodes afresh.
+    """
+    if isinstance(msg, (UpdateManifest, Bundle, StatusReport)):
+        if msg._region is None:
+            object.__setattr__(msg, "_region", _encode_region(msg))
+        return msg._region
+    return _encode_region(msg)
+
+
+def _encode_region(msg) -> bytes:
     if isinstance(msg, TimestampRecord):
         return bytes([TAG_TS]) + _enc_ts(msg)
     if isinstance(msg, MetaRecord):

@@ -102,7 +102,6 @@ class VehiclePrimary(Actor):
         self._ignitions = 0
         self.alert_flag = False
         self.alerts: list = []
-        self.outcomes: list = []               # (time, outcome, software)
         self.records: dict = {"ignitions": [], "manifest_done": None,
                               "complete": None}
 
@@ -353,8 +352,6 @@ class VehiclePrimary(Actor):
         if env.kind != "serve_ok":
             self._station_item_failed(item)
             return
-        self.outcomes.append((self.world.now, env.payload.get("outcome"),
-                              item.mu.theta.s))
         done = self._absorb_buckets(item, env.payload)
         if done is None:
             self._station_item_failed(item)

@@ -53,6 +53,21 @@ def test_oversized_image_is_pass_through():
     assert station.cache_get("big", 1) is None
 
 
+def test_reinsert_counts_an_entry_once():
+    rig = Rig()
+    station = _station(rig, capacity=1000)
+    mu, _ = rig.make_update("x")
+    station.cache_insert("a", 1, b"1" * 400, mu)
+    station.cache_insert("b", 1, b"2" * 400, mu)
+    # The cache holds 800 bytes, so inserting b again must evict nothing.
+    assert station.cache_insert("b", 1, b"3" * 400, mu) == []
+    station.cache_insert("b", 1, b"4" * 300, mu)
+    assert station.occupancy == sum(e.size for e in station.cache.values())
+    assert station.occupancy == 700
+    assert station.cache_get("a", 1) is not None
+    assert station.cache_get("b", 1).data == b"4" * 300
+
+
 def test_cache_dump_is_sorted():
     rig = Rig()
     station = _station(rig, capacity=10_000)

@@ -1,8 +1,12 @@
+from collections import Counter
+
 import pytest
 
-from ota_stations.crypto import (CryptoError, KeyRegistry, PROVIDERS,
-                                 RevocationList, digest, revoke, sign,
-                                 verify)
+from ota_stations import crypto, messages
+from ota_stations.crypto import (CryptoError, KeyPair, KeyRegistry, PROVIDERS,
+                                 RevocationList, SignatureEntry, digest,
+                                 revoke, sign, verify)
+from ota_stations.scenario import ScenarioConfig, run_scenario
 
 
 @pytest.fixture(params=["hmac", "ed25519"])
@@ -64,7 +68,6 @@ def test_duplicate_registration_rejected():
 
 
 def test_signing_without_private_key_rejected():
-    from ota_stations.crypto import KeyPair
     key = KeyPair("alice", b"pub", b"", "hmac")
     with pytest.raises(CryptoError):
         sign(digest(b"x"), key)
@@ -86,6 +89,149 @@ def test_cross_signer_signature_rejected(provider):
     registry.add(bob)
     entry = sign(digest(b"payload"), alice)
     # Claiming bob's identity over alice's signature must fail.
-    from ota_stations.crypto import SignatureEntry
     forged = SignatureEntry("bob", entry.sig)
     assert not verify(digest(b"payload"), forged, registry, RevocationList())
+
+
+# ---------------------------------------------------------------------------
+# Verification memo
+# ---------------------------------------------------------------------------
+
+class CountingProvider:
+    """Delegates to a real provider and counts its sign and verify calls."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.calls = Counter()
+
+    def __getattr__(self, name):
+        return getattr(self.inner, name)
+
+    def sign(self, payload_digest, key):
+        self.calls["sign"] += 1
+        return self.inner.sign(payload_digest, key)
+
+    def verify(self, payload_digest, public_key, sig):
+        self.calls["verify"] += 1
+        return self.inner.verify(payload_digest, public_key, sig)
+
+
+@pytest.fixture
+def counting(provider, monkeypatch):
+    wrapped = CountingProvider(provider)
+    monkeypatch.setitem(crypto.PROVIDERS, provider.scheme, wrapped)
+    return wrapped
+
+
+def _alice(provider):
+    key = provider.generate("alice", b"seed")
+    registry = KeyRegistry()
+    registry.add(key)
+    return key, registry
+
+
+def test_memoised_entry_fails_once_signer_is_revoked(provider):
+    key, registry = _alice(provider)
+    entry = sign(digest(b"payload"), key)
+    assert verify(digest(b"payload"), entry, registry, RevocationList())
+    crl = revoke(RevocationList(), "alice")
+    assert not verify(digest(b"payload"), entry, registry, crl)
+    # The memo still holds the pure check for holders of the old list.
+    assert verify(digest(b"payload"), entry, registry, RevocationList())
+
+
+def test_memoised_sibling_does_not_pass_a_bad_digest_or_signature(provider):
+    key, registry = _alice(provider)
+    entry = sign(digest(b"payload"), key)
+    assert verify(digest(b"payload"), entry, registry, RevocationList())
+    assert not verify(digest(b"other"), entry, registry, RevocationList())
+    flipped = SignatureEntry("alice",
+                             bytes([entry.sig[0] ^ 1]) + entry.sig[1:])
+    assert not verify(digest(b"payload"), flipped, registry, RevocationList())
+    # Failures are memoised too, and never turn into passes.
+    assert not verify(digest(b"payload"), flipped, registry, RevocationList())
+    assert verify(digest(b"payload"), entry, registry, RevocationList())
+
+
+def test_unknown_signer_is_false_even_when_its_triple_is_memoised(provider):
+    key, registry = _alice(provider)
+    entry = sign(digest(b"payload"), key)
+    assert verify(digest(b"payload"), entry, registry, RevocationList())
+    stranger = SignatureEntry("carol", entry.sig)
+    assert not verify(digest(b"payload"), stranger, registry, RevocationList())
+
+
+def test_fresh_registry_starts_with_empty_memo(provider):
+    key, registry = _alice(provider)
+    verify(digest(b"payload"), sign(digest(b"payload"), key), registry,
+           RevocationList())
+    assert registry._checked
+    assert KeyRegistry()._checked == {}
+
+
+def test_provider_verifies_each_triple_once_per_registry(provider, counting):
+    key, registry = _alice(provider)
+    entry = sign(digest(b"payload"), key)
+    for _ in range(3):
+        assert verify(digest(b"payload"), entry, registry, RevocationList())
+    assert counting.calls["verify"] == 1
+    assert not verify(digest(b"other"), entry, registry, RevocationList())
+    assert not verify(digest(b"other"), entry, registry, RevocationList())
+    assert counting.calls["verify"] == 2
+    # Revocation is decided before the memo and costs no provider call.
+    assert not verify(digest(b"payload"), entry, registry,
+                      revoke(RevocationList(), "alice"))
+    assert counting.calls["verify"] == 2
+    other = KeyRegistry()
+    other.add(key)
+    assert verify(digest(b"payload"), entry, other, RevocationList())
+    assert counting.calls["verify"] == 3
+
+
+def test_ed25519_key_object_is_kept_and_ignored_by_equality():
+    provider = PROVIDERS["ed25519"]
+    key = provider.generate("alice", b"seed")
+    by_hand = KeyPair("alice", key.public_key, key.private_key, key.scheme)
+    assert key._signer is None
+    first = sign(digest(b"x"), key)
+    assert key._signer is not None
+    assert by_hand == key and hash(by_hand) == hash(key)
+    assert "_signer" not in repr(key)
+    # The kept object signs the same bytes as a key that builds its own.
+    assert sign(digest(b"x"), key) == first == sign(digest(b"x"), by_hand)
+
+
+def test_registry_memo_is_not_a_constructor_argument():
+    with pytest.raises(TypeError):
+        KeyRegistry({}, {})
+
+
+def test_repeated_scenario_does_the_same_crypto_and_codec_work(monkeypatch):
+    """Every memo belongs to one world: a second run of the same scenario
+    in this process verifies, signs and encodes as much as the first."""
+    counting = CountingProvider(PROVIDERS["ed25519"])
+    monkeypatch.setitem(crypto.PROVIDERS, "ed25519", counting)
+    encode = messages._encode_region
+    encodes = Counter()
+
+    def counted_encode(m):
+        encodes["region"] += 1
+        return encode(m)
+
+    monkeypatch.setattr(messages, "_encode_region", counted_encode)
+    config = ScenarioConfig(
+        name="memo", vehicles=2, stations=1, models=1, coverage_pct=100,
+        mix_hit=100, bundle_bytes=40_000, image_count=3,
+        secondaries_per_vehicle=1, untrusted_secondaries=True,
+        crypto="ed25519", ignition_limit=2)
+    work = []
+    for _ in range(2):
+        counting.calls.clear()
+        encodes.clear()
+        report = run_scenario(config)
+        work.append((report.install_count, dict(counting.calls),
+                     encodes["region"]))
+    assert work[0] == work[1]
+    installs, calls, regions = work[0]
+    assert installs > 0 and calls["verify"] > 0 and calls["sign"] > 0
+    assert regions > 0

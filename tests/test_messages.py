@@ -1,9 +1,11 @@
+import dataclasses
 import struct
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ota_stations import messages as msg
+from ota_stations import adversary, messages as msg
 from ota_stations.crypto import (PROVIDERS, KeyRegistry, RevocationList,
                                  digest)
 
@@ -166,6 +168,75 @@ def test_encoding_round_trip(message):
 def test_encoding_injective(a, b):
     if a != b:
         assert msg.canonical_encode(a) != msg.canonical_encode(b)
+
+
+# ---------------------------------------------------------------------------
+# Signed-region memo
+# ---------------------------------------------------------------------------
+
+def _fresh_region(message):
+    """The region of an equal message decoded from the wire, so encoded
+    anew rather than read from the memo."""
+    return msg.signed_region(msg.decode_message(msg.canonical_encode(message)))
+
+
+def _signed_messages():
+    mu = msg.sign_message(_manifest("s"), _key("producer0"))
+    bundle = msg.Bundle((mu, _manifest("t")), msg.TimestampRecord(5, 1))
+    report = msg.StatusReport((), msg.TimestampRecord(7, 1), b"n" * 16,
+                              bundles=(bundle,))
+    return mu, bundle, report
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(timestamps(), metas(), manifests(), bundles(),
+                 status_reports()))
+def test_cached_region_equals_fresh_encoding(message):
+    first = msg.signed_region(message)
+    assert msg.signed_region(message) == first == _fresh_region(message)
+
+
+def test_replace_of_cached_message_encodes_afresh():
+    changes = ({"l": "repo0/s/3"}, {"tau": msg.TimestampRecord(6, 1)},
+               {"nonce": b"m" * 16})
+    for message, change in zip(_signed_messages(), changes):
+        region = msg.signed_region(message)
+        changed = dataclasses.replace(message, **change)
+        assert changed._region is None
+        assert msg.signed_region(changed) != region
+        assert msg.signed_region(changed) == _fresh_region(changed)
+        # A signature added by `replace` leaves the region as it was.
+        resigned = msg.sign_message(message, _key("other"))
+        assert resigned._region is None
+        assert msg.signed_region(resigned) == region
+
+
+def test_adversary_bundle_mutations_change_the_payload_digest():
+    live = msg.StatusReport(
+        (), msg.TimestampRecord(7, 1), b"n" * 16,
+        bundles=(msg.Bundle((_manifest("a"), _manifest("b")),
+                            msg.TimestampRecord(5, 1)),))
+    donor = msg.StatusReport(
+        (), msg.TimestampRecord(6, 1), b"o" * 16,
+        bundles=(msg.Bundle((_manifest("c"), _manifest("b")),
+                            msg.TimestampRecord(4, 1)),))
+    before = msg.payload_digest(live)
+    bundle_before = msg.payload_digest(live.bundles[0])
+    stripped = adversary._strip_part(live)
+    mixed = adversary._mix_bundles(live, [SimpleNamespace(payload=donor)])
+    for mutated in (stripped, mixed):
+        assert msg.payload_digest(mutated) != before
+        assert msg.payload_digest(mutated.bundles[0]) != bundle_before
+    assert msg.payload_digest(live) == before
+
+
+def test_region_memo_leaves_equality_hash_and_repr_alone():
+    for cached, plain in zip(_signed_messages(), _signed_messages()):
+        msg.signed_region(cached)
+        assert cached._region is not None and plain._region is None
+        assert cached == plain
+        assert hash(cached) == hash(plain)
+        assert repr(cached) == repr(plain)
 
 
 def test_encoding_rejects_malformed_values():
