@@ -8,7 +8,7 @@ compromised keys; adversary actions are events, never errors.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from . import messages as msg

@@ -12,7 +12,7 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 
 from . import messages as msg
-from .crypto import KeyPair, KeyRegistry, digest, sign
+from .crypto import KeyPair, digest, sign
 from .simnet import Actor, Envelope, Link, World
 
 
@@ -34,18 +34,13 @@ class CacheEntry:
 
 
 class UpdateEngine(Actor):
-    def __init__(self, name: str, world: World, registry: KeyRegistry,
-                 key: KeyPair, crl_ref, sud: str, sud_link: Link,
-                 publish_id: str, producer_ids: set, sud_roles: dict):
+    def __init__(self, name: str, world: World, trust: msg.TrustContext,
+                 key: KeyPair, sud: str, sud_link: Link):
         super().__init__(name, world)
-        self.registry = registry
+        self.trust = trust
         self.key = key
-        self.crl_ref = crl_ref
         self.sud = sud
         self.sud_link = sud_link
-        self.publish_id = publish_id
-        self.producer_ids = set(producer_ids)
-        self.sud_roles = sud_roles        # role name -> signer id
         self.subscriptions: dict = {}     # min -> {station: Link}
         self.bundles: dict = {}           # (min, trigger) -> validated Bundle
         self.last_bundle_tau: dict = {}   # (min, trigger) -> TimestampRecord
@@ -56,38 +51,18 @@ class UpdateEngine(Actor):
 
     def validate_bundle(self, bundle: msg.Bundle, min_id: str):
         """Returns None if valid, else a rejection reason."""
-        crl = self.crl_ref()
-        if not msg.verify_grant_chain(bundle, self.name, self.publish_id,
-                                      self.registry, crl):
-            return "auth"
-        pd = msg.payload_digest(bundle)
-        if not msg.assert_auth(bundle.sigma, {self.sud_roles["snapshot"]},
-                               pd, self.registry, crl):
+        if not self.trust.verify_bundle(bundle, self.name):
             return "auth"
         trigger = bundle.manifests[0].theta.s
         last = self.last_bundle_tau.get((min_id, trigger))
         if last is not None and not msg.assert_fresh(bundle.tau, last):
             return "stale"
         for mu in bundle.manifests:
-            if not self._manifest_valid(mu):
+            prev = self.last_manifest_tau.get(mu.theta.s)
+            if not self.trust.verify_manifest(mu) or (
+                    prev is not None and mu.tau.v < prev.v):
                 return f"manifest:{mu.theta.s}"
         return None
-
-    def _manifest_valid(self, mu: msg.UpdateManifest) -> bool:
-        crl = self.crl_ref()
-        pd = msg.payload_digest(mu)
-        signers = {e.signer_id for e in mu.sigma}
-        if not (signers & self.producer_ids):
-            return False
-        required = (signers & self.producer_ids) | {
-            self.sud_roles["targets"], self.sud_roles["timestamp"],
-            self.sud_roles["root"]}
-        if not msg.assert_auth(mu.sigma, required, pd, self.registry, crl):
-            return False
-        last = self.last_manifest_tau.get(mu.theta.s)
-        if last is not None and mu.tau.v < last.v:
-            return False
-        return True
 
     def _accept(self, bundle: msg.Bundle, min_id: str):
         trigger = bundle.manifests[0].theta.s
@@ -184,22 +159,16 @@ class UpdateEngine(Actor):
 
 
 class Station(Actor):
-    def __init__(self, name: str, world: World, registry: KeyRegistry,
-                 key: KeyPair, crl_ref, engine: str, engine_link: Link,
-                 repo: str, repo_link: Link, publish_id: str,
-                 sud_roles: dict, producer_ids: set,
-                 capacity_bytes: int):
+    def __init__(self, name: str, world: World, trust: msg.TrustContext,
+                 key: KeyPair, engine: str, engine_link: Link,
+                 repo: str, repo_link: Link, capacity_bytes: int):
         super().__init__(name, world)
-        self.registry = registry
+        self.trust = trust
         self.key = key
-        self.crl_ref = crl_ref
         self.engine = engine
         self.engine_link = engine_link
         self.repo = repo
         self.repo_link = repo_link
-        self.publish_id = publish_id
-        self.sud_roles = sud_roles
-        self.producer_ids = set(producer_ids)
         self.capacity = capacity_bytes
         self.cache: OrderedDict = OrderedDict()  # (s, v) -> CacheEntry
         self.occupancy = 0
@@ -250,55 +219,27 @@ class Station(Actor):
     def on_prefetch(self, env: Envelope):
         bundle = env.payload["bundle"]
         min_id = env.payload["min"]
-        if not msg.verify_grant_chain(bundle, self.name, self.publish_id,
-                                      self.registry, self.crl_ref()):
+        if not self.trust.granted(bundle, self.name):
             return
         self.known_models.add(min_id)
         for mu in bundle.manifests:
             if (mu.theta.s, mu.tau.v) not in self.cache:
-                self._fetch_image(mu, bundle, on_done=None)
+                self._fetch_and_cache(mu, bundle)
 
-    def _fetch_image(self, mu, credential, on_done, from_index: int = 0,
-                     received=None, attempts: int = 0):
-        received = received or msg.Received()
-        self.request(
-            self.repo, "fetch",
-            {"l": mu.l, "credential": credential, "from_index": from_index},
-            96 + msg.wire_size(credential), self.repo_link,
-            on_reply=lambda r: self._on_image_bytes(
-                mu, credential, on_done, received, attempts, r),
-            on_fail=lambda: on_done(None) if on_done else None)
-
-    def _on_image_bytes(self, mu, credential, on_done, received,
-                        attempts, reply: Envelope):
-        if reply.kind != "fetch_ok":
-            if on_done:
-                on_done(None)
-            return
-        total = reply.payload["total"]
-        bucket_size = reply.payload["bucket_size"]
-        received.add(reply.payload["buckets"])
-        try:
-            result = msg.assemble_buckets(received, mu, total=total,
-                                          bucket_size=bucket_size)
-        except msg.IntegrityError:
-            received, result = msg.Received(), msg.Resume(0)
-        if isinstance(result, msg.Complete):
+    def _fetch_and_cache(self, mu, credential, on_done=None, on_error=None):
+        """Pull `mu`'s image from the repository, cache it and pass it on."""
+        def done(result: msg.Complete):
             image = result.image
             self.cache_insert(mu.theta.s, mu.tau.v, image.data, mu)
             entry = self._entry_holding(mu, image.data)
             if entry is not None:
                 # Serve the buckets verified on arrival; no second split.
                 entry.images[image.bucket_size] = image
-            if on_done:
-                on_done(image.data)
-            return
-        if attempts >= 8:
-            if on_done:
-                on_done(None)
-            return
-        self._fetch_image(mu, credential, on_done, result.next_index,
-                          received, attempts + 1)
+            if on_done is not None:
+                on_done(image)
+
+        self.fetch_image(self.repo, self.repo_link, mu, credential,
+                         96 + msg.wire_size(credential), done, on_error)
 
     # -- vehicle-facing session (step 9) -----------------------------------
 
@@ -350,30 +291,18 @@ class Station(Actor):
         if reply.kind != "authorize_ok":
             self.reply(env, "serve_err", {"reason": "unauthorized"}, 64)
             return
-        credential = reply.payload["bundle"]
-        self._fetch_image(
-            mu, credential,
-            on_done=lambda data: self._serve_bytes(env, mu, data, from_index,
-                                                   outcome)
-            if data is not None
-            else self.reply(env, "serve_err", {"reason": "fetch"}, 64))
+        self._fetch_and_cache(
+            mu, reply.payload["bundle"],
+            lambda image: self._serve_bytes(env, mu, image.data, from_index,
+                                            outcome),
+            lambda reason: self.reply(env, "serve_err", {"reason": "fetch"},
+                                      64))
 
     def _vehicle_request_valid(self, mu, bundle, requester: str) -> bool:
-        crl = self.crl_ref()
-        if not msg.verify_grant_chain(bundle, requester, self.publish_id,
-                                      self.registry, crl):
-            return False
-        pd = msg.payload_digest(bundle)
-        if not msg.assert_auth(bundle.sigma, {self.sud_roles["snapshot"]},
-                               pd, self.registry, crl):
-            return False
-        if not any(msg.payload_digest(m) == msg.payload_digest(mu)
-                   for m in bundle.manifests):
-            return False
-        pd_mu = msg.payload_digest(mu)
-        required = {self.sud_roles["targets"], self.sud_roles["timestamp"],
-                    self.sud_roles["root"]}
-        return msg.assert_auth(mu.sigma, required, pd_mu, self.registry, crl)
+        return (self.trust.verify_bundle(bundle, requester)
+                and any(msg.payload_digest(m) == msg.payload_digest(mu)
+                        for m in bundle.manifests)
+                and self.trust.verify_manifest(mu))
 
     def _serve_bytes(self, env, mu, data: bytes, from_index: int,
                      outcome: str):

@@ -1,5 +1,6 @@
-"""Command line entry point: run one scenario, sweep a parameter, run a
-property suite, or evaluate the bandwidth cost model.
+"""Command line entry point: run one scenario, sweep station coverage,
+client count or cache outcome mix, run a property suite, or evaluate the
+bandwidth cost model.
 """
 from __future__ import annotations
 
@@ -39,20 +40,37 @@ def _cmd_run(args) -> int:
     return 0
 
 
+# Sweep parameter -> its default values.
+SWEEPS = {"coverage": "0,25,50,75,100", "clients": "1,5,10,20",
+          "mix": "hit,miss,unknown,cellular"}
+# Cache outcome -> (mix_hit, mix_miss, mix_unknown) serving it to every
+# station-served update.
+_MIXES = {"hit": (100, 0, 0), "miss": (0, 100, 0), "unknown": (0, 0, 100)}
+
+
+def _swept(base: ScenarioConfig, param: str, value: str) -> ScenarioConfig:
+    if param == "coverage":
+        return dataclasses.replace(base, coverage_pct=int(value))
+    if param == "clients":
+        clients = int(value)
+        return dataclasses.replace(base, vehicles=clients, stations=max(
+            base.stations, max(1, clients // 2)))
+    if value == "cellular":
+        return dataclasses.replace(base, coverage_pct=0)
+    if value not in _MIXES:
+        raise ConfigError(f"unknown mix {value}; choose from "
+                          + ", ".join(SWEEPS["mix"].split(",")))
+    hit, miss, unknown = _MIXES[value]
+    return dataclasses.replace(base, mix_hit=hit, mix_miss=miss,
+                               mix_unknown=unknown)
+
+
 def _cmd_sweep(args) -> int:
     base = _load_config(args)
-    values = [int(v) for v in args.values.split(",")]
     lines = [f"{args.param},mean_download_ms,cellular_bytes,alerts"]
-    for value in values:
-        if args.param == "coverage":
-            config = dataclasses.replace(base, coverage_pct=value)
-        elif args.param == "clients":
-            stations = max(base.stations, max(1, value // 2))
-            config = dataclasses.replace(base, vehicles=value,
-                                         stations=stations)
-        else:
-            raise ConfigError(f"unknown sweep parameter {args.param}")
-        report = run_scenario(config.validate())
+    for value in (args.values or SWEEPS[args.param]).split(","):
+        value = value.strip()
+        report = run_scenario(_swept(base, args.param, value).validate())
         mean = report.mean_download_ms
         lines.append(f"{value},{mean:.3f}" if mean is not None
                      else f"{value},")
@@ -102,12 +120,15 @@ def build_parser() -> argparse.ArgumentParser:
     common(p_run)
     p_run.set_defaults(fn=_cmd_run)
 
-    p_sweep = sub.add_parser("sweep", help="sweep coverage or client count")
+    p_sweep = sub.add_parser(
+        "sweep", help="sweep coverage, client count or cache outcome mix")
     common(p_sweep)
-    p_sweep.add_argument("--param", choices=("coverage", "clients"),
+    p_sweep.add_argument("--param", choices=tuple(SWEEPS),
                          default="coverage")
-    p_sweep.add_argument("--values", default="0,25,50,75,100",
-                         help="comma-separated sweep values")
+    p_sweep.add_argument("--values", default=None,
+                         help="comma-separated sweep values (default: "
+                         + "; ".join(f"{name} {values}" for name, values
+                                     in SWEEPS.items()) + ")")
     p_sweep.set_defaults(fn=_cmd_sweep)
 
     p_suite = sub.add_parser("suite", help="run a property suite")

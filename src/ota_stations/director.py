@@ -8,13 +8,10 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from . import messages as msg
-from .crypto import KeyPair, KeyRegistry, digest, verify
+from .crypto import digest
 from .simnet import Actor, Envelope, Link, World
 
 VIN_LEN = 17
-MIN_LEN = 11
-
-ROLE_NAMES = ("targets", "snapshot", "timestamp", "root", "publish")
 
 
 class DirectorError(Exception):
@@ -69,17 +66,14 @@ def resolve_update_set(trigger: str, deps: dict, installed: set,
 class Director(Actor):
     """Single-threaded actor; one simnet event per state transition."""
 
-    def __init__(self, name: str, world: World, registry: KeyRegistry,
-                 role_keys: dict, crl_ref, repo: str, repo_link: Link,
-                 producer_ids: set, co_update_groups=(),
-                 untrusted_secondaries: bool = False):
+    def __init__(self, name: str, world: World, trust: msg.TrustContext,
+                 role_keys: dict, repo: str, repo_link: Link,
+                 co_update_groups=(), untrusted_secondaries: bool = False):
         super().__init__(name, world)
-        self.registry = registry
+        self.trust = trust
         self.role_keys = role_keys            # role name -> KeyPair
-        self.crl_ref = crl_ref
         self.repo = repo
         self.repo_link = repo_link
-        self.producer_ids = set(producer_ids)
         self.co_update_groups = [frozenset(g) for g in co_update_groups]
         self.untrusted_secondaries = untrusted_secondaries
 
@@ -100,7 +94,7 @@ class Director(Actor):
             raise DirectorError(f"VIN must be {VIN_LEN} characters")
         if vin in self.fleet:
             raise DirectorError(f"duplicate VIN {vin}")
-        record = FleetRecord(vin, vin[:MIN_LEN])
+        record = FleetRecord(vin, vin[:msg.MIN_LEN])
         for s, (ecu, tau) in initial.items():
             record.l_e.setdefault(ecu, [])
             record.reported[(ecu, s)] = tau
@@ -121,26 +115,19 @@ class Director(Actor):
         if reason is not None:
             self.reply(env, "manifest_rejected", {"reason": reason}, 64)
             return
-        self._ingest_fetch(env, mu, received=msg.Received(), attempts=0)
-
-    def _ingest_fetch(self, env: Envelope, mu, received, attempts,
-                      from_index: int = 0):
-        self.request(
-            self.repo, "fetch",
-            {"l": mu.l, "credential": mu, "from_index": from_index}, 96,
-            self.repo_link,
-            on_reply=lambda r: self._ingest_with_bytes(env, mu, received,
-                                                       attempts, r),
-            on_fail=lambda: self.reply(
-                env, "manifest_rejected", {"reason": "download_failed"}, 64),
+        # The fetched bytes hash to mu.theta.h once the download completes.
+        self.fetch_image(
+            self.repo, self.repo_link, mu, mu, 96,
+            on_done=lambda done: self._ingested(env, mu),
+            on_error=lambda reason: self.reply(
+                env, "manifest_rejected", {"reason": reason}, 64),
             timeout_ms=30_000.0, retries=1)
 
     def _precheck(self, mu: msg.UpdateManifest, producer: str):
-        if producer not in self.producer_ids:
+        if producer not in self.trust.producer_ids:
             return "unknown_producer"
-        pd = msg.payload_digest(mu)
-        if not msg.assert_auth(mu.sigma, {producer}, pd, self.registry,
-                               self.crl_ref()):
+        if not self.trust.signed_by(mu.sigma, (producer,),
+                                    msg.payload_digest(mu)):
             return "auth"
         last = self._last_tau(mu.theta.s)
         if last is not None and not msg.assert_fresh(mu.tau, last):
@@ -161,28 +148,7 @@ class Director(Actor):
                 return config[software][1]
         return None
 
-    def _ingest_with_bytes(self, env: Envelope, mu, received, attempts,
-                           reply: Envelope):
-        if reply.kind != "fetch_ok":
-            self.reply(env, "manifest_rejected", {"reason": "download"}, 64)
-            return
-        received.add(reply.payload["buckets"])
-        try:
-            result = msg.assemble_buckets(
-                received, mu, total=reply.payload["total"],
-                bucket_size=reply.payload["bucket_size"])
-        except msg.IntegrityError:
-            received = msg.Received()
-            result = msg.Resume(0)
-        if not isinstance(result, msg.Complete):
-            if attempts >= 8:
-                self.reply(env, "manifest_rejected",
-                           {"reason": "integrity"}, 64)
-                return
-            self._ingest_fetch(env, mu, received, attempts + 1,
-                               result.next_index)
-            return
-        # Complete: the assembled bytes already hash to mu.theta.h.
+    def _ingested(self, env: Envelope, mu: msg.UpdateManifest):
         signed = self.accept_manifest(mu)
         self.reply(env, "manifest_accepted", {"s": mu.theta.s,
                                               "v": mu.tau.v}, 64)
@@ -246,7 +212,7 @@ class Director(Actor):
 
     def publish_bundle(self, bundle: msg.Bundle, subscriber: str) -> msg.Bundle:
         """Per-subscriber copy carrying a publish-role download grant."""
-        if subscriber not in self.registry.keys:
+        if subscriber not in self.trust.registry.keys:
             self.audit_log.append(("unknown_subscriber", subscriber))
             raise DirectorError(f"unknown subscriber {subscriber}")
         return msg.grant_bundle(bundle, subscriber, self.role_keys["publish"])
@@ -280,9 +246,8 @@ class Director(Actor):
         record = self.fleet.get(vin)
         if record is None:
             return
-        pd = msg.payload_digest(gamma)
-        if not msg.assert_auth(gamma.sigma, {f"{vin}.primary"}, pd,
-                               self.registry, self.crl_ref()):
+        if not self.trust.signed_by(gamma.sigma, (f"{vin}.primary",),
+                                    msg.payload_digest(gamma)):
             return  # silent discard
         if not msg.assert_status_fresh_at_sud(gamma.tau, record.last_tau):
             return
@@ -323,16 +288,9 @@ class Director(Actor):
         self.reply(env, "status_reply", reply, msg.wire_size(reply))
 
     def _entries_verified(self, vin: str, entries) -> bool:
-        for entry in entries:
-            if entry.sig is None:
-                return False
-            expected = f"{vin}.{entry.ecu}"
-            if entry.sig.signer_id != expected:
-                return False
-            if not verify(msg.status_entry_digest(entry), entry.sig,
-                          self.registry, self.crl_ref()):
-                return False
-        return True
+        return all(entry.sig is not None and self.trust.signed_by(
+            (entry.sig,), (f"{vin}.{entry.ecu}",),
+            msg.status_entry_digest(entry)) for entry in entries)
 
     def _newer_bundles(self, record: FleetRecord, entries):
         reported = {e.software: e.tau for e in entries}

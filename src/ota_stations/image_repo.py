@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import messages as msg
-from .crypto import KeyRegistry, RevocationList, digest
+from .crypto import digest
 from .simnet import Actor, Envelope, World
 
 
@@ -31,14 +31,9 @@ def location_for(repo_id: str, software: str, version: int) -> str:
 
 
 class ImageRepo(Actor):
-    def __init__(self, name: str, world: World, registry: KeyRegistry,
-                 publish_id: str, producer_ids: set,
-                 crl_ref):
+    def __init__(self, name: str, world: World, trust: msg.TrustContext):
         super().__init__(name, world)
-        self.registry = registry
-        self.publish_id = publish_id
-        self.producer_ids = set(producer_ids)
-        self.crl_ref = crl_ref  # callable returning the current CRL
+        self.trust = trust
         self.entries: dict = {}  # location -> RepoEntry
 
     # -- storage -----------------------------------------------------------
@@ -46,9 +41,8 @@ class ImageRepo(Actor):
     def store(self, image: msg.UpdateImage, manifest: msg.UpdateManifest,
               producer: str) -> str:
         """Step-1 ingestion; prior versions are retained."""
-        pd = msg.payload_digest(manifest)
-        if not msg.assert_auth(manifest.sigma, {producer}, pd,
-                               self.registry, self.crl_ref()):
+        if not self.trust.signed_by(manifest.sigma, (producer,),
+                                    msg.payload_digest(manifest)):
             raise RepoError("manifest not signed by the claimed producer")
         if digest(image.data) != manifest.theta.h:
             raise RepoError("image digest does not match manifest")
@@ -63,20 +57,14 @@ class ImageRepo(Actor):
     # -- authorization -----------------------------------------------------
 
     def _authorized(self, credential, location: str, requester: str) -> bool:
-        crl = self.crl_ref()
         if isinstance(credential, msg.UpdateManifest):
-            if credential.l != location:
-                return False
-            pd = msg.payload_digest(credential)
-            return msg.assert_auth(credential.sigma,
-                                   self.producer_ids & _signers(credential),
-                                   pd, self.registry, crl) \
-                and bool(self.producer_ids & _signers(credential))
+            # Director-side validation fetch: the producer-signed manifest
+            # itself, before any role has signed it.
+            return credential.l == location and self.trust.verify_manifest(
+                credential, roles=())
         if isinstance(credential, msg.Bundle):
-            if not any(m.l == location for m in credential.manifests):
-                return False
-            return msg.verify_grant_chain(credential, requester,
-                                          self.publish_id, self.registry, crl)
+            return any(m.l == location for m in credential.manifests) \
+                and self.trust.granted(credential, requester)
         return False
 
     # -- message handlers --------------------------------------------------
@@ -110,6 +98,3 @@ class ImageRepo(Actor):
         size = sum(len(chunk) for _, chunk, _ in out) + 64
         self.reply(env, "fetch_ok", payload, size)
 
-
-def _signers(manifest: msg.UpdateManifest) -> set:
-    return {e.signer_id for e in manifest.sigma}

@@ -1,5 +1,6 @@
 """Protocol message algebra: metadata records, manifests, bundles, status
-reports, update images, canonical byte encoding, and validation assertions.
+reports, update images, canonical byte encoding, the trust context every
+actor verifies signatures through, and freshness rules.
 
 Canonical encoding rules: fields in declaration order, integers as 8-byte
 big-endian, strings UTF-8 with 4-byte big-endian length prefix, byte strings
@@ -14,10 +15,18 @@ from dataclasses import dataclass, field, replace
 from typing import Optional, Union
 
 from .crypto import (DIGEST_LEN, KeyPair, KeyRegistry, RevocationList,
-                     SignatureEntry, digest, sign, verify)
+                     SignatureEntry, digest, revoke, sign, verify)
 
 NONCE_LEN = 16
 DEFAULT_BUCKET_SIZE = 1 << 20
+MIN_LEN = 11               # a VIN's leading model id (MIN) characters
+
+ROLE_NAMES = ("targets", "snapshot", "timestamp", "root", "publish")
+# The director's role signer ids, by role name.
+ROLE_IDS = {role: f"sud.{role}" for role in ROLE_NAMES}
+# Role signatures every installable manifest carries besides a producer's.
+MANIFEST_ROLES = frozenset(ROLE_IDS[r] for r in ("targets", "timestamp",
+                                                 "root"))
 
 TAG_TS = 0x01
 TAG_META = 0x02
@@ -386,27 +395,6 @@ def grant_bundle(bundle: Bundle, subject: str, key: KeyPair) -> Bundle:
     return replace(bundle, grants=bundle.grants + (Grant(subject, entry),))
 
 
-def verify_grant_chain(bundle: Bundle, requester: str, publish_id: str,
-                       registry: KeyRegistry, crl: RevocationList) -> bool:
-    """True iff a grant chain rooted at the publish role reaches `requester`.
-
-    Each link must verify over the bundle region bound to its subject, and
-    each non-root link must be signed by the previous subject's key.
-    """
-    expected_signer = publish_id
-    reached = False
-    for g in bundle.grants:
-        if g.entry.signer_id != expected_signer:
-            return False
-        if not verify(_grant_digest(bundle, g.subject), g.entry, registry, crl):
-            return False
-        expected_signer = g.subject
-        if g.subject == requester:
-            reached = True
-            break
-    return reached
-
-
 def _ecu_digest(bundle: Bundle, ecu: str) -> bytes:
     return digest(signed_region(bundle) + b"\x00ecu" + ecu.encode())
 
@@ -414,15 +402,6 @@ def _ecu_digest(bundle: Bundle, ecu: str) -> bytes:
 def endorse_for_ecu(bundle: Bundle, ecu: str, key: KeyPair) -> Bundle:
     entry = sign(_ecu_digest(bundle, ecu), key)
     return replace(bundle, ecu_sigs=bundle.ecu_sigs + ((ecu, entry),))
-
-
-def verify_ecu_endorsement(bundle: Bundle, ecu: str, required_signer: str,
-                           registry: KeyRegistry, crl: RevocationList) -> bool:
-    for tagged_ecu, entry in bundle.ecu_sigs:
-        if tagged_ecu == ecu and entry.signer_id == required_signer:
-            if verify(_ecu_digest(bundle, ecu), entry, registry, crl):
-                return True
-    return False
 
 
 def status_entry_digest(entry: StatusEntry) -> bytes:
@@ -435,20 +414,75 @@ def sign_status_entry(entry: StatusEntry, key: KeyPair) -> StatusEntry:
 
 
 # ---------------------------------------------------------------------------
-# Validation assertions
+# Trust context
 # ---------------------------------------------------------------------------
 
-def assert_auth(sigma: tuple, required: set, payload_digest_: bytes,
-                registry: KeyRegistry, crl: RevocationList) -> bool:
-    """True iff every required signer has a verifying, non-revoked entry."""
-    for signer_id in required:
-        ok = any(e.signer_id == signer_id
-                 and verify(payload_digest_, e, registry, crl)
-                 for e in sigma)
-        if not ok:
-            return False
-    return True
+class TrustContext:
+    """What every actor of one world trusts: the registered keys, the
+    producers, and the current revocation list.
 
+    One context is shared by all actors of a world, so a revocation reaches
+    every verifier at once.  Each rule below is the only copy of itself;
+    freshness and no-regress checks stay with the actor that holds the state
+    they compare against.
+    """
+
+    def __init__(self, registry: KeyRegistry, producer_ids):
+        self.registry = registry
+        self.producer_ids = frozenset(producer_ids)
+        self.crl = RevocationList()
+
+    def revoke(self, signer_id: str) -> None:
+        self.crl = revoke(self.crl, signer_id)
+
+    def signed_by(self, sigma, required, payload_digest_: bytes) -> bool:
+        """True iff every required signer has a verifying, non-revoked entry
+        in `sigma` over `payload_digest_`."""
+        return all(any(e.signer_id == signer_id
+                       and verify(payload_digest_, e, self.registry, self.crl)
+                       for e in sigma)
+                   for signer_id in required)
+
+    def verify_manifest(self, mu: UpdateManifest,
+                        roles=MANIFEST_ROLES) -> bool:
+        """At least one producer signed `mu`, and every producer signer and
+        every one of `roles` has a verifying entry."""
+        producers = {e.signer_id for e in mu.sigma} & self.producer_ids
+        return bool(producers) and self.signed_by(
+            mu.sigma, producers.union(roles), payload_digest(mu))
+
+    def granted(self, bundle: Bundle, requester: str) -> bool:
+        """True iff a grant chain rooted at the publish role reaches
+        `requester`.
+
+        Each link must verify over the bundle region bound to its subject,
+        and each non-root link must be signed by the previous subject's key.
+        """
+        expected_signer = ROLE_IDS["publish"]
+        for g in bundle.grants:
+            if not self.signed_by((g.entry,), (expected_signer,),
+                                  _grant_digest(bundle, g.subject)):
+                return False
+            if g.subject == requester:
+                return True
+            expected_signer = g.subject
+        return False
+
+    def verify_bundle(self, bundle: Bundle, requester: str) -> bool:
+        """Granted to `requester` and signed by the snapshot role."""
+        return self.granted(bundle, requester) and self.signed_by(
+            bundle.sigma, (ROLE_IDS["snapshot"],), payload_digest(bundle))
+
+    def endorsed(self, bundle: Bundle, ecu: str) -> bool:
+        """The targets role endorsed `bundle` for `ecu`."""
+        entries = [entry for tagged, entry in bundle.ecu_sigs if tagged == ecu]
+        return self.signed_by(entries, (ROLE_IDS["targets"],),
+                              _ecu_digest(bundle, ecu))
+
+
+# ---------------------------------------------------------------------------
+# Freshness rules
+# ---------------------------------------------------------------------------
 
 def assert_fresh(new: TimestampRecord, last: TimestampRecord) -> bool:
     """Strictly newer in both time and version (publishing-side rule)."""
@@ -466,13 +500,6 @@ def assert_status_fresh_at_primary(new: TimestampRecord,
                                    last: TimestampRecord) -> bool:
     """Vehicle-side reply freshness; version gaps are tolerated."""
     return new.t > last.t and new.v >= last.v
-
-
-def assert_integrity(mu: UpdateManifest, image_bytes: bytes,
-                     expected_ecu: str, expected_sw: str) -> bool:
-    return (digest(image_bytes) == mu.theta.h
-            and mu.theta.e == expected_ecu
-            and mu.theta.s == expected_sw)
 
 
 # ---------------------------------------------------------------------------
@@ -542,6 +569,21 @@ class Received:
         while i in self.buckets:
             i += 1
         return i
+
+    def absorb(self, mu: UpdateManifest, reply: dict):
+        """Add the buckets of a fetch or serve `reply` and assemble.
+
+        Returns Complete or Resume like `assemble_buckets`.  On an integrity
+        failure every kept bucket is dropped and the download restarts at
+        bucket 0.
+        """
+        self.add(reply["buckets"])
+        try:
+            return assemble_buckets(self, mu, total=reply["total"],
+                                    bucket_size=reply["bucket_size"])
+        except IntegrityError:
+            self.buckets = {}
+            return Resume(0)
 
 
 def assemble_buckets(buckets_received, mu: UpdateManifest,

@@ -20,23 +20,18 @@ attack rule.  Unknown keys are rejected before the simulation starts.
 """
 from __future__ import annotations
 
-import dataclasses
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from typing import Optional
 
 from . import messages as msg
 from .adversary import ATTACK_KINDS, Adversary, AttackRule
 from .broker import Station, UpdateEngine
-from .crypto import (PROVIDERS, KeyPair, KeyRegistry, RevocationList, digest,
-                     revoke)
+from .crypto import PROVIDERS, KeyPair, KeyRegistry, digest
 from .director import Director
 from .image_repo import ImageRepo, location_for
 from .simnet import (CELLULAR, ENGINE_CABLE, IN_VEHICLE, STATION_WIRE, Actor,
                      Link, LinkProfile, World)
 from .vehicle import PRIMARY_ECU, SecondaryEcu, VehiclePrimary
-
-MIN_LEN = 11
-ROLE_NAMES = ("targets", "snapshot", "timestamp", "root", "publish")
 
 
 class ConfigError(Exception):
@@ -325,9 +320,8 @@ class SoftwareItem:
 class Scenario:
     config: ScenarioConfig
     world: World
-    registry: KeyRegistry
+    trust: msg.TrustContext
     keys: dict
-    crl_box: dict
     repo: ImageRepo
     director: Director
     engine: Optional[UpdateEngine]
@@ -339,11 +333,8 @@ class Scenario:
     truth: dict                        # software -> (version, digest)
     adversary: Optional[Adversary]
 
-    def crl_ref(self):
-        return self.crl_box["crl"]
-
     def revoke_now(self, signer_id: str):
-        self.crl_box["crl"] = revoke(self.crl_box["crl"], signer_id)
+        self.trust.revoke(signer_id)
         if self.engine is not None:
             self.engine.revoke_station(signer_id)
 
@@ -394,9 +385,6 @@ def build_scenario(config: ScenarioConfig) -> Scenario:
         keys[signer_id] = key
         return key
 
-    crl_box = {"crl": RevocationList()}
-    crl_ref = lambda: crl_box["crl"]
-
     def profile(mbps: float, latency: float, cls: str) -> LinkProfile:
         return LinkProfile(mbps * 1e6, latency, cls)
 
@@ -412,33 +400,26 @@ def build_scenario(config: ScenarioConfig) -> Scenario:
     producer_ids = {f"producer{i}" for i in range(config.producers)}
     for pid in sorted(producer_ids):
         make_key(pid)
-    role_keys = {role: make_key(f"sud.{role}") for role in ROLE_NAMES}
-    sud_roles = {role: f"sud.{role}" for role in ROLE_NAMES}
-    publish_id = "sud.publish"
+    role_keys = {role: make_key(msg.ROLE_IDS[role]) for role in msg.ROLE_NAMES}
+    trust = msg.TrustContext(registry, producer_ids)
 
-    repo = ImageRepo("repo0", world, registry, publish_id, producer_ids,
-                     crl_ref)
-    director = Director("sud0", world, registry, role_keys, crl_ref,
+    repo = ImageRepo("repo0", world, trust)
+    director = Director("sud0", world, trust, role_keys,
                         repo="repo0", repo_link=cable("sud-repo"),
-                        producer_ids=producer_ids,
                         untrusted_secondaries=config.untrusted_secondaries)
 
     engine = None
     stations: list = []
     if config.stations > 0:
         engine_key = make_key("engine0")
-        engine = UpdateEngine("engine0", world, registry, engine_key, crl_ref,
-                              sud="sud0", sud_link=cable("engine-sud"),
-                              publish_id=publish_id,
-                              producer_ids=producer_ids, sud_roles=sud_roles)
+        engine = UpdateEngine("engine0", world, trust, engine_key,
+                              sud="sud0", sud_link=cable("engine-sud"))
         for i in range(config.stations):
             sid = f"station{i}"
-            station = Station(sid, world, registry, make_key(sid), crl_ref,
+            station = Station(sid, world, trust, make_key(sid),
                               engine="engine0",
                               engine_link=cable(f"{sid}-engine"),
                               repo="repo0", repo_link=backhaul(f"{sid}-repo"),
-                              publish_id=publish_id, sud_roles=sud_roles,
-                              producer_ids=producer_ids,
                               capacity_bytes=config.cache_capacity_bytes)
             stations.append(station)
 
@@ -480,9 +461,7 @@ def build_scenario(config: ScenarioConfig) -> Scenario:
     for i in range(config.vehicles):
         model = i % config.models
         vin = _vin_for(model, i)
-        primary_key = provider.generate(f"{vin}.primary", seed_bytes)
-        registry.add(primary_key)
-        keys[f"{vin}.primary"] = primary_key
+        primary_key = make_key(f"{vin}.primary")
         # The bare VIN aliases the primary key so grant subjects resolve.
         registry.add(KeyPair(vin, primary_key.public_key, b"",
                              primary_key.scheme))
@@ -502,8 +481,7 @@ def build_scenario(config: ScenarioConfig) -> Scenario:
                         profile(config.invehicle_mbps,
                                 config.invehicle_latency_ms, IN_VEHICLE))
             secondary = SecondaryEcu(
-                vin, ecu, world, registry, key, crl_ref, sud_roles,
-                publish_id, producer_ids,
+                vin, ecu, world, trust, key,
                 initial={item.software: (msg.TimestampRecord(1, 1), None)
                          for item in items if item.ecu == ecu},
                 untrusted=config.untrusted_secondaries,
@@ -513,10 +491,9 @@ def build_scenario(config: ScenarioConfig) -> Scenario:
             secondary_actors.append(secondary)
             vehicle_secondaries[ecu] = (secondary.name, link)
         vehicle = VehiclePrimary(
-            vin, world, registry, primary_key, crl_ref,
+            vin, world, trust, primary_key,
             sud="sud0", sud_link=cellular, repo="repo0", repo_link=cellular,
-            sud_roles=sud_roles, publish_id=publish_id,
-            producer_ids=producer_ids, initial=initial,
+            initial=initial,
             secondaries=vehicle_secondaries,
             station=station_name, station_link=station_link,
             untrusted=config.untrusted_secondaries,
@@ -531,7 +508,7 @@ def build_scenario(config: ScenarioConfig) -> Scenario:
         secondaries[vin] = secondary_actors
 
     # -- subscriptions (onboarding-time wiring, both modes) ----------------
-    model_mins = sorted({v.vin[:MIN_LEN] for v in vehicles})
+    model_mins = sorted({v.vin[:msg.MIN_LEN] for v in vehicles})
     if engine is not None:
         for min_id in model_mins:
             director.subscribers.setdefault(min_id, {})["engine0"] = \
@@ -555,8 +532,8 @@ def build_scenario(config: ScenarioConfig) -> Scenario:
                            lambda p=producer, m=item.manifest, im=image:
                            p.publish(m, im))
     else:
-        _preseed(config, world, repo, director, engine, stations, items,
-                 model_mins, keys, publish_id)
+        _preseed(config, repo, director, engine, stations, items,
+                 model_mins)
 
     adversary = None
     if config.attacks or config.compromise:
@@ -567,7 +544,7 @@ def build_scenario(config: ScenarioConfig) -> Scenario:
             adversary.compromise_key(label, keys[label])
         world.adversary = adversary
 
-    scenario = Scenario(config, world, registry, keys, crl_box, repo,
+    scenario = Scenario(config, world, trust, keys, repo,
                         director, engine, stations, producers, vehicles,
                         secondaries, items, truth, adversary)
     for signer_id, at_ms in config.revocations:
@@ -578,8 +555,7 @@ def build_scenario(config: ScenarioConfig) -> Scenario:
     return scenario
 
 
-def _preseed(config, world, repo, director, engine, stations, items,
-             model_mins, keys, publish_id):
+def _preseed(config, repo, director, engine, stations, items, model_mins):
     """Run publishing steps 1-5 at build time so measurements start at the
     vehicle download phase."""
     for i, item in enumerate(items):

@@ -1,6 +1,7 @@
 """Deterministic discrete-event network: links with bandwidth/latency
 profiles, store-and-forward transfers with max-min fair sharing, timers,
-and a request/reply layer with bounded retransmission.
+a request/reply layer with bounded retransmission, and the resumable image
+download every actor that pulls from a repository shares.
 
 One world is strictly single-threaded; identical (scenario, seed) pairs
 produce identical event traces.
@@ -15,13 +16,18 @@ from __future__ import annotations
 
 import heapq
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
+
+from . import messages as msg
 
 CELLULAR = "cellular"
 ENGINE_CABLE = "engine_cable"
 STATION_WIRE = "station_wire"
 IN_VEHICLE = "in_vehicle"
+
+# Re-requests one `Actor.fetch_image` download may make after its first.
+FETCH_RETRIES = 8
 
 
 @dataclass(frozen=True)
@@ -337,3 +343,46 @@ class Actor:
         if env.req_id is not None:
             self._served[env.req_id] = out
         self.world.send(out)
+
+    # -- resumable image download ------------------------------------------
+
+    def fetch_image(self, repo: str, link: Link, mu, credential, size: int,
+                    on_done: Callable, on_error: Optional[Callable] = None,
+                    timeout_ms: Optional[float] = None,
+                    retries: Optional[int] = None):
+        """Download the image of manifest `mu` from `repo` with `credential`,
+        in `size`-byte requests.  Each reply's buckets are verified and kept;
+        the next request resumes at the first missing bucket, and a corrupt
+        image restarts at bucket 0, for at most FETCH_RETRIES re-requests.
+
+        Calls `on_done` with the `Complete` verified image, or `on_error`
+        with "download_failed" (request timed out), "download" (refused) or
+        "integrity" (retries exhausted).
+        """
+        received = msg.Received()
+
+        def pull(from_index: int, attempts: int):
+            self.request(
+                repo, "fetch", {"l": mu.l, "credential": credential,
+                                "from_index": from_index}, size, link,
+                on_reply=lambda reply: pulled(reply, attempts),
+                on_fail=lambda: fail("download_failed"),
+                timeout_ms=timeout_ms, retries=retries)
+
+        def pulled(reply: Envelope, attempts: int):
+            if reply.kind != "fetch_ok":
+                fail("download")
+                return
+            result = received.absorb(mu, reply.payload)
+            if isinstance(result, msg.Complete):
+                on_done(result)
+            elif attempts >= FETCH_RETRIES:
+                fail("integrity")
+            else:
+                pull(result.next_index, attempts + 1)
+
+        def fail(reason: str):
+            if on_error is not None:
+                on_error(reason)
+
+        pull(0, 0)

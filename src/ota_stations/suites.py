@@ -10,8 +10,8 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .adversary import AttackRule
-from .scenario import (ScenarioConfig, build_scenario, collect_report,
-                       false_alarms, liveness_failures, safety_violations)
+from .scenario import (ScenarioConfig, build_scenario, false_alarms,
+                       liveness_failures, safety_violations)
 
 SUITE_NAMES = ("safety", "liveness", "attacks")
 
@@ -152,55 +152,46 @@ def _run_one(config: ScenarioConfig):
     return scenario
 
 
+def _row(label: str, seeds, config_for, checks) -> SuiteRow:
+    """Run `config_for(seed)` for every seed; each (prefix, check) of
+    `checks` adds one failure line per problem it finds in the run."""
+    row = SuiteRow(label, 0)
+    for seed in seeds:
+        scenario = _run_one(config_for(seed))
+        row.runs += 1
+        for prefix, check in checks:
+            row.failures.extend(f"seed={seed} {prefix}{problem}"
+                                for problem in check(scenario))
+    return row
+
+
+def _attack_rows(seeds, label_format: str, checks) -> list:
+    """One row per attack family, labelled `label_format.format(label)`."""
+    return [_row(label_format.format(label), seeds,
+                 lambda seed, label=label: family_config(seed, label), checks)
+            for label in ATTACK_LABELS]
+
+
 def run_safety_suite(seeds=range(200)) -> SuiteResult:
-    rows = []
-    for label in ATTACK_LABELS:
-        row = SuiteRow(label, 0)
-        for seed in seeds:
-            scenario = _run_one(family_config(seed, label))
-            row.runs += 1
-            for violation in safety_violations(scenario):
-                row.failures.append(f"seed={seed} {violation}")
-        rows.append(row)
-    return SuiteResult("safety", rows)
+    return SuiteResult("safety", _attack_rows(
+        seeds, "{}", [("", safety_violations)]))
 
 
 def run_liveness_suite(seeds=range(50)) -> SuiteResult:
-    clean = SuiteRow("clean: all install, no alerts", 0)
-    for seed in seeds:
-        scenario = _run_one(family_config(seed, adversary_free=True))
-        clean.runs += 1
-        for failure in liveness_failures(scenario):
-            clean.failures.append(f"seed={seed} {failure}")
-        for alarm in false_alarms(scenario):
-            clean.failures.append(f"seed={seed} false alarm: {alarm}")
-    rows = [clean]
-    for label in ATTACK_LABELS:
-        row = SuiteRow(f"adversarial ({label}): install or alert", 0)
-        for seed in seeds:
-            scenario = _run_one(family_config(seed, label))
-            row.runs += 1
-            for failure in liveness_failures(scenario):
-                row.failures.append(f"seed={seed} {failure}")
-        rows.append(row)
-    return SuiteResult("liveness", rows)
+    clean = _row("clean: all install, no alerts", seeds,
+                 lambda seed: family_config(seed, adversary_free=True),
+                 [("", liveness_failures), ("false alarm: ", false_alarms)])
+    return SuiteResult("liveness", [clean] + _attack_rows(
+        seeds, "adversarial ({}): install or alert",
+        [("", liveness_failures)]))
 
 
 def run_attacks_suite(seeds=range(50)) -> SuiteResult:
     """Detection matrix: per attack kind, no effect on installed software
     and no silent prevention."""
-    rows = []
-    for label in ATTACK_LABELS:
-        row = SuiteRow(label, 0)
-        for seed in seeds:
-            scenario = _run_one(family_config(seed, label))
-            row.runs += 1
-            for violation in safety_violations(scenario):
-                row.failures.append(f"seed={seed} effect: {violation}")
-            for failure in liveness_failures(scenario):
-                row.failures.append(f"seed={seed} silent: {failure}")
-        rows.append(row)
-    return SuiteResult("attacks", rows)
+    return SuiteResult("attacks", _attack_rows(
+        seeds, "{}", [("effect: ", safety_violations),
+                      ("silent: ", liveness_failures)]))
 
 
 def run_property_suite(name: str, seeds=None) -> SuiteResult:

@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from . import messages as msg
-from .crypto import KeyPair, KeyRegistry, digest, sign, verify
+from .crypto import KeyPair, digest, sign
 from .simnet import Actor, Envelope, Link, World
 
 PRIMARY_ECU = "primary"
@@ -40,11 +40,9 @@ class PendingItem:
 class VehiclePrimary(Actor):
     """Primary ECU; the actor name is the VIN."""
 
-    def __init__(self, vin: str, world: World, registry: KeyRegistry,
-                 key: KeyPair, crl_ref, sud: str, sud_link: Link,
-                 repo: str, repo_link: Link, sud_roles: dict,
-                 publish_id: str, producer_ids: set,
-                 initial: dict, secondaries: dict,
+    def __init__(self, vin: str, world: World, trust: msg.TrustContext,
+                 key: KeyPair, sud: str, sud_link: Link,
+                 repo: str, repo_link: Link, initial: dict, secondaries: dict,
                  station: Optional[str] = None,
                  station_link: Optional[Link] = None,
                  untrusted: bool = False,
@@ -57,16 +55,12 @@ class VehiclePrimary(Actor):
                  bucket_size: int = msg.DEFAULT_BUCKET_SIZE):
         super().__init__(vin, world)
         self.vin = vin
-        self.registry = registry
+        self.trust = trust
         self.key = key
-        self.crl_ref = crl_ref
         self.sud = sud
         self.sud_link = sud_link
         self.repo = repo
         self.repo_link = repo_link
-        self.sud_roles = sud_roles
-        self.publish_id = publish_id
-        self.producer_ids = set(producer_ids)
         self.secondaries = dict(secondaries)   # ecu -> (actor name, Link)
         self.station = station
         self.station_link = station_link
@@ -194,9 +188,8 @@ class VehiclePrimary(Actor):
         gamma = env.payload
         if not isinstance(gamma, msg.StatusReport):
             return
-        crl = self.crl_ref()
-        if not msg.assert_auth(gamma.sigma, {self.sud_roles["timestamp"]},
-                               msg.payload_digest(gamma), self.registry, crl):
+        if not self.trust.signed_by(gamma.sigma, (msg.ROLE_IDS["timestamp"],),
+                                    msg.payload_digest(gamma)):
             return  # leave the deadline armed
         if not msg.assert_status_fresh_at_primary(gamma.tau,
                                                   self.last_reply_tau):
@@ -239,38 +232,17 @@ class VehiclePrimary(Actor):
         return have is None or mu.tau.v > have.v
 
     def _validate_bundle(self, bundle: msg.Bundle) -> bool:
-        crl = self.crl_ref()
-        if not msg.verify_grant_chain(bundle, self.vin, self.publish_id,
-                                      self.registry, crl):
-            return False
-        pd = msg.payload_digest(bundle)
-        if not msg.assert_auth(bundle.sigma, {self.sud_roles["snapshot"]},
-                               pd, self.registry, crl):
+        if not self.trust.verify_bundle(bundle, self.vin):
             return False
         trigger = bundle.manifests[0].theta.s
         last = self.bundle_tau.get(trigger)
         if last is not None and bundle.tau.v <= last.v:
             return False
         for mu in bundle.manifests:
-            if not self._manifest_valid(mu):
-                return False
-        return True
-
-    def _manifest_valid(self, mu: msg.UpdateManifest) -> bool:
-        crl = self.crl_ref()
-        pd = msg.payload_digest(mu)
-        signers = {e.signer_id for e in mu.sigma}
-        producers = signers & self.producer_ids
-        if not producers:
-            return False
-        required = producers | {self.sud_roles["targets"],
-                                self.sud_roles["timestamp"],
-                                self.sud_roles["root"]}
-        if not msg.assert_auth(mu.sigma, required, pd, self.registry, crl):
-            return False
-        have = self.inventory.get((mu.theta.e, mu.theta.s))
-        if have is not None and mu.tau.v < have.v:
-            return False  # never regress an ECU
+            have = self.inventory.get((mu.theta.e, mu.theta.s))
+            if not self.trust.verify_manifest(mu) or (
+                    have is not None and mu.tau.v < have.v):
+                return False  # never regress an ECU
         return True
 
     def _relay_to_secondaries(self, gamma: msg.StatusReport):
@@ -310,11 +282,9 @@ class VehiclePrimary(Actor):
                      on_fail=lambda: self._session_failed())
 
     def _on_session(self, env: Envelope, nonce: bytes):
-        ok = (env.kind == "session_ok"
-              and verify(digest(b"station-auth" + nonce),
-                         env.payload["station_sig"], self.registry,
-                         self.crl_ref()))
-        if not ok:
+        if env.kind != "session_ok" or not self.trust.signed_by(
+                (env.payload["station_sig"],), (self.station,),
+                digest(b"station-auth" + nonce)):
             self._session_failed()
             return
         self._session_ok = True
@@ -335,7 +305,7 @@ class VehiclePrimary(Actor):
         item = self._station_queue[0]
         from_index = item.received.next_missing()
         payload = {"manifest": item.mu, "bundle": item.bundle,
-                   "min": self.vin[:11], "from_index": from_index,
+                   "min": self.vin[:msg.MIN_LEN], "from_index": from_index,
                    "bucket_size": self.bucket_size}
         self.request(self.station, "serve", payload,
                      96 + msg.wire_size(item.bundle), self.station_link,
@@ -395,14 +365,7 @@ class VehiclePrimary(Actor):
     def _absorb_buckets(self, item: PendingItem, payload) -> Optional[bool]:
         """Returns True on a verified complete image, False to keep pulling,
         None when the retry budget for this source is exhausted."""
-        item.received.add(payload["buckets"])
-        try:
-            result = msg.assemble_buckets(item.received, item.mu,
-                                          total=payload["total"],
-                                          bucket_size=payload["bucket_size"])
-        except msg.IntegrityError:
-            item.received = msg.Received()
-            result = msg.Resume(0)
+        result = item.received.absorb(item.mu, payload)
         if isinstance(result, msg.Complete):
             item.data = result.image.data
             item.data_digest = result.data_digest
@@ -504,8 +467,7 @@ class SecondaryEcu(Actor):
     """Secondary ECU; the actor name is '<vin>.<ecu>'."""
 
     def __init__(self, vin: str, ecu: str, world: World,
-                 registry: KeyRegistry, key: KeyPair, crl_ref,
-                 sud_roles: dict, publish_id: str, producer_ids: set,
+                 trust: msg.TrustContext, key: KeyPair,
                  initial: dict, untrusted: bool = False,
                  flash_latency_ms: float = 50.0,
                  status_deadline_ms: Optional[float] = None,
@@ -513,12 +475,8 @@ class SecondaryEcu(Actor):
         super().__init__(f"{vin}.{ecu}", world)
         self.vin = vin
         self.ecu = ecu
-        self.registry = registry
+        self.trust = trust
         self.key = key
-        self.crl_ref = crl_ref
-        self.sud_roles = sud_roles
-        self.publish_id = publish_id
-        self.producer_ids = set(producer_ids)
         self.untrusted = untrusted
         self.flash_latency_ms = flash_latency_ms
         self.status_deadline_ms = status_deadline_ms
@@ -557,12 +515,10 @@ class SecondaryEcu(Actor):
         gamma = env.payload.get("report")
         if not isinstance(gamma, msg.StatusReport):
             return
-        if self.untrusted:
-            ok = msg.assert_auth(gamma.sigma, {self.sud_roles["timestamp"]},
-                                 msg.payload_digest(gamma), self.registry,
-                                 self.crl_ref())
-            if not ok:
-                return
+        if self.untrusted and not self.trust.signed_by(
+                gamma.sigma, (msg.ROLE_IDS["timestamp"],),
+                msg.payload_digest(gamma)):
+            return
         if not msg.assert_status_fresh_at_primary(gamma.tau,
                                                   self.last_reply_tau):
             return
@@ -605,9 +561,8 @@ class SecondaryEcu(Actor):
 
     def _validate_group(self, bundle, items, data_digests,
                         entry) -> Optional[str]:
-        crl = self.crl_ref()
-        if entry.signer_id != self.primary_id or not verify(
-                group_digest(items, data_digests), entry, self.registry, crl):
+        if not self.trust.signed_by((entry,), (self.primary_id,),
+                                    group_digest(items, data_digests)):
             return "primary_auth"
         if not items:
             return "empty"
@@ -626,29 +581,18 @@ class SecondaryEcu(Actor):
         return None
 
     def _full_verification(self, bundle, items) -> Optional[str]:
-        crl = self.crl_ref()
         if not isinstance(bundle, msg.Bundle):
             return "no_bundle"
-        pd = msg.payload_digest(bundle)
-        if not msg.assert_auth(bundle.sigma, {self.sud_roles["snapshot"]},
-                               pd, self.registry, crl):
+        if not self.trust.signed_by(bundle.sigma, (msg.ROLE_IDS["snapshot"],),
+                                    msg.payload_digest(bundle)):
             return "bundle_auth"
-        if not msg.verify_ecu_endorsement(bundle, self.ecu,
-                                          self.sud_roles["targets"],
-                                          self.registry, crl):
+        if not self.trust.endorsed(bundle, self.ecu):
             return "no_endorsement"
         enclosed = {msg.payload_digest(m) for m in bundle.manifests}
         for mu, _ in items:
             if msg.payload_digest(mu) not in enclosed:
                 return "not_in_bundle"
-            signers = {e.signer_id for e in mu.sigma}
-            producers = signers & self.producer_ids
-            required = producers | {self.sud_roles["targets"],
-                                    self.sud_roles["timestamp"],
-                                    self.sud_roles["root"]}
-            if not producers or not msg.assert_auth(
-                    mu.sigma, required, msg.payload_digest(mu),
-                    self.registry, crl):
+            if not self.trust.verify_manifest(mu):
                 return "manifest_auth"
         return None
 

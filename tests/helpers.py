@@ -3,13 +3,12 @@ one director, and helper constructors for signed artifacts."""
 from __future__ import annotations
 
 from ota_stations import messages as msg
-from ota_stations.crypto import PROVIDERS, KeyRegistry, RevocationList, digest
+from ota_stations.crypto import PROVIDERS, KeyRegistry, digest
 from ota_stations.director import Director
 from ota_stations.image_repo import ImageRepo, location_for
 from ota_stations.simnet import ENGINE_CABLE, Link, LinkProfile, World
 
 HMAC = PROVIDERS["hmac"]
-ROLES = ("targets", "snapshot", "timestamp", "root", "publish")
 VIN = "MODEL000000000001"
 
 
@@ -18,18 +17,15 @@ class Rig:
         self.world = World(seed=seed)
         self.registry = KeyRegistry()
         self.keys = {}
-        self.crl_box = {"crl": RevocationList()}
-        self.crl_ref = lambda: self.crl_box["crl"]
-        for name in ("producer0",) + tuple(f"sud.{r}" for r in ROLES):
-            self.add_key(name)
-        self.role_keys = {r: self.keys[f"sud.{r}"] for r in ROLES}
-        self.sud_roles = {r: f"sud.{r}" for r in ROLES}
-        self.repo = ImageRepo("repo0", self.world, self.registry,
-                              "sud.publish", {"producer0"}, self.crl_ref)
+        self.trust = msg.TrustContext(self.registry, {"producer0"})
+        self.add_key("producer0")
+        self.role_keys = {r: self.add_key(msg.ROLE_IDS[r])
+                          for r in msg.ROLE_NAMES}
+        self.repo = ImageRepo("repo0", self.world, self.trust)
         self.director = Director(
-            "sud0", self.world, self.registry, self.role_keys, self.crl_ref,
+            "sud0", self.world, self.trust, self.role_keys,
             repo="repo0", repo_link=self.link("sud-repo"),
-            producer_ids={"producer0"}, co_update_groups=co_update_groups,
+            co_update_groups=co_update_groups,
             untrusted_secondaries=untrusted)
 
     def add_key(self, name):

@@ -8,7 +8,7 @@ from ota_stations.adversary import (Adversary, AttackRule, ScenarioError,
 from ota_stations.crypto import digest
 from ota_stations.scenario import (ScenarioConfig, build_scenario,
                                    liveness_failures, safety_violations)
-from ota_stations.simnet import CELLULAR, STATION_WIRE, Envelope, World
+from ota_stations.simnet import CELLULAR, Envelope, World
 
 
 def _env(kind="status", src="a", dst="b", payload=None, link=None):

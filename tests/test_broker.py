@@ -1,7 +1,5 @@
 import dataclasses
 
-import pytest
-
 from helpers import Rig, VIN
 from ota_stations import messages as msg
 from ota_stations.broker import Station, UpdateEngine
@@ -9,21 +7,16 @@ from ota_stations.scenario import ScenarioConfig, run_scenario
 
 
 def _station(rig, capacity=1000):
-    return Station("station0", rig.world, rig.registry,
-                   rig.add_key("station0"), rig.crl_ref,
+    return Station("station0", rig.world, rig.trust, rig.add_key("station0"),
                    engine="engine0", engine_link=rig.link("s-e"),
                    repo="repo0", repo_link=rig.link("s-r"),
-                   publish_id="sud.publish", sud_roles=rig.sud_roles,
-                   producer_ids={"producer0"}, capacity_bytes=capacity)
+                   capacity_bytes=capacity)
 
 
 def _engine(rig):
-    return UpdateEngine("engine0", rig.world, rig.registry,
-                        rig.add_key("engine0"), rig.crl_ref,
-                        sud="sud0", sud_link=rig.link("e-s"),
-                        publish_id="sud.publish",
-                        producer_ids={"producer0"},
-                        sud_roles=rig.sud_roles)
+    return UpdateEngine("engine0", rig.world, rig.trust,
+                        rig.add_key("engine0"),
+                        sud="sud0", sud_link=rig.link("e-s"))
 
 
 # ---------------------------------------------------------------------------
@@ -126,8 +119,7 @@ def test_engine_delegated_grant_reaches_station():
     rig.add_key("station0")
     granted = _granted_bundle(rig)
     delegated = engine.delegate(granted, "station0")
-    assert msg.verify_grant_chain(delegated, "station0", "sud.publish",
-                                  rig.registry, rig.crl_ref())
+    assert rig.trust.granted(delegated, "station0")
 
 
 def test_engine_revoke_station_removes_subscriptions():

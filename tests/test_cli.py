@@ -51,6 +51,35 @@ def test_sweep_coverage(tmp_path, capsys):
     assert float(high.split(",")[1]) < float(low.split(",")[1])
 
 
+def test_sweep_clients(tmp_path, capsys):
+    code = main(["sweep", "--config", _write(tmp_path),
+                 "--param", "clients", "--values", "1,2"])
+    out = capsys.readouterr().out
+    assert code == 0
+    header, one, two = out.strip().splitlines()
+    assert header == "clients,mean_download_ms,cellular_bytes,alerts"
+    assert one.startswith("1,") and two.startswith("2,")
+    # Each vehicle reports its status over cellular.
+    assert int(two.split(",")[2]) > int(one.split(",")[2])
+    assert one.endswith(",0") and two.endswith(",0")
+
+
+def test_sweep_mix(tmp_path, capsys):
+    code = main(["sweep", "--config", _write(tmp_path), "--param", "mix"])
+    out = capsys.readouterr().out
+    assert code == 0
+    header, *rows = out.strip().splitlines()
+    assert header == "mix,mean_download_ms,cellular_bytes,alerts"
+    times = {row.split(",")[0]: float(row.split(",")[1]) for row in rows}
+    cellular = {row.split(",")[0]: int(row.split(",")[2]) for row in rows}
+    assert list(times) == ["hit", "miss", "unknown", "cellular"]
+    assert times["hit"] < times["miss"] < times["cellular"]
+    # Only the cellular row downloads images over cellular.
+    assert cellular["cellular"] > 100 * cellular["hit"]
+    assert main(["sweep", "--config", _write(tmp_path), "--param", "mix",
+                 "--values", "warm"]) == 2
+
+
 def test_suite_command_passes(capsys):
     code = main(["suite", "safety", "--seeds", "2"])
     out = capsys.readouterr().out

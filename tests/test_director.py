@@ -1,10 +1,10 @@
 import pytest
 
-from helpers import HMAC, Rig, VIN
+from helpers import Rig, VIN
 from ota_stations import messages as msg
 from ota_stations.crypto import digest
-from ota_stations.director import (DependencyCycleError, Director,
-                                   DirectorError, resolve_update_set)
+from ota_stations.director import (DependencyCycleError, DirectorError,
+                                   resolve_update_set)
 from ota_stations.simnet import Envelope
 
 
@@ -192,10 +192,8 @@ def test_publish_grants_are_per_subscriber():
     rig.seed_update("sw0")
     bundle = rig.director.resolve_and_bundle("sw0", VIN[:11])
     copy = rig.director.publish_bundle(bundle, "engine0")
-    assert msg.verify_grant_chain(copy, "engine0", "sud.publish",
-                                  rig.registry, rig.crl_ref())
-    assert not msg.verify_grant_chain(copy, "other", "sud.publish",
-                                      rig.registry, rig.crl_ref())
+    assert rig.trust.granted(copy, "engine0")
+    assert not rig.trust.granted(copy, "other")
     with pytest.raises(DirectorError):
         rig.director.publish_bundle(bundle, "unregistered")
 
@@ -240,8 +238,7 @@ def test_status_reply_carries_new_bundles_and_echo_nonce():
     assert reply.tau.v == 2
     assert reply.nonce == digest(b"echo" + gamma.nonce)[:16]
     assert len(reply.bundles) == 1
-    assert msg.verify_grant_chain(reply.bundles[0], VIN, "sud.publish",
-                                  rig.registry, rig.crl_ref())
+    assert rig.trust.granted(reply.bundles[0], VIN)
 
 
 def test_status_invalid_or_replayed_is_silently_discarded():
@@ -307,8 +304,7 @@ def test_untrusted_reply_bundles_carry_ecu_endorsements():
         msg.StatusEntry("ecu1", "sw0", msg.TimestampRecord(1, 1)), ecu_key),)
     replies = _status(rig, _gamma(rig, key, entries, t=5, v=1))
     bundle = replies[0][1].bundles[0]
-    assert msg.verify_ecu_endorsement(bundle, "ecu1", "sud.targets",
-                                      rig.registry, rig.crl_ref())
+    assert rig.trust.endorsed(bundle, "ecu1")
 
 
 def test_inventory_export_is_deterministic():

@@ -2,7 +2,7 @@ import pytest
 
 from helpers import Rig, VIN
 from ota_stations import messages as msg
-from ota_stations.crypto import KeyPair, digest
+from ota_stations.crypto import KeyPair
 from ota_stations.image_repo import RepoError, location_for
 from ota_stations.simnet import Envelope
 

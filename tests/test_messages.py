@@ -266,70 +266,63 @@ def test_encoding_rejects_malformed_values():
 # Signing, grants, endorsements
 # ---------------------------------------------------------------------------
 
-def test_assert_auth_requires_every_signer():
+def _trust(*keys):
+    return msg.TrustContext(_registry(*keys), ())
+
+
+def test_signed_by_requires_every_signer():
     mu = _manifest("s")
     alice, bob = _key("alice"), _key("bob")
-    registry = _registry(alice, bob)
+    trust = _trust(alice, bob)
     mu = msg.sign_message(mu, alice)
     pd = msg.payload_digest(mu)
-    crl = RevocationList()
-    assert msg.assert_auth(mu.sigma, {"alice"}, pd, registry, crl)
-    assert not msg.assert_auth(mu.sigma, {"alice", "bob"}, pd, registry, crl)
+    assert trust.signed_by(mu.sigma, {"alice"}, pd)
+    assert not trust.signed_by(mu.sigma, {"alice", "bob"}, pd)
     mu = msg.sign_message(mu, bob)
-    assert msg.assert_auth(mu.sigma, {"alice", "bob"}, pd, registry, crl)
+    assert trust.signed_by(mu.sigma, {"alice", "bob"}, pd)
+    trust.revoke("bob")
+    assert not trust.signed_by(mu.sigma, {"alice", "bob"}, pd)
 
 
 def test_grant_chain_root_and_delegation():
     publish, engine, station = (_key("sud.publish"), _key("engine0"),
                                 _key("station0"))
-    registry = _registry(publish, engine, station)
-    crl = RevocationList()
+    trust = _trust(publish, engine, station)
     bundle = msg.Bundle((_manifest("s"),), msg.TimestampRecord(5, 1))
 
     to_engine = msg.grant_bundle(bundle, "engine0", publish)
-    assert msg.verify_grant_chain(to_engine, "engine0", "sud.publish",
-                                  registry, crl)
-    assert not msg.verify_grant_chain(to_engine, "station0", "sud.publish",
-                                      registry, crl)
+    assert trust.granted(to_engine, "engine0")
+    assert not trust.granted(to_engine, "station0")
 
     delegated = msg.grant_bundle(to_engine, "station0", engine)
-    assert msg.verify_grant_chain(delegated, "station0", "sud.publish",
-                                  registry, crl)
+    assert trust.granted(delegated, "station0")
 
     # A chain not rooted at the publish role is rejected.
     rogue = msg.grant_bundle(bundle, "station0", engine)
-    assert not msg.verify_grant_chain(rogue, "station0", "sud.publish",
-                                      registry, crl)
+    assert not trust.granted(rogue, "station0")
     # A link signed by the wrong predecessor is rejected.
     skipped = msg.grant_bundle(to_engine, "station0", publish)
-    assert not msg.verify_grant_chain(skipped, "station0", "sud.publish",
-                                      registry, crl)
+    assert not trust.granted(skipped, "station0")
 
 
 def test_grant_chain_respects_revocation():
     publish, engine = _key("sud.publish"), _key("engine0")
-    registry = _registry(publish, engine)
+    trust = _trust(publish, engine)
     bundle = msg.Bundle((_manifest("s"),), msg.TimestampRecord(5, 1))
     granted = msg.grant_bundle(
         msg.grant_bundle(bundle, "engine0", publish), "station0", engine)
-    assert msg.verify_grant_chain(granted, "station0", "sud.publish",
-                                  registry, RevocationList())
-    from ota_stations.crypto import revoke
-    crl = revoke(RevocationList(), "engine0")
-    assert not msg.verify_grant_chain(granted, "station0", "sud.publish",
-                                      registry, crl)
+    assert trust.granted(granted, "station0")
+    trust.revoke("engine0")
+    assert not trust.granted(granted, "station0")
 
 
 def test_ecu_endorsement_bound_to_ecu():
     targets = _key("sud.targets")
-    registry = _registry(targets)
-    crl = RevocationList()
+    trust = _trust(targets)
     bundle = msg.Bundle((_manifest("s"),), msg.TimestampRecord(5, 1))
     endorsed = msg.endorse_for_ecu(bundle, "ecu1", targets)
-    assert msg.verify_ecu_endorsement(endorsed, "ecu1", "sud.targets",
-                                      registry, crl)
-    assert not msg.verify_ecu_endorsement(endorsed, "ecu2", "sud.targets",
-                                          registry, crl)
+    assert trust.endorsed(endorsed, "ecu1")
+    assert not trust.endorsed(endorsed, "ecu2")
 
 
 # ---------------------------------------------------------------------------
@@ -353,16 +346,6 @@ def test_freshness_rules_truth_table():
     assert msg.assert_status_fresh_at_primary(ts(2, 2), ts(1, 2))
     assert not msg.assert_status_fresh_at_primary(ts(2, 1), ts(1, 2))
     assert not msg.assert_status_fresh_at_primary(ts(1, 3), ts(1, 2))
-
-
-def test_assert_integrity():
-    data = b"image-bytes"
-    theta = msg.MetaRecord(digest(data), "e", "s")
-    mu = msg.UpdateManifest("repo0/s/2", theta, msg.TimestampRecord(2, 2))
-    assert msg.assert_integrity(mu, data, "e", "s")
-    assert not msg.assert_integrity(mu, data + b"x", "e", "s")
-    assert not msg.assert_integrity(mu, data, "other", "s")
-    assert not msg.assert_integrity(mu, data, "e", "other")
 
 
 # ---------------------------------------------------------------------------

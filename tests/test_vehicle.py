@@ -1,5 +1,3 @@
-import dataclasses
-
 from helpers import Rig, VIN
 from ota_stations import messages as msg
 from ota_stations.crypto import KeyPair, digest, sign
@@ -12,11 +10,10 @@ def _primary(rig, initial, **kwargs):
     key = rig.add_key(f"{VIN}.primary")
     rig.registry.add(KeyPair(VIN, key.public_key, b"", key.scheme))
     return VehiclePrimary(
-        VIN, rig.world, rig.registry, key, rig.crl_ref,
+        VIN, rig.world, rig.trust, key,
         sud="sud0", sud_link=rig.link("v-sud"),
         repo="repo0", repo_link=rig.link("v-repo"),
-        sud_roles=rig.sud_roles, publish_id="sud.publish",
-        producer_ids={"producer0"}, initial=initial, secondaries={},
+        initial=initial, secondaries={},
         bucket_size=65536, **kwargs)
 
 
@@ -123,10 +120,8 @@ def _secondary(rig, untrusted=False, installed_version=1):
     key = rig.add_key(f"{VIN}.sec")
     initial = {"sw0": (msg.TimestampRecord(installed_version,
                                            installed_version), None)}
-    return SecondaryEcu(VIN, "sec", rig.world, rig.registry, key,
-                        rig.crl_ref, rig.sud_roles, "sud.publish",
-                        {"producer0"}, initial, untrusted=untrusted,
-                        flash_latency_ms=1.0)
+    return SecondaryEcu(VIN, "sec", rig.world, rig.trust, key, initial,
+                        untrusted=untrusted, flash_latency_ms=1.0)
 
 
 def _install_env(rig, items, bundle=None, signer=None):
