@@ -181,8 +181,9 @@ def _tamper(payload, world):
             buckets += list(payload["buckets"][1:])
             return {**payload, "buckets": buckets}
         if "items" in payload and payload["items"]:
-            mu, data = payload["items"][0]
-            items = [(mu, _flip(data))] + list(payload["items"][1:])
+            mu, chunks = payload["items"][0]
+            flipped = (_flip(chunks[0]),) + tuple(chunks[1:])
+            items = [(mu, flipped)] + list(payload["items"][1:])
             return {**payload, "items": items}
         if "bundle" in payload and isinstance(payload["bundle"], msg.Bundle):
             return {**payload, "bundle": _tamper_bundle(payload["bundle"])}

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass, field
+from typing import Union
 
 from . import messages as msg
 from .crypto import KeyPair, digest, sign
@@ -18,19 +19,39 @@ from .simnet import Actor, Envelope, Link, World
 
 @dataclass
 class CacheEntry:
-    data: bytes
+    """One image a station holds: its bytes when inserted whole, or the
+    verified bucket tuple of its download, whose chunks are views of the
+    repository's bytes.  Only a serve at another bucket size than the
+    download's makes, and keeps, a joined copy."""
+
+    image: Union[bytes, tuple]
     manifest: msg.UpdateManifest
-    size: int
-    images: dict = field(default_factory=dict)  # bucket_size -> UpdateImage
+    splits: dict = field(default_factory=dict)  # bucket_size -> buckets
+    size: int = field(init=False)
+
+    def __post_init__(self):
+        if isinstance(self.image, tuple):
+            self.size = sum(len(chunk) for _, chunk, _ in self.image)
+        else:
+            self.size = len(self.image)
 
     def buckets(self, bucket_size: int) -> tuple:
-        """The data's buckets at `bucket_size`, split and hashed at most once
-        per bucket size and shared by every serve of this entry."""
-        image = self.images.get(bucket_size)
-        if image is None:
-            image = self.images[bucket_size] = msg.UpdateImage(
-                self.manifest.theta.s, self.data, bucket_size)
-        return image.buckets()
+        """The image's buckets at `bucket_size`, split and hashed at most
+        once per bucket size and shared by every serve of this entry.  A
+        download split at `bucket_size` is served as it arrived; at another
+        size its chunks are joined and re-split."""
+        buckets = self.splits.get(bucket_size)
+        if buckets is None:
+            image = self.image
+            if not isinstance(image, tuple):
+                buckets = msg.split_buckets(image, bucket_size)
+            elif msg.is_split_of(image, self.size, bucket_size):
+                buckets = image
+            else:
+                buckets = msg.split_buckets(
+                    b"".join(chunk for _, chunk, _ in image), bucket_size)
+            buckets = self.splits[bucket_size] = tuple(buckets)
+        return buckets
 
 
 class UpdateEngine(Actor):
@@ -178,13 +199,16 @@ class Station(Actor):
 
     # -- cache -------------------------------------------------------------
 
-    def cache_insert(self, software: str, version: int, data: bytes,
+    def cache_insert(self, software: str, version: int,
+                     image: Union[bytes, tuple],
                      manifest: msg.UpdateManifest):
-        """LRU insert; returns the list of evicted software ids.  Images
+        """LRU insert of an image's bytes, or of the verified bucket tuple of
+        its download; returns the list of evicted software ids.  Images
         larger than the whole cache are served pass-through, uncached.  An
         insert of a cached (software, version) replaces its entry, so its
         bytes count once, and makes it the most recently used."""
-        size = len(data)
+        entry = CacheEntry(image, manifest)
+        size = entry.size
         if size > self.capacity:
             return None
         replaced = self.cache.pop((software, version), None)
@@ -195,7 +219,7 @@ class Station(Actor):
             (old_s, old_v), old = self.cache.popitem(last=False)
             self.occupancy -= old.size
             evicted.append(old_s)
-        self.cache[(software, version)] = CacheEntry(data, manifest, size)
+        self.cache[(software, version)] = entry
         self.occupancy += size
         return evicted
 
@@ -204,12 +228,6 @@ class Station(Actor):
         if entry is not None:
             self.cache.move_to_end((software, version))
         return entry
-
-    def _entry_holding(self, mu, data: bytes):
-        """The cache entry for `mu` if it holds this very `data` object;
-        unlike `cache_get`, it leaves the LRU order alone."""
-        entry = self.cache.get((mu.theta.s, mu.tau.v))
-        return entry if entry is not None and entry.data is data else None
 
     def cache_dump(self):
         return sorted((s, v, e.size) for (s, v), e in self.cache.items())
@@ -227,16 +245,17 @@ class Station(Actor):
                 self._fetch_and_cache(mu, bundle)
 
     def _fetch_and_cache(self, mu, credential, on_done=None, on_error=None):
-        """Pull `mu`'s image from the repository, cache it and pass it on."""
+        """Pull `mu`'s image from the repository, cache its verified
+        buckets and pass on their entry, which is uncached when the image is
+        larger than the cache (pass-through)."""
         def done(result: msg.Complete):
-            image = result.image
-            self.cache_insert(mu.theta.s, mu.tau.v, image.data, mu)
-            entry = self._entry_holding(mu, image.data)
-            if entry is not None:
-                # Serve the buckets verified on arrival; no second split.
-                entry.images[image.bucket_size] = image
+            self.cache_insert(mu.theta.s, mu.tau.v, result.buckets, mu)
             if on_done is not None:
-                on_done(image)
+                # Unlike cache_get, this leaves the LRU order alone.
+                entry = self.cache.get((mu.theta.s, mu.tau.v))
+                if entry is None or entry.image is not result.buckets:
+                    entry = CacheEntry(result.buckets, mu)
+                on_done(entry)
 
         self.fetch_image(self.repo, self.repo_link, mu, credential,
                          96 + msg.wire_size(credential), done, on_error)
@@ -259,7 +278,7 @@ class Station(Actor):
             return
         cached = self.cache_get(mu.theta.s, mu.tau.v)
         if cached is not None:
-            self._serve_bytes(env, mu, cached.data, from_index, "hit")
+            self._serve_bytes(env, mu, cached, from_index, "hit")
             return
         if min_id in self.known_models and mu.theta.s not in self.unknown_updates:
             self._miss_path(env, mu, min_id, from_index, "miss")
@@ -293,7 +312,7 @@ class Station(Actor):
             return
         self._fetch_and_cache(
             mu, reply.payload["bundle"],
-            lambda image: self._serve_bytes(env, mu, image.data, from_index,
+            lambda entry: self._serve_bytes(env, mu, entry, from_index,
                                             outcome),
             lambda reason: self.reply(env, "serve_err", {"reason": "fetch"},
                                       64))
@@ -304,19 +323,15 @@ class Station(Actor):
                         for m in bundle.manifests)
                 and self.trust.verify_manifest(mu))
 
-    def _serve_bytes(self, env, mu, data: bytes, from_index: int,
+    def _serve_bytes(self, env, mu, entry: CacheEntry, from_index: int,
                      outcome: str):
         self.events.append((self.world.now, outcome, mu.theta.s))
         bucket_size = msg.DEFAULT_BUCKET_SIZE
         if env.payload.get("bucket_size"):
             bucket_size = env.payload["bucket_size"]
-        entry = self._entry_holding(mu, data)
-        if entry is not None:
-            buckets = entry.buckets(bucket_size)
-        else:
-            buckets = msg.split_buckets(data, bucket_size)  # uncached image
+        buckets = entry.buckets(bucket_size)
         out = buckets[from_index:]
         size = sum(len(chunk) for _, chunk, _ in out) + 64
         self.reply(env, "serve_ok",
                    {"buckets": out, "total": len(buckets),
-                    "bucket_size": bucket_size, "outcome": outcome}, size)
+                    "outcome": outcome}, size)

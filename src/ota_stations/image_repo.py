@@ -93,8 +93,7 @@ class ImageRepo(Actor):
             return
         buckets = entry.image.buckets()
         out = buckets[from_index:]
-        payload = {"l": location, "buckets": out, "total": len(buckets),
-                   "bucket_size": entry.image.bucket_size}
+        payload = {"l": location, "buckets": out, "total": len(buckets)}
         size = sum(len(chunk) for _, chunk, _ in out) + 64
         self.reply(env, "fetch_ok", payload, size)
 

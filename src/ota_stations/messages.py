@@ -121,7 +121,8 @@ class UpdateImage:
 
     def buckets(self) -> tuple:
         """The image's (index, chunk, chunk digest) buckets, split and hashed
-        on first use and shared by every later caller."""
+        on first use and shared by every later caller.  The chunks are
+        read-only views of `data` (see `split_buckets`)."""
         if self._buckets is None:
             object.__setattr__(self, "_buckets", tuple(
                 split_buckets(self.data, self.bucket_size)))
@@ -507,17 +508,25 @@ def assert_status_fresh_at_primary(new: TimestampRecord,
 # ---------------------------------------------------------------------------
 
 def split_buckets(data: bytes, bucket_size: int):
-    """Fixed-size chunks with per-bucket digests; concatenation is identity."""
+    """Fixed-size chunks with per-bucket digests; concatenation is identity.
+
+    Each chunk is a read-only `memoryview` slice of `data`, not a copy, and
+    the image's immutable `bytes` is the view's `.obj`.  Receivers keep
+    these very chunk objects, so an image's bytes exist once per world:
+    every holder refers to the buffer the producer generated.  A chunk the
+    adversary changes is a new object and fails its digest.
+    """
     if bucket_size < 1:
         raise ValueError("bucket_size must be >= 1")
+    view = memoryview(data).toreadonly()
     out = []
     for i in range(0, max(len(data), 1), bucket_size):
-        chunk = data[i:i + bucket_size]
+        chunk = view[i:i + bucket_size]
         out.append((i // bucket_size, chunk, digest(chunk)))
     return out
 
 
-def _is_split_of(buckets: tuple, size: int, bucket_size: int) -> bool:
+def is_split_of(buckets: tuple, size: int, bucket_size: int) -> bool:
     """True iff in-order verified `buckets` of a `size`-byte image have the
     chunk layout `split_buckets` gives it at `bucket_size`."""
     count = max(-(-size // bucket_size), 1)
@@ -527,8 +536,12 @@ def _is_split_of(buckets: tuple, size: int, bucket_size: int) -> bool:
 
 @dataclass(frozen=True)
 class Complete:
-    image: UpdateImage
-    data_digest: bytes     # digest(image.data), computed once at assembly
+    """A verified download: its in-order buckets, which are the sender's
+    chunk objects (read-only views, never a joined copy), and the digest of
+    their concatenation, computed once at assembly."""
+
+    buckets: tuple         # (index, chunk, chunk digest), in index order
+    data_digest: bytes
 
 
 @dataclass(frozen=True)
@@ -541,7 +554,8 @@ class Received:
 
     Each chunk is hashed once, when it arrives; a bucket whose chunk does not
     match its digest is not kept, and a later bucket for an index replaces
-    the earlier one.
+    the earlier one.  A kept bucket is the sender's own (index, chunk,
+    digest) tuple, so its chunk stays a view of the sender's image.
     """
 
     __slots__ = ("buckets",)
@@ -579,27 +593,27 @@ class Received:
         """
         self.add(reply["buckets"])
         try:
-            return assemble_buckets(self, mu, total=reply["total"],
-                                    bucket_size=reply["bucket_size"])
+            return assemble_buckets(self, mu, total=reply["total"])
         except IntegrityError:
             self.buckets = {}
             return Resume(0)
 
 
 def assemble_buckets(buckets_received, mu: UpdateManifest,
-                     total: Optional[int] = None,
-                     bucket_size: int = DEFAULT_BUCKET_SIZE):
-    """Reassemble an image from in-order buckets.
+                     total: Optional[int] = None):
+    """Check that in-order buckets make up the image of `mu`.
 
     `buckets_received` is a `Received`, whose chunks were verified on
     arrival, or an iterable of (index, chunk, chunk digest) buckets, whose
     chunks are verified here.
 
-    Returns Complete once every bucket is present and the full-package digest
-    matches the manifest; otherwise Resume with the first missing index.
-    Raises IntegrityError when a listed chunk does not match its digest, or
-    when all buckets are present but the full-package digest does not match
-    (restart from bucket 0).
+    Returns Complete, holding the verified buckets themselves, once every
+    bucket is present and the full-package digest matches the manifest;
+    the chunks are joined only while that digest is computed.  Otherwise
+    returns Resume with the first missing index.  Raises IntegrityError
+    when a listed chunk does not match its digest, or when all buckets are
+    present but the full-package digest does not match (restart from
+    bucket 0).
     """
     received = buckets_received
     if not isinstance(received, Received):
@@ -611,15 +625,9 @@ def assemble_buckets(buckets_received, mu: UpdateManifest,
     if total is not None and next_missing < total:
         return Resume(next_missing)
     buckets = tuple(received.buckets[i] for i in range(next_missing))
-    data = b"".join(chunk for _, chunk, _ in buckets)
-    data_digest = digest(data)
+    data_digest = digest(b"".join(chunk for _, chunk, _ in buckets))
     if data_digest == mu.theta.h:
-        image = UpdateImage(mu.theta.s, data, bucket_size)
-        if _is_split_of(buckets, len(data), bucket_size):
-            # The verified buckets are exactly split_buckets(data): keep
-            # them, so that serving this image hashes nothing again.
-            object.__setattr__(image, "_buckets", buckets)
-        return Complete(image, data_digest)
+        return Complete(buckets, data_digest)
     if total is not None:
         raise IntegrityError("full-package digest mismatch")
     return Resume(next_missing)

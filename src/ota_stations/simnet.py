@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import heapq
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from . import messages as msg
@@ -261,11 +261,68 @@ class World:
 
 @dataclass
 class _Pending:
+    """One outstanding request: what to resend and whom to call back.
+
+    The actor's `_pending` table is its only owner, and timers refer to it
+    by request id, so it (and whatever its callbacks capture) is freed as
+    soon as the request is answered or given up.
+    """
+
+    dst: str
+    kind: str
+    payload: object
+    size: int
+    link: Link
     on_reply: Callable
     on_fail: Optional[Callable]
-    timer: Optional[Timer]
+    timeout: Optional[float]
     retries_left: int
-    resend: Callable
+    attempt: int = 0
+    timer: Optional[Timer] = None
+
+
+@dataclass
+class _Download:
+    """One resumable image download (see `Actor.fetch_image`).  Its request
+    callbacks refer to it, and it to none of them, so it is freed once its
+    last request is answered."""
+
+    actor: "Actor"
+    repo: str
+    link: Link
+    mu: object
+    credential: object
+    size: int
+    on_done: Callable
+    on_error: Optional[Callable]
+    timeout_ms: Optional[float]
+    retries: Optional[int]
+    received: msg.Received = field(default_factory=msg.Received)
+
+    def pull(self, from_index: int, attempts: int):
+        self.actor.request(
+            self.repo, "fetch", {"l": self.mu.l, "credential": self.credential,
+                                 "from_index": from_index},
+            self.size, self.link,
+            on_reply=lambda reply: self.pulled(reply, attempts),
+            on_fail=lambda: self.fail("download_failed"),
+            timeout_ms=self.timeout_ms, retries=self.retries)
+
+    def pulled(self, reply: Envelope, attempts: int):
+        if reply.kind != "fetch_ok":
+            self.fail("download")
+            return
+        result = self.received.absorb(self.mu, reply.payload)
+        if isinstance(result, msg.Complete):
+            self.on_done(result)
+        elif attempts >= FETCH_RETRIES:
+            self.fail("integrity")
+        else:
+            self.pull(result.next_index, attempts + 1)
+
+    def fail(self, reason: str):
+        if self.on_error is not None:
+            self.on_error(reason)
 
 
 class Actor:
@@ -310,31 +367,29 @@ class Actor:
         timeout = timeout_ms if timeout_ms is not None \
             else self.world.request_timeout_ms
         budget = retries if retries is not None else self.world.request_retries
-        state = {"left": budget, "attempt": 0}
-
-        def attempt():
-            timer = None
-            if timeout is not None:
-                timer = self.world.schedule(timeout, timed_out)
-            self._pending[req_id] = _Pending(on_reply, on_fail, timer,
-                                             state["left"], attempt)
-            self.world.send(Envelope(self.name, dst, kind, payload, size,
-                                     link, req_id=req_id,
-                                     attempt=state["attempt"]))
-            state["attempt"] += 1
-
-        def timed_out():
-            pending = self._pending.pop(req_id, None)
-            if pending is None:
-                return
-            if state["left"] > 0:
-                state["left"] -= 1
-                attempt()
-            elif on_fail is not None:
-                on_fail()
-
-        attempt()
+        self._attempt(req_id, _Pending(dst, kind, payload, size, link,
+                                       on_reply, on_fail, timeout, budget))
         return req_id
+
+    def _attempt(self, req_id: int, pending: _Pending):
+        if pending.timeout is not None:
+            pending.timer = self.world.schedule(
+                pending.timeout, lambda: self._timed_out(req_id))
+        self._pending[req_id] = pending
+        self.world.send(Envelope(self.name, pending.dst, pending.kind,
+                                 pending.payload, pending.size, pending.link,
+                                 req_id=req_id, attempt=pending.attempt))
+        pending.attempt += 1
+
+    def _timed_out(self, req_id: int):
+        pending = self._pending.pop(req_id, None)
+        if pending is None:
+            return
+        if pending.retries_left > 0:
+            pending.retries_left -= 1
+            self._attempt(req_id, pending)
+        elif pending.on_fail is not None:
+            pending.on_fail()
 
     def reply(self, env: Envelope, kind: str, payload, size: int,
               link: Optional[Link] = None):
@@ -359,30 +414,5 @@ class Actor:
         with "download_failed" (request timed out), "download" (refused) or
         "integrity" (retries exhausted).
         """
-        received = msg.Received()
-
-        def pull(from_index: int, attempts: int):
-            self.request(
-                repo, "fetch", {"l": mu.l, "credential": credential,
-                                "from_index": from_index}, size, link,
-                on_reply=lambda reply: pulled(reply, attempts),
-                on_fail=lambda: fail("download_failed"),
-                timeout_ms=timeout_ms, retries=retries)
-
-        def pulled(reply: Envelope, attempts: int):
-            if reply.kind != "fetch_ok":
-                fail("download")
-                return
-            result = received.absorb(mu, reply.payload)
-            if isinstance(result, msg.Complete):
-                on_done(result)
-            elif attempts >= FETCH_RETRIES:
-                fail("integrity")
-            else:
-                pull(result.next_index, attempts + 1)
-
-        def fail(reason: str):
-            if on_error is not None:
-                on_error(reason)
-
-        pull(0, 0)
+        _Download(self, repo, link, mu, credential, size, on_done, on_error,
+                  timeout_ms, retries).pull(0, 0)

@@ -18,7 +18,7 @@ FETCH_ATTEMPTS = 6
 
 def group_digest(items, data_digests) -> bytes:
     """Digest binding an all-or-nothing install group: (manifest, image
-    bytes) pairs destined to one ECU, given the digests of their bytes."""
+    chunks) pairs destined to one ECU, given the digests of their bytes."""
     acc = b"group"
     for (mu, _), data_digest in zip(items, data_digests):
         acc += msg.payload_digest(mu) + data_digest
@@ -29,8 +29,9 @@ def group_digest(items, data_digests) -> bytes:
 class PendingItem:
     mu: msg.UpdateManifest
     bundle: msg.Bundle
-    data: Optional[bytes] = None
-    data_digest: Optional[bytes] = None    # digest(data), set with data
+    # The verified image: the sender's chunks in order, never joined.
+    chunks: Optional[tuple] = None
+    data_digest: Optional[bytes] = None    # digest of the chunks' bytes
     installed: bool = False
     via_cellular: bool = False
     received: msg.Received = field(default_factory=msg.Received)
@@ -258,7 +259,7 @@ class VehiclePrimary(Actor):
     def _start_downloads(self):
         for key in sorted(self.pending):
             item = self.pending[key]
-            if item.data is not None or item.received or item.installed:
+            if item.chunks is not None or item.received or item.installed:
                 continue
             software = item.mu.theta.s
             if (self.station is None or software in self.cellular_updates
@@ -313,7 +314,7 @@ class VehiclePrimary(Actor):
                      on_fail=lambda: self._station_item_failed(item))
 
     def _on_station_bytes(self, item: PendingItem, env: Envelope):
-        if item.installed or item.data is not None:
+        if item.installed or item.chunks is not None:
             # The image deadline already rerouted this item; stale reply.
             if item in self._station_queue:
                 self._station_queue.remove(item)
@@ -349,7 +350,7 @@ class VehiclePrimary(Actor):
                      on_reply=lambda r: self._on_cellular_bytes(item, r))
 
     def _on_cellular_bytes(self, item: PendingItem, env: Envelope):
-        if item.installed or item.data is not None:
+        if item.installed or item.chunks is not None:
             return  # already satisfied by another source
         if env.kind != "fetch_ok":
             return  # image deadline handles the alert
@@ -367,7 +368,7 @@ class VehiclePrimary(Actor):
         None when the retry budget for this source is exhausted."""
         result = item.received.absorb(item.mu, payload)
         if isinstance(result, msg.Complete):
-            item.data = result.image.data
+            item.chunks = tuple(chunk for _, chunk, _ in result.buckets)
             item.data_digest = result.data_digest
             return True
         item.attempts += 1
@@ -381,7 +382,7 @@ class VehiclePrimary(Actor):
         ecu = item.mu.theta.e
         group = [p for p in self.pending.values()
                  if p.bundle is item.bundle and p.mu.theta.e == ecu]
-        if any(p.data is None for p in group):
+        if any(p.chunks is None for p in group):
             return
         if ecu == PRIMARY_ECU:
             self.world.schedule(self.flash_latency_ms,
@@ -402,10 +403,10 @@ class VehiclePrimary(Actor):
     def _push_group(self, ecu, bundle, group):
         name, link = self.secondaries[ecu]
         ordered = sorted(group, key=lambda p: p.mu.theta.s)
-        items = tuple((p.mu, p.data) for p in ordered)
+        items = tuple((p.mu, p.chunks) for p in ordered)
         entry = sign(group_digest(items, [p.data_digest for p in ordered]),
                      self.key)
-        size = sum(len(data) for _, data in items) + 256
+        size = sum(len(chunk) for _, chunks in items for chunk in chunks) + 256
         self.request(name, "install_group",
                      {"bundle": bundle, "items": items, "group_sig": entry},
                      size, link,
@@ -445,7 +446,7 @@ class VehiclePrimary(Actor):
             self._fallback_used = True
             self._station_queue, self._station_busy = [], False
             for item in stuck:
-                if item.data is None:
+                if item.chunks is None:
                     item.via_cellular = True
                     item.received, item.attempts = msg.Received(), 0
                     self._cellular_fetch(item)
@@ -549,9 +550,10 @@ class SecondaryEcu(Actor):
         bundle = env.payload["bundle"]
         items = env.payload["items"]
         entry = env.payload["group_sig"]
-        # Each image is hashed once; the group signature, the manifest check
-        # and the install log all use these digests of the same bytes.
-        data_digests = [digest(data) for _, data in items]
+        # Each image is hashed once, its chunks joined only for that; the
+        # group signature, the manifest check and the install log all use
+        # these digests of the same bytes.
+        data_digests = [digest(b"".join(chunks)) for _, chunks in items]
         reason = self._validate_group(bundle, items, data_digests, entry)
         if reason is not None:
             self.reply(env, "install_err", {"reason": reason}, 64)

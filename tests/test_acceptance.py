@@ -201,9 +201,9 @@ def _check_bucket_cases(count=1000, seed=77):
         buckets = msg.split_buckets(data, bucket_size)
         shuffled = list(buckets) + [rng.choice(buckets)]  # duplicate one
         rng.shuffle(shuffled)
-        result = msg.assemble_buckets(shuffled, mu, total=len(buckets),
-                                      bucket_size=bucket_size)
-        if not isinstance(result, msg.Complete) or result.image.data != data:
+        result = msg.assemble_buckets(shuffled, mu, total=len(buckets))
+        if not isinstance(result, msg.Complete) or b"".join(
+                chunk for _, chunk, _ in result.buckets) != data:
             return False
     return True
 

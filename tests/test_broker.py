@@ -3,7 +3,8 @@ import dataclasses
 from helpers import Rig, VIN
 from ota_stations import messages as msg
 from ota_stations.broker import Station, UpdateEngine
-from ota_stations.scenario import ScenarioConfig, run_scenario
+from ota_stations.scenario import (ScenarioConfig, build_scenario,
+                                   collect_report, run_scenario)
 
 
 def _station(rig, capacity=1000):
@@ -58,7 +59,7 @@ def test_reinsert_counts_an_entry_once():
     assert station.occupancy == sum(e.size for e in station.cache.values())
     assert station.occupancy == 700
     assert station.cache_get("a", 1) is not None
-    assert station.cache_get("b", 1).data == b"4" * 300
+    assert station.cache_get("b", 1).image == b"4" * 300
 
 
 def test_cache_dump_is_sorted():
@@ -168,3 +169,20 @@ def test_miss_populates_cache_for_later_vehicles():
     # First vehicle misses; the second is served from the warmed cache.
     assert rep.cache_counts["miss"] == 2
     assert rep.cache_counts["hit"] == 2
+
+
+def test_image_larger_than_the_cache_is_served_pass_through():
+    config = ScenarioConfig(
+        name="pass-through", bundle_bytes=1_000_000, image_count=2,
+        bucket_size=65536, coverage_pct=100, mix_hit=0, mix_miss=100,
+        mix_unknown=0, vehicles=2, stations=1, cache_capacity_bytes=100_000,
+        ignition_stagger_ms=60_000.0, horizon_ms=600_000)
+    built = build_scenario(config)
+    built.world.run(config.horizon_ms)
+    report = collect_report(built)
+    # Nothing fits, so the second vehicle misses too; every image is still
+    # served by the station and installed.
+    assert report.cache_counts == {"hit": 0, "miss": 4, "unknown": 0}
+    assert report.install_count == 4 and report.alert_count == 0
+    assert built.stations[0].cache_dump() == []
+    assert report.bytes_by_class.get("cellular", 0) < 100_000

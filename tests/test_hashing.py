@@ -6,7 +6,7 @@ import hashlib
 from helpers import Rig
 from ota_stations import (broker, crypto, director, image_repo, messages,
                           scenario, vehicle)
-from ota_stations.adversary import Adversary, AttackRule
+from ota_stations.adversary import Adversary, AttackRule, _tamper
 from ota_stations.scenario import ScenarioConfig, build_scenario
 from ota_stations.simnet import Envelope
 
@@ -47,9 +47,32 @@ def test_tampered_fetch_leaves_the_shared_buckets_intact():
     assert image.buckets() == tuple(messages.split_buckets(image.data,
                                                            image.bucket_size))
     result = messages.assemble_buckets(_fetch(rig, mu).payload["buckets"], mu,
-                                       total=4, bucket_size=65536)
+                                       total=4)
     assert isinstance(result, messages.Complete)
-    assert result.image.data == image.data
+    assert b"".join(chunk for _, chunk, _ in result.buckets) == image.data
+
+
+def test_tampered_chunk_is_a_new_object_and_fails_its_digest():
+    rig = Rig()
+    mu, image = rig.seed_update("sw0", size=200_000)
+    reply = _fetch(rig, mu)
+    (action, tampered), = Adversary([AttackRule("tamper")]).intercept(
+        rig.world, reply)
+    assert action == "modify"
+    index, chunk, chunk_digest = tampered.payload["buckets"][0]
+    original = reply.payload["buckets"][0][1]
+    assert chunk is not original and not isinstance(chunk, memoryview)
+    assert original.obj is image.data
+    assert crypto.digest(chunk) != chunk_digest
+    assert messages.Received().add(tampered.payload["buckets"]) == [index]
+
+    # An install group the primary pushes: the first chunk is flipped.
+    chunks = tuple(chunk for _, chunk, _ in reply.payload["buckets"])
+    mutated = _tamper({"items": ((mu, chunks),)}, rig.world)
+    (_, flipped), = mutated["items"]
+    assert flipped[0] is not chunks[0] and flipped[1:] == chunks[1:]
+    assert crypto.digest(b"".join(flipped)) != mu.theta.h
+    assert crypto.digest(b"".join(chunks)) == mu.theta.h
 
 
 def _small_config(**kwargs):
@@ -71,7 +94,7 @@ def test_install_log_records_digest_of_installed_bytes():
             for p in group:
                 flashed.append((primary.vin, vehicle.PRIMARY_ECU,
                                 p.mu.theta.s,
-                                hashlib.sha256(p.data).digest()))
+                                hashlib.sha256(b"".join(p.chunks)).digest()))
             original(group)
         primary._install_local = install_local
     for secondaries in built.secondaries.values():
@@ -79,9 +102,9 @@ def test_install_log_records_digest_of_installed_bytes():
             original = ecu._flash
 
             def flash(env, items, data_digests, ecu=ecu, original=original):
-                for mu, data in items:
+                for mu, chunks in items:
                     flashed.append((ecu.vin, ecu.ecu, mu.theta.s,
-                                    hashlib.sha256(data).digest()))
+                                    hashlib.sha256(b"".join(chunks)).digest()))
                 original(env, items, data_digests)
             ecu._flash = flash
     built.world.run(built.config.horizon_ms)

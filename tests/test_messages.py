@@ -365,14 +365,13 @@ def test_assemble_resume_and_complete():
     mu = msg.UpdateManifest("l", theta, msg.TimestampRecord(2, 2))
     buckets = msg.split_buckets(data, 100)
 
-    partial = msg.assemble_buckets(buckets[:2], mu, total=3, bucket_size=100)
+    partial = msg.assemble_buckets(buckets[:2], mu, total=3)
     assert partial == msg.Resume(2)
-    hole = msg.assemble_buckets([buckets[0], buckets[2]], mu, total=3,
-                                bucket_size=100)
+    hole = msg.assemble_buckets([buckets[0], buckets[2]], mu, total=3)
     assert hole == msg.Resume(1)
-    done = msg.assemble_buckets(buckets, mu, total=3, bucket_size=100)
+    done = msg.assemble_buckets(buckets, mu, total=3)
     assert isinstance(done, msg.Complete)
-    assert done.image.data == data
+    assert b"".join(chunk for _, chunk, _ in done.buckets) == data
 
 
 def test_assemble_detects_corruption():
@@ -384,11 +383,11 @@ def test_assemble_detects_corruption():
     with pytest.raises(msg.IntegrityError):
         msg.assemble_buckets([buckets[0], (index, b"EVIL" + chunk[4:],
                                            chunk_digest)], mu,
-                             total=3, bucket_size=100)
+                             total=3)
     # All buckets present but the whole-image digest disagrees.
     other = msg.split_buckets(b"y" * 250, 100)
     with pytest.raises(msg.IntegrityError):
-        msg.assemble_buckets(other, mu, total=3, bucket_size=100)
+        msg.assemble_buckets(other, mu, total=3)
 
 
 def test_status_entry_signing():

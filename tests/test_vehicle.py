@@ -126,7 +126,8 @@ def _secondary(rig, untrusted=False, installed_version=1):
 
 def _install_env(rig, items, bundle=None, signer=None):
     signer = signer or rig.keys[f"{VIN}.primary"]
-    entry = sign(group_digest(items, [digest(data) for _, data in items]),
+    entry = sign(group_digest(items, [digest(b"".join(chunks))
+                                      for _, chunks in items]),
                  signer)
     return Envelope(f"{VIN}.primary", f"{VIN}.sec", "install_group",
                     {"bundle": bundle, "items": items, "group_sig": entry},
@@ -147,7 +148,7 @@ def test_secondary_installs_valid_group():
     sec = _secondary(rig)
     replies = _capture(sec)
     mu, image = rig.make_update("sw0", version=2, ecu="sec")
-    sec.on_install_group(_install_env(rig, ((mu, image.data),)))
+    sec.on_install_group(_install_env(rig, ((mu, (image.data,)),)))
     rig.world.run()
     assert replies[0][0] == "install_ok"
     assert sec.installed["sw0"][0].v == 2
@@ -160,7 +161,7 @@ def test_secondary_group_is_all_or_nothing():
     replies = _capture(sec)
     good, image = rig.make_update("sw0", version=2, ecu="sec")
     bad, _ = rig.make_update("sw1", version=2, ecu="sec")
-    items = ((good, image.data), (bad, b"not the signed bytes"))
+    items = ((good, (image.data,)), (bad, (b"not the signed bytes",)))
     sec.on_install_group(_install_env(rig, items))
     rig.world.run()
     assert replies[0] == ("install_err", {"reason": "integrity"})
@@ -174,12 +175,12 @@ def test_secondary_rejects_stale_and_foreign_signer():
     sec = _secondary(rig, installed_version=3)
     replies = _capture(sec)
     mu, image = rig.make_update("sw0", version=2, ecu="sec")
-    sec.on_install_group(_install_env(rig, ((mu, image.data),)))
+    sec.on_install_group(_install_env(rig, ((mu, (image.data,)),)))
     assert replies[-1] == ("install_err", {"reason": "stale"})
     mallory = rig.add_key("mallory")
     fresh, image = rig.make_update("sw0", version=9, ecu="sec")
     sec.on_install_group(
-        _install_env(rig, ((fresh, image.data),), signer=mallory))
+        _install_env(rig, ((fresh, (image.data,)),), signer=mallory))
     assert replies[-1] == ("install_err", {"reason": "primary_auth"})
     assert sec.installed["sw0"][0].v == 3
 
@@ -192,10 +193,10 @@ def test_untrusted_secondary_requires_endorsed_bundle():
     bundle = msg.sign_message(
         msg.Bundle((mu,), msg.TimestampRecord(5, 1)),
         rig.keys["sud.snapshot"])
-    sec.on_install_group(_install_env(rig, ((mu, image.data),), bundle))
+    sec.on_install_group(_install_env(rig, ((mu, (image.data,)),), bundle))
     assert replies[-1] == ("install_err", {"reason": "no_endorsement"})
     endorsed = msg.endorse_for_ecu(bundle, "sec", rig.keys["sud.targets"])
-    sec.on_install_group(_install_env(rig, ((mu, image.data),), endorsed))
+    sec.on_install_group(_install_env(rig, ((mu, (image.data,)),), endorsed))
     rig.world.run()
     assert replies[-1][0] == "install_ok"
     assert sec.installed["sw0"][0].v == 2
