@@ -19,39 +19,23 @@ from .simnet import Actor, Envelope, Link, World
 
 @dataclass
 class CacheEntry:
-    """One image a station holds: its bytes when inserted whole, or the
-    verified bucket tuple of its download, whose chunks are views of the
-    repository's bytes.  Only a serve at another bucket size than the
-    download's makes, and keeps, a joined copy."""
+    """One image a station holds: the `UpdateImage` inserted whole, split on
+    its first serve, or the verified bucket tuple of its download, whose
+    chunks are views of the repository's bytes."""
 
-    image: Union[bytes, tuple]
+    image: Union[msg.UpdateImage, tuple]
     manifest: msg.UpdateManifest
-    splits: dict = field(default_factory=dict)  # bucket_size -> buckets
     size: int = field(init=False)
 
     def __post_init__(self):
         if isinstance(self.image, tuple):
             self.size = sum(len(chunk) for _, chunk, _ in self.image)
         else:
-            self.size = len(self.image)
+            self.size = len(self.image.data)
 
-    def buckets(self, bucket_size: int) -> tuple:
-        """The image's buckets at `bucket_size`, split and hashed at most
-        once per bucket size and shared by every serve of this entry.  A
-        download split at `bucket_size` is served as it arrived; at another
-        size its chunks are joined and re-split."""
-        buckets = self.splits.get(bucket_size)
-        if buckets is None:
-            image = self.image
-            if not isinstance(image, tuple):
-                buckets = msg.split_buckets(image, bucket_size)
-            elif msg.is_split_of(image, self.size, bucket_size):
-                buckets = image
-            else:
-                buckets = msg.split_buckets(
-                    b"".join(chunk for _, chunk, _ in image), bucket_size)
-            buckets = self.splits[bucket_size] = tuple(buckets)
-        return buckets
+    def buckets(self) -> tuple:
+        image = self.image
+        return image if isinstance(image, tuple) else image.buckets()
 
 
 class UpdateEngine(Actor):
@@ -200,10 +184,10 @@ class Station(Actor):
     # -- cache -------------------------------------------------------------
 
     def cache_insert(self, software: str, version: int,
-                     image: Union[bytes, tuple],
+                     image: Union[msg.UpdateImage, tuple],
                      manifest: msg.UpdateManifest):
-        """LRU insert of an image's bytes, or of the verified bucket tuple of
-        its download; returns the list of evicted software ids.  Images
+        """LRU insert of an image, or of the verified bucket tuple of its
+        download; returns the list of evicted software ids.  Images
         larger than the whole cache are served pass-through, uncached.  An
         insert of a cached (software, version) replaces its entry, so its
         bytes count once, and makes it the most recently used."""
@@ -246,19 +230,16 @@ class Station(Actor):
 
     def _fetch_and_cache(self, mu, credential, on_done=None, on_error=None):
         """Pull `mu`'s image from the repository, cache its verified
-        buckets and pass on their entry, which is uncached when the image is
-        larger than the cache (pass-through)."""
+        buckets and pass them on, also when the image is larger than the
+        cache (pass-through)."""
         def done(result: msg.Complete):
             self.cache_insert(mu.theta.s, mu.tau.v, result.buckets, mu)
             if on_done is not None:
-                # Unlike cache_get, this leaves the LRU order alone.
-                entry = self.cache.get((mu.theta.s, mu.tau.v))
-                if entry is None or entry.image is not result.buckets:
-                    entry = CacheEntry(result.buckets, mu)
-                on_done(entry)
+                on_done(result.buckets)
 
-        self.fetch_image(self.repo, self.repo_link, mu, credential,
-                         96 + msg.wire_size(credential), done, on_error)
+        self.fetch_image(self.repo, self.repo_link, "fetch",
+                         {"l": mu.l, "credential": credential},
+                         96 + msg.wire_size(credential), mu, done, on_error)
 
     # -- vehicle-facing session (step 9) -----------------------------------
 
@@ -272,48 +253,44 @@ class Station(Actor):
         mu = env.payload["manifest"]
         bundle = env.payload["bundle"]
         min_id = env.payload["min"]
-        from_index = env.payload.get("from_index", 0)
         if not self._vehicle_request_valid(mu, bundle, env.src):
             self.reply(env, "serve_err", {"reason": "refused"}, 64)
             return
         cached = self.cache_get(mu.theta.s, mu.tau.v)
         if cached is not None:
-            self._serve_bytes(env, mu, cached, from_index, "hit")
+            self._serve_bytes(env, mu, cached.buckets(), "hit")
             return
         if min_id in self.known_models and mu.theta.s not in self.unknown_updates:
-            self._miss_path(env, mu, min_id, from_index, "miss")
+            self._miss_path(env, mu, min_id, "miss")
             return
         # Unknown vehicle model: subscribe before pulling.
         self.request(self.engine, "subscribe_model", {"min": min_id}, 96,
                      self.engine_link,
-                     on_reply=lambda r: self._after_subscribe(
-                         env, mu, min_id, from_index),
+                     on_reply=lambda r: self._after_subscribe(env, mu, min_id),
                      on_fail=lambda: self.reply(env, "serve_err",
                                                 {"reason": "engine"}, 64))
 
-    def _after_subscribe(self, env, mu, min_id, from_index):
+    def _after_subscribe(self, env, mu, min_id):
         self.known_models.add(min_id)
         self.unknown_updates.discard(mu.theta.s)
-        self._miss_path(env, mu, min_id, from_index, "unknown")
+        self._miss_path(env, mu, min_id, "unknown")
 
-    def _miss_path(self, env, mu, min_id, from_index, outcome):
+    def _miss_path(self, env, mu, min_id, outcome):
         self.request(
             self.engine, "authorize",
             {"min": min_id, "s": mu.theta.s, "v": mu.tau.v}, 96,
             self.engine_link,
-            on_reply=lambda r: self._on_authorized(env, mu, from_index,
-                                                   outcome, r),
+            on_reply=lambda r: self._on_authorized(env, mu, outcome, r),
             on_fail=lambda: self.reply(env, "serve_err",
                                        {"reason": "engine"}, 64))
 
-    def _on_authorized(self, env, mu, from_index, outcome, reply: Envelope):
+    def _on_authorized(self, env, mu, outcome, reply: Envelope):
         if reply.kind != "authorize_ok":
             self.reply(env, "serve_err", {"reason": "unauthorized"}, 64)
             return
         self._fetch_and_cache(
             mu, reply.payload["bundle"],
-            lambda entry: self._serve_bytes(env, mu, entry, from_index,
-                                            outcome),
+            lambda buckets: self._serve_bytes(env, mu, buckets, outcome),
             lambda reason: self.reply(env, "serve_err", {"reason": "fetch"},
                                       64))
 
@@ -323,15 +300,6 @@ class Station(Actor):
                         for m in bundle.manifests)
                 and self.trust.verify_manifest(mu))
 
-    def _serve_bytes(self, env, mu, entry: CacheEntry, from_index: int,
-                     outcome: str):
+    def _serve_bytes(self, env, mu, buckets: tuple, outcome: str):
         self.events.append((self.world.now, outcome, mu.theta.s))
-        bucket_size = msg.DEFAULT_BUCKET_SIZE
-        if env.payload.get("bucket_size"):
-            bucket_size = env.payload["bucket_size"]
-        buckets = entry.buckets(bucket_size)
-        out = buckets[from_index:]
-        size = sum(len(chunk) for _, chunk, _ in out) + 64
-        self.reply(env, "serve_ok",
-                   {"buckets": out, "total": len(buckets),
-                    "outcome": outcome}, size)
+        self.reply_buckets(env, "serve_ok", buckets, outcome=outcome)

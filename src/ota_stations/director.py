@@ -39,27 +39,29 @@ def resolve_update_set(trigger: str, deps: dict, installed: set,
     """Software ids shipped with `trigger`: the transitive dependencies not
     yet installed plus every member of any co-update group containing a
     selected id.  Returned dependencies-first; cycles raise."""
-    order: list = []
-    state: dict = {}  # 0 visiting, 1 done
-
-    def visit(s: str):
-        if state.get(s) == 1:
-            return
-        if state.get(s) == 0:
-            raise DependencyCycleError(f"dependency cycle through {s}")
-        state[s] = 0
-        for dep in deps.get(s, ()):
-            if dep == trigger or dep not in installed:
-                visit(dep)
-        state[s] = 1
-        order.append(s)
-
     roots = [trigger]
     for group in groups:
         if trigger in group:
             roots.extend(sorted(set(group) - {trigger}))
-    for root in roots:
-        visit(root)
+    order: list = []
+    state: dict = {}  # 0 visiting, 1 done
+    stack = [(None, iter(roots))]  # the depth-first path, below the roots
+    while stack:
+        s, todo = stack[-1]
+        for dep in todo:
+            if state.get(dep) == 1 or (s is not None and dep != trigger
+                                       and dep in installed):
+                continue
+            if dep in state:
+                raise DependencyCycleError(f"dependency cycle through {dep}")
+            state[dep] = 0
+            stack.append((dep, iter(deps.get(dep, ()))))
+            break
+        else:
+            stack.pop()
+            if s is not None:
+                state[s] = 1
+                order.append(s)
     return order
 
 
@@ -117,8 +119,8 @@ class Director(Actor):
             return
         # The fetched bytes hash to mu.theta.h once the download completes.
         self.fetch_image(
-            self.repo, self.repo_link, mu, mu, 96,
-            on_done=lambda done: self._ingested(env, mu),
+            self.repo, self.repo_link, "fetch", {"l": mu.l, "credential": mu},
+            96, mu, on_done=lambda done: self._ingested(env, mu),
             on_error=lambda reason: self.reply(
                 env, "manifest_rejected", {"reason": reason}, 64),
             timeout_ms=30_000.0, retries=1)

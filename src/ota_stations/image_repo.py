@@ -80,7 +80,6 @@ class ImageRepo(Actor):
 
     def on_fetch(self, env: Envelope):
         location = env.payload["l"]
-        from_index = env.payload.get("from_index", 0)
         credential = env.payload.get("credential")
         if not self._authorized(credential, location, env.src):
             self.reply(env, "fetch_err", {"reason": "unauthorized",
@@ -91,9 +90,5 @@ class ImageRepo(Actor):
             self.reply(env, "fetch_err", {"reason": "not_found",
                                           "l": location}, 64)
             return
-        buckets = entry.image.buckets()
-        out = buckets[from_index:]
-        payload = {"l": location, "buckets": out, "total": len(buckets)}
-        size = sum(len(chunk) for _, chunk, _ in out) + 64
-        self.reply(env, "fetch_ok", payload, size)
+        self.reply_buckets(env, "fetch_ok", entry.image.buckets(), l=location)
 

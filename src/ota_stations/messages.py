@@ -526,14 +526,6 @@ def split_buckets(data: bytes, bucket_size: int):
     return out
 
 
-def is_split_of(buckets: tuple, size: int, bucket_size: int) -> bool:
-    """True iff in-order verified `buckets` of a `size`-byte image have the
-    chunk layout `split_buckets` gives it at `bucket_size`."""
-    count = max(-(-size // bucket_size), 1)
-    return len(buckets) == count and all(
-        len(chunk) == bucket_size for _, chunk, _ in buckets[:-1])
-
-
 @dataclass(frozen=True)
 class Complete:
     """A verified download: its in-order buckets, which are the sender's
@@ -562,9 +554,6 @@ class Received:
 
     def __init__(self):
         self.buckets: dict = {}   # index -> (index, chunk, chunk digest)
-
-    def __len__(self) -> int:
-        return len(self.buckets)
 
     def add(self, buckets) -> list:
         """Keep every (index, chunk, chunk digest) bucket whose chunk matches

@@ -310,7 +310,7 @@ class SoftwareItem:
     software: str
     ecu: str
     version: int
-    data: bytes
+    image: msg.UpdateImage             # split at the world's bucket size
     manifest: msg.UpdateManifest       # producer-signed
     station_served: bool
     mix_label: str                     # hit | miss | unknown
@@ -447,7 +447,8 @@ def build_scenario(config: ScenarioConfig) -> Scenario:
         producer = sorted(producer_ids)[i % len(producer_ids)]
         mu = msg.sign_message(mu, keys[producer])
         served = i < served_count
-        items.append(SoftwareItem(software, ecu, version, data, mu, served,
+        image = msg.UpdateImage(software, data, config.bucket_size)
+        items.append(SoftwareItem(software, ecu, version, image, mu, served,
                                   labels[i] if served else "cellular"))
         truth[software] = (version, data_digest)
 
@@ -502,8 +503,7 @@ def build_scenario(config: ScenarioConfig) -> Scenario:
             image_deadline_ms=config.image_deadline_ms,
             ignition_period_ms=config.ignition_period_ms,
             ignition_limit=config.ignition_limit,
-            cellular_updates=cellular_updates,
-            bucket_size=config.bucket_size)
+            cellular_updates=cellular_updates)
         vehicles.append(vehicle)
         secondaries[vin] = secondary_actors
 
@@ -526,14 +526,11 @@ def build_scenario(config: ScenarioConfig) -> Scenario:
             producers.append(producer)
         for i, item in enumerate(items):
             producer = producers[i % len(producers)]
-            image = msg.UpdateImage(item.software, item.data,
-                                    config.bucket_size)
             world.schedule(config.publish_at_ms + i,
-                           lambda p=producer, m=item.manifest, im=image:
+                           lambda p=producer, m=item.manifest, im=item.image:
                            p.publish(m, im))
     else:
-        _preseed(config, repo, director, engine, stations, items,
-                 model_mins)
+        _preseed(repo, director, engine, stations, items, model_mins)
 
     adversary = None
     if config.attacks or config.compromise:
@@ -555,13 +552,12 @@ def build_scenario(config: ScenarioConfig) -> Scenario:
     return scenario
 
 
-def _preseed(config, repo, director, engine, stations, items, model_mins):
+def _preseed(repo, director, engine, stations, items, model_mins):
     """Run publishing steps 1-5 at build time so measurements start at the
     vehicle download phase."""
-    for i, item in enumerate(items):
+    for item in items:
         producer = sorted({e.signer_id for e in item.manifest.sigma})[0]
-        image = msg.UpdateImage(item.software, item.data, config.bucket_size)
-        repo.store(image, item.manifest, producer)
+        repo.store(item.image, item.manifest, producer)
         director.accept_manifest(item.manifest)
     for min_id in model_mins:
         for item in items:
@@ -583,7 +579,7 @@ def _preseed(config, repo, director, engine, stations, items, model_mins):
             if not item.station_served:
                 continue
             if item.mix_label == "hit":
-                station.cache_insert(item.software, item.version, item.data,
+                station.cache_insert(item.software, item.version, item.image,
                                      signed[item.software])
             elif item.mix_label == "unknown":
                 station.unknown_updates.add(item.software)

@@ -1,7 +1,8 @@
 """Deterministic discrete-event network: links with bandwidth/latency
 profiles, store-and-forward transfers with max-min fair sharing, timers,
-a request/reply layer with bounded retransmission, and the resumable image
-download every actor that pulls from a repository shares.
+a request/reply layer with bounded retransmission, and the one resumable
+image download that vehicles, stations and the director share, whether
+they pull from a repository or from a station.
 
 One world is strictly single-threaded; identical (scenario, seed) pairs
 produce identical event traces.
@@ -16,7 +17,7 @@ from __future__ import annotations
 
 import heapq
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 from . import messages as msg
@@ -288,40 +289,48 @@ class _Download:
     last request is answered."""
 
     actor: "Actor"
-    repo: str
+    dst: str
     link: Link
-    mu: object
-    credential: object
+    kind: str
+    payload: dict
     size: int
+    mu: object
     on_done: Callable
     on_error: Optional[Callable]
     timeout_ms: Optional[float]
     retries: Optional[int]
-    received: msg.Received = field(default_factory=msg.Received)
+    received: msg.Received
+    cancelled: bool = False
 
-    def pull(self, from_index: int, attempts: int):
+    def cancel(self):
+        """Make no further request; a reply already in flight still counts."""
+        self.cancelled = True
+
+    def pull(self, attempts: int):
         self.actor.request(
-            self.repo, "fetch", {"l": self.mu.l, "credential": self.credential,
-                                 "from_index": from_index},
+            self.dst, self.kind,
+            dict(self.payload, from_index=self.received.next_missing()),
             self.size, self.link,
             on_reply=lambda reply: self.pulled(reply, attempts),
             on_fail=lambda: self.fail("download_failed"),
             timeout_ms=self.timeout_ms, retries=self.retries)
 
     def pulled(self, reply: Envelope, attempts: int):
-        if reply.kind != "fetch_ok":
+        if reply.kind != self.kind + "_ok":
             self.fail("download")
             return
+        if self.received.next_missing() >= reply.payload["total"]:
+            return  # another download into `received` completed it
         result = self.received.absorb(self.mu, reply.payload)
         if isinstance(result, msg.Complete):
             self.on_done(result)
         elif attempts >= FETCH_RETRIES:
             self.fail("integrity")
-        else:
-            self.pull(result.next_index, attempts + 1)
+        elif not self.cancelled:
+            self.pull(attempts + 1)
 
     def fail(self, reason: str):
-        if self.on_error is not None:
+        if self.on_error is not None and not self.cancelled:
             self.on_error(reason)
 
 
@@ -399,20 +408,36 @@ class Actor:
             self._served[env.req_id] = out
         self.world.send(out)
 
+    def reply_buckets(self, env: Envelope, kind: str, buckets: tuple, **extra):
+        """Answer a download request `env` with `buckets` from its
+        `from_index` on and the count of all of them, plus the `extra`
+        payload keys; the reply's size is its chunk bytes plus 64."""
+        out = buckets[env.payload.get("from_index", 0):]
+        self.reply(env, kind, dict(extra, buckets=out, total=len(buckets)),
+                   sum(len(chunk) for _, chunk, _ in out) + 64)
+
     # -- resumable image download ------------------------------------------
 
-    def fetch_image(self, repo: str, link: Link, mu, credential, size: int,
-                    on_done: Callable, on_error: Optional[Callable] = None,
+    def fetch_image(self, dst: str, link: Link, kind: str, payload: dict,
+                    size: int, mu, on_done: Callable,
+                    on_error: Optional[Callable] = None,
                     timeout_ms: Optional[float] = None,
-                    retries: Optional[int] = None):
-        """Download the image of manifest `mu` from `repo` with `credential`,
-        in `size`-byte requests.  Each reply's buckets are verified and kept;
-        the next request resumes at the first missing bucket, and a corrupt
-        image restarts at bucket 0, for at most FETCH_RETRIES re-requests.
+                    retries: Optional[int] = None,
+                    received: Optional[msg.Received] = None) -> _Download:
+        """Download the image of manifest `mu` from `dst`, a repository
+        ("fetch") or a station ("serve"); vehicles, stations and the
+        director all download this way.  Each request of `kind` is `size`
+        bytes: `payload` plus the first bucket index missing from `received`
+        (default: a fresh `Received`).  Each `<kind>_ok` reply's buckets are
+        verified and kept there; a corrupt image restarts at bucket 0.  A
+        download makes at most FETCH_RETRIES re-requests, none once cancelled.
 
         Calls `on_done` with the `Complete` verified image, or `on_error`
         with "download_failed" (request timed out), "download" (refused) or
         "integrity" (retries exhausted).
         """
-        _Download(self, repo, link, mu, credential, size, on_done, on_error,
-                  timeout_ms, retries).pull(0, 0)
+        download = _Download(self, dst, link, kind, payload, size, mu,
+                             on_done, on_error, timeout_ms, retries,
+                             msg.Received() if received is None else received)
+        download.pull(0)
+        return download

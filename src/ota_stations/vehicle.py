@@ -1,7 +1,11 @@
 """Vehicle-side actors: the primary ECU (status reporting, reply
-validation, station/cellular download with bucket resume, install
+validation, downloads from a station with cellular fallback, install
 orchestration) and secondary ECUs (partial verification when the primary
 is trusted, full verification plus own liveness timers when it is not).
+
+A primary downloads as stations and the director do (`Actor.fetch_image`):
+from its station, one image at a time, and when the station fails, from
+the repository over cellular, restarting at bucket 0.
 """
 from __future__ import annotations
 
@@ -13,7 +17,6 @@ from .crypto import KeyPair, digest, sign
 from .simnet import Actor, Envelope, Link, World
 
 PRIMARY_ECU = "primary"
-FETCH_ATTEMPTS = 6
 
 
 def group_digest(items, data_digests) -> bytes:
@@ -33,9 +36,9 @@ class PendingItem:
     chunks: Optional[tuple] = None
     data_digest: Optional[bytes] = None    # digest of the chunks' bytes
     installed: bool = False
-    via_cellular: bool = False
+    # The buckets every download of this item verified, and its latest one.
     received: msg.Received = field(default_factory=msg.Received)
-    attempts: int = 0
+    download: Optional[object] = None
 
 
 class VehiclePrimary(Actor):
@@ -52,8 +55,7 @@ class VehiclePrimary(Actor):
                  image_deadline_ms: Optional[float] = None,
                  ignition_period_ms: Optional[float] = None,
                  ignition_limit: Optional[int] = None,
-                 cellular_updates=frozenset(),
-                 bucket_size: int = msg.DEFAULT_BUCKET_SIZE):
+                 cellular_updates=frozenset()):
         super().__init__(vin, world)
         self.vin = vin
         self.trust = trust
@@ -72,7 +74,6 @@ class VehiclePrimary(Actor):
         self.ignition_period_ms = ignition_period_ms
         self.ignition_limit = ignition_limit
         self.cellular_updates = set(cellular_updates)
-        self.bucket_size = bucket_size
 
         # inventory: (ecu, software) -> TimestampRecord; installed images of
         # the primary itself additionally keep their digest.
@@ -88,7 +89,6 @@ class VehiclePrimary(Actor):
         self.bundle_tau: dict = {}             # trigger s -> TimestampRecord
         self.pending: dict = {}                # (s, v) -> PendingItem
         self._station_queue: list = []
-        self._station_busy = False
         self._session_ok = False
         self._fallback_used = False
         self._status_timer = None
@@ -257,24 +257,21 @@ class VehiclePrimary(Actor):
     # -- downloads (steps 8-9) ---------------------------------------------
 
     def _start_downloads(self):
+        idle = not self._station_queue   # else the station is downloading
         for key in sorted(self.pending):
             item = self.pending[key]
-            if item.chunks is not None or item.received or item.installed:
+            if item.download is not None or item in self._station_queue:
                 continue
-            software = item.mu.theta.s
-            if (self.station is None or software in self.cellular_updates
-                    or item.via_cellular):
-                item.via_cellular = True
-                self._cellular_fetch(item)
+            if self.station is None or key[0] in self.cellular_updates:
+                self._cellular(item)
             else:
                 self._station_queue.append(item)
-        if self._station_queue and not self._station_busy:
+        if idle and self._station_queue:
             self._open_session()
 
     def _open_session(self):
-        self._station_busy = True
         if self._session_ok:
-            self._serve_next()
+            self._station_next()
             return
         nonce = self.world.rng.randbytes(msg.NONCE_LEN)
         self.request(self.station, "session_open", {"nonce": nonce}, 96,
@@ -289,96 +286,57 @@ class VehiclePrimary(Actor):
             self._session_failed()
             return
         self._session_ok = True
-        self._serve_next()
+        self._station_next()
 
     def _session_failed(self):
         # Revoked or unreachable station: everything queued goes cellular.
-        self._station_busy = False
         queue, self._station_queue = self._station_queue, []
         for item in queue:
-            item.via_cellular = True
-            self._cellular_fetch(item)
+            self._cellular(item)
 
-    def _serve_next(self):
+    def _station_next(self):
+        """Download the head of the station queue; once it completes or
+        the station fails it (and it goes cellular), the next."""
         if not self._station_queue:
-            self._station_busy = False
             return
         item = self._station_queue[0]
-        from_index = item.received.next_missing()
-        payload = {"manifest": item.mu, "bundle": item.bundle,
-                   "min": self.vin[:msg.MIN_LEN], "from_index": from_index,
-                   "bucket_size": self.bucket_size}
-        self.request(self.station, "serve", payload,
-                     96 + msg.wire_size(item.bundle), self.station_link,
-                     on_reply=lambda r: self._on_station_bytes(item, r),
-                     on_fail=lambda: self._station_item_failed(item))
 
-    def _on_station_bytes(self, item: PendingItem, env: Envelope):
-        if item.installed or item.chunks is not None:
-            # The image deadline already rerouted this item; stale reply.
+        def finished(result: Optional[msg.Complete]):
             if item in self._station_queue:
                 self._station_queue.remove(item)
-            self._serve_next()
-            return
-        if env.kind != "serve_ok":
-            self._station_item_failed(item)
-            return
-        done = self._absorb_buckets(item, env.payload)
-        if done is None:
-            self._station_item_failed(item)
-            return
-        if done:
-            if item in self._station_queue:
-                self._station_queue.remove(item)
-            self._image_complete(item)
-        self._serve_next()
+            if result is not None:
+                self._image_complete(item, result)
+            elif item.chunks is None:
+                self._cellular(item)
+            self._station_next()
 
-    def _station_item_failed(self, item: PendingItem):
-        if item in self._station_queue:
-            self._station_queue.remove(item)
-        item.via_cellular = True
-        item.received, item.attempts = msg.Received(), 0
-        self._cellular_fetch(item)
-        self._serve_next()
+        item.download = self.fetch_image(
+            self.station, self.station_link, "serve",
+            {"manifest": item.mu, "bundle": item.bundle,
+             "min": self.vin[:msg.MIN_LEN]},
+            96 + msg.wire_size(item.bundle), item.mu, finished,
+            lambda reason: finished(None), received=item.received)
 
-    def _cellular_fetch(self, item: PendingItem):
-        from_index = item.received.next_missing()
-        payload = {"l": item.mu.l, "credential": item.bundle,
-                   "from_index": from_index}
-        self.request(self.repo, "fetch", payload,
-                     96 + msg.wire_size(item.bundle), self.repo_link,
-                     on_reply=lambda r: self._on_cellular_bytes(item, r))
-
-    def _on_cellular_bytes(self, item: PendingItem, env: Envelope):
-        if item.installed or item.chunks is not None:
-            return  # already satisfied by another source
-        if env.kind != "fetch_ok":
-            return  # image deadline handles the alert
-        done = self._absorb_buckets(item, env.payload)
-        if done is None:
-            return
-        if done:
-            self._image_complete(item)
-        elif item.attempts < FETCH_ATTEMPTS:
-            item.attempts += 1
-            self._cellular_fetch(item)
-
-    def _absorb_buckets(self, item: PendingItem, payload) -> Optional[bool]:
-        """Returns True on a verified complete image, False to keep pulling,
-        None when the retry budget for this source is exhausted."""
-        result = item.received.absorb(item.mu, payload)
-        if isinstance(result, msg.Complete):
-            item.chunks = tuple(chunk for _, chunk, _ in result.buckets)
-            item.data_digest = result.data_digest
-            return True
-        item.attempts += 1
-        if item.attempts > FETCH_ATTEMPTS:
-            return None
-        return False
+    def _cellular(self, item: PendingItem):
+        """(Re)start `item`'s download from the repository at bucket 0; its
+        earlier download makes no further request."""
+        if item.download is not None:
+            item.download.cancel()
+        item.received.buckets = {}
+        item.download = self.fetch_image(
+            self.repo, self.repo_link, "fetch",
+            {"l": item.mu.l, "credential": item.bundle},
+            96 + msg.wire_size(item.bundle), item.mu,
+            lambda result: self._image_complete(item, result),
+            received=item.received)
 
     # -- install push (step 10) --------------------------------------------
 
-    def _image_complete(self, item: PendingItem):
+    def _image_complete(self, item: PendingItem, result: msg.Complete):
+        if item.chunks is not None:
+            return  # already completed by another download
+        item.chunks = tuple(chunk for _, chunk, _ in result.buckets)
+        item.data_digest = result.data_digest
         ecu = item.mu.theta.e
         group = [p for p in self.pending.values()
                  if p.bundle is item.bundle and p.mu.theta.e == ecu]
@@ -444,12 +402,10 @@ class VehiclePrimary(Actor):
         if not self._fallback_used:
             # One cellular retry round before declaring failure.
             self._fallback_used = True
-            self._station_queue, self._station_busy = [], False
+            self._station_queue = []
             for item in stuck:
                 if item.chunks is None:
-                    item.via_cellular = True
-                    item.received, item.attempts = msg.Received(), 0
-                    self._cellular_fetch(item)
+                    self._cellular(item)
             self._arm_image_deadline()
             return
         self.alert("image_timeout")

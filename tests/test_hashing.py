@@ -120,7 +120,7 @@ def _count_hashing(monkeypatch, built):
     bytes hashed that lie inside an image (control-plane digests, over
     signed regions and nonces, are not counted) and the bytes split into
     buckets."""
-    images = [item.data for item in built.items]
+    images = [item.image.data for item in built.items]
     counts = {"image": 0, "split": 0}
     real_digest, real_split = crypto.digest, messages.split_buckets
 
@@ -151,8 +151,8 @@ def test_each_image_byte_is_hashed_at_most_twice_per_receiving_hop(
         assert built.world.install_log and not built.all_alerts()
         # Senders split an image at most once each: the repository serves
         # every image, the station the ones it serves.
-        distinct = sum(len(item.data) for item in built.items)
-        served = sum(len(item.data) for item in built.items
+        distinct = sum(len(item.image.data) for item in built.items)
+        served = sum(len(item.image.data) for item in built.items
                      if item.station_served)
         assert counts["split"] <= distinct + served
         # A receiver hashes each chunk on arrival and the whole image once.

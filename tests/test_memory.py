@@ -83,11 +83,10 @@ def test_image_bytes_are_shared_by_every_holder():
     built.world.run(built.config.horizon_ms)
     assert len(built.world.install_log) == 12 and not built.all_alerts()
 
-    images = {id(item.data) for item in built.items}
+    images = {id(item.image.data) for item in built.items}
     cached = [chunk for station in built.stations
               for entry in station.cache.values()
-              for buckets in entry.splits.values()
-              for _, chunk, _ in buckets]
+              for _, chunk, _ in entry.buckets()]
     kept = [chunk for primary in built.vehicles
             for item in primary.pending.values() for chunk in item.chunks]
     assert cached and kept and pushed
@@ -95,7 +94,7 @@ def test_image_bytes_are_shared_by_every_holder():
         assert isinstance(chunk, memoryview) and chunk.readonly
         assert id(chunk.obj) in images
 
-    smallest = min(len(item.data) for item in built.items)
+    smallest = min(len(item.image.data) for item in built.items)
     held = _large_bytes(list(built.world.actors.values()), smallest)
     assert held and all(id(data) in images for data in held)
 
@@ -103,7 +102,8 @@ def test_image_bytes_are_shared_by_every_holder():
 def test_finished_requests_leave_no_reference_cycles():
     # With live publishing the director ingests each image through
     # `Actor.fetch_image`; every request and download is finished by the
-    # end of the run and must be freed by reference counting alone.
+    # end of the run and must be freed by reference counting alone, and so
+    # must everything else the run made.
     built = build_scenario(_mixed_config(live_publish=True))
     gc.collect()
     gc.disable()
@@ -123,3 +123,4 @@ def test_finished_requests_leave_no_reference_cycles():
               or (isinstance(obj, types.FunctionType)
                   and obj.__module__ == simnet.__name__)]
     assert leaked == []
+    assert garbage == [], garbage[:10]

@@ -1,8 +1,9 @@
 from helpers import Rig, VIN
 from ota_stations import messages as msg
+from ota_stations.adversary import AttackRule
 from ota_stations.crypto import KeyPair, digest, sign
-from ota_stations.scenario import ScenarioConfig, run_scenario
-from ota_stations.simnet import Envelope
+from ota_stations.scenario import ScenarioConfig, build_scenario, run_scenario
+from ota_stations.simnet import FETCH_RETRIES, Envelope
 from ota_stations.vehicle import SecondaryEcu, VehiclePrimary, group_digest
 
 
@@ -13,8 +14,7 @@ def _primary(rig, initial, **kwargs):
         VIN, rig.world, rig.trust, key,
         sud="sud0", sud_link=rig.link("v-sud"),
         repo="repo0", repo_link=rig.link("v-repo"),
-        initial=initial, secondaries={},
-        bucket_size=65536, **kwargs)
+        initial=initial, secondaries={}, **kwargs)
 
 
 def _register(rig, software="sw0"):
@@ -109,6 +109,76 @@ def test_station_session_failure_falls_back_to_cellular():
     assert rep.alert_count == 0
     assert sum(rep.cache_counts.values()) == 0       # nothing station-served
     assert rep.bytes_by_class.get("cellular", 0) > 0
+
+
+def _one_image_run(attacks, image_deadline_ms: float):
+    """One vehicle downloading one 1 MB station-cached image under
+    `attacks`; returns the scenario and the vehicle's (kind, from_index)
+    download requests in the order it made them."""
+    config = ScenarioConfig(
+        name="one-image", bundle_bytes=1_000_000, image_count=1,
+        bucket_size=65536, secondaries_per_vehicle=0, coverage_pct=100,
+        mix_hit=100, attacks=tuple(attacks),
+        image_deadline_ms=image_deadline_ms, horizon_ms=600_000)
+    built = build_scenario(config)
+    vehicle = built.vehicles[0]
+    asked = []
+    original = vehicle.request
+
+    def request(dst, kind, payload, *args, **kwargs):
+        if kind in ("serve", "fetch"):
+            asked.append((kind, payload["from_index"]))
+        return original(dst, kind, payload, *args, **kwargs)
+
+    vehicle.request = request
+    built.world.run(config.horizon_ms)
+    return built, asked
+
+
+def test_each_source_re_requests_fetch_retries_times():
+    # Every image reply fails its digest, so no download ever completes.
+    built, asked = _one_image_run(
+        [AttackRule("tamper", frozenset({"serve_ok", "fetch_ok"}))],
+        image_deadline_ms=60_000.0)
+    per_download = FETCH_RETRIES + 1
+    # The station download gives up and the image restarts on cellular
+    # at bucket 0; that download gives up too, and so does the one the
+    # first image deadline starts.  The second deadline raises the alert.
+    assert asked == ([("serve", 0)] * per_download
+                     + [("fetch", 0)] * (2 * per_download))
+    vehicle = built.vehicles[0]
+    assert [reason for _, reason in vehicle.alerts] == ["image_timeout"]
+    assert built.world.install_log == []
+
+
+def _late_station_reply_run(tampered: bool):
+    # The station's reply is held back past the image deadline, which
+    # restarts the image on cellular; the reply still lands first.
+    late = AttackRule("delay", frozenset({"serve_ok"}), delay_ms=5_500.0)
+    attacks = [late]
+    if tampered:
+        attacks.insert(0, AttackRule("tamper", frozenset({"serve_ok"})))
+    built, asked = _one_image_run(attacks, image_deadline_ms=5_000.0)
+    assert asked == [("serve", 0), ("fetch", 0)]   # the station, once
+    served = [rec.time for rec in built.world.trace if rec.kind == "serve_ok"]
+    fetched = [rec.time for rec in built.world.trace if rec.kind == "fetch_ok"]
+    assert len(served) == len(fetched) == 1 and served[0] < fetched[0]
+    (at, _, _, software, _, data_digest), = built.world.install_log
+    assert data_digest == built.truth[software][1]
+    vehicle = built.vehicles[0]
+    assert vehicle.records["complete"] == at and not vehicle.alerts
+    return at, served[0], fetched[0]
+
+
+def test_image_deadline_reset_keeps_the_station_reply_in_flight():
+    # The late station reply is absorbed into the item's download state
+    # and completes the image; the cellular reply after it is ignored.
+    at, served, fetched = _late_station_reply_run(tampered=False)
+    assert served < at < fetched
+    # A late station reply that leaves the image incomplete is absorbed
+    # too, and the station is asked nothing more: cellular completes it.
+    at, served, fetched = _late_station_reply_run(tampered=True)
+    assert fetched < at
 
 
 # ---------------------------------------------------------------------------
