@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Union
+from typing import Optional, Union
 
 from . import messages as msg
 from .crypto import KeyPair, digest, sign
@@ -24,7 +24,6 @@ class CacheEntry:
     chunks are views of the repository's bytes."""
 
     image: Union[msg.UpdateImage, tuple]
-    manifest: msg.UpdateManifest
     size: int = field(init=False)
 
     def __post_init__(self):
@@ -33,9 +32,9 @@ class CacheEntry:
         else:
             self.size = len(self.image.data)
 
-    def buckets(self) -> tuple:
+    def buckets(self, memo: Optional[msg.DigestMemo] = None) -> tuple:
         image = self.image
-        return image if isinstance(image, tuple) else image.buckets()
+        return image if isinstance(image, tuple) else image.buckets(memo)
 
 
 class UpdateEngine(Actor):
@@ -184,14 +183,13 @@ class Station(Actor):
     # -- cache -------------------------------------------------------------
 
     def cache_insert(self, software: str, version: int,
-                     image: Union[msg.UpdateImage, tuple],
-                     manifest: msg.UpdateManifest):
+                     image: Union[msg.UpdateImage, tuple]):
         """LRU insert of an image, or of the verified bucket tuple of its
         download; returns the list of evicted software ids.  Images
         larger than the whole cache are served pass-through, uncached.  An
         insert of a cached (software, version) replaces its entry, so its
         bytes count once, and makes it the most recently used."""
-        entry = CacheEntry(image, manifest)
+        entry = CacheEntry(image)
         size = entry.size
         if size > self.capacity:
             return None
@@ -233,7 +231,7 @@ class Station(Actor):
         buckets and pass them on, also when the image is larger than the
         cache (pass-through)."""
         def done(result: msg.Complete):
-            self.cache_insert(mu.theta.s, mu.tau.v, result.buckets, mu)
+            self.cache_insert(mu.theta.s, mu.tau.v, result.buckets)
             if on_done is not None:
                 on_done(result.buckets)
 
@@ -258,7 +256,8 @@ class Station(Actor):
             return
         cached = self.cache_get(mu.theta.s, mu.tau.v)
         if cached is not None:
-            self._serve_bytes(env, mu, cached.buckets(), "hit")
+            self._serve_bytes(env, mu, cached.buckets(self.world.digests),
+                              "hit")
             return
         if min_id in self.known_models and mu.theta.s not in self.unknown_updates:
             self._miss_path(env, mu, min_id, "miss")

@@ -12,9 +12,18 @@ not depend on which provider is plugged in.
 check and the signer lookup run on every call and are never cached.  Only
 the provider's pure check is memoised, on the `KeyRegistry`, keyed by the
 exact bytes it depends on: the registered (public key, scheme), the payload
-digest and the signature.  A registry belongs to one world, so the memo
-lives and dies with it.  Simulated time charges nothing for computation, so
-the memo saves host time only and leaves every output unchanged.
+digest and the signature.  Signing is memoised on each `KeyPair`, keyed by
+the payload digest: HMAC and Ed25519 (RFC 8032) are deterministic, so a
+repeated sign would give the same bytes.  Image digests are memoised per
+world on object identity (`messages.DigestMemo`); `digest` itself keeps no
+state.  A failed check or a refused input is never turned into a pass: a
+verdict is memoised with the exact bytes it judged, and a chunk or image
+digest only for a sender's own split chunks.
+
+Registries, key pairs and digest memos each belong to one world, so every
+memo lives and dies with it; none lives at module level.  Simulated time
+charges nothing for computation, so the memos save host time only and
+leave every output unchanged.
 """
 from __future__ import annotations
 
@@ -46,6 +55,9 @@ class KeyPair:
     # HMAC keys and for keys that have not signed yet.
     _signer: object = field(default=None, init=False, repr=False,
                             compare=False)
+    # payload digest -> the SignatureEntry this key made over it
+    _signed: dict = field(default_factory=dict, init=False, repr=False,
+                          compare=False)
 
 
 class CryptoError(Exception):
@@ -113,9 +125,15 @@ PROVIDERS = {"hmac": HmacProvider(), "ed25519": Ed25519Provider()}
 
 
 def sign(payload_digest: bytes, key: KeyPair) -> SignatureEntry:
+    """`key`'s entry over `payload_digest`; the provider signs each digest
+    once per key, since both schemes are deterministic."""
     if not key.private_key:
         raise CryptoError(f"no private key for {key.signer_id}")
-    return PROVIDERS[key.scheme].sign(payload_digest, key)
+    entry = key._signed.get(payload_digest)
+    if entry is None:
+        entry = key._signed[payload_digest] = PROVIDERS[key.scheme].sign(
+            payload_digest, key)
+    return entry
 
 
 @dataclass(frozen=True)

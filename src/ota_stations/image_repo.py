@@ -90,5 +90,6 @@ class ImageRepo(Actor):
             self.reply(env, "fetch_err", {"reason": "not_found",
                                           "l": location}, 64)
             return
-        self.reply_buckets(env, "fetch_ok", entry.image.buckets(), l=location)
+        self.reply_buckets(env, "fetch_ok",
+                           entry.image.buckets(self.world.digests), l=location)
 

@@ -119,13 +119,16 @@ class UpdateImage:
     _buckets: Optional[tuple] = field(default=None, init=False, repr=False,
                                       compare=False)
 
-    def buckets(self) -> tuple:
+    def buckets(self, memo: Optional["DigestMemo"] = None) -> tuple:
         """The image's (index, chunk, chunk digest) buckets, split and hashed
         on first use and shared by every later caller.  The chunks are
-        read-only views of `data` (see `split_buckets`)."""
+        read-only views of `data` (see `split_buckets`); the first split
+        records their digests in `memo`, the sender's world's memo."""
         if self._buckets is None:
             object.__setattr__(self, "_buckets", tuple(
                 split_buckets(self.data, self.bucket_size)))
+            if memo is not None:
+                memo.record(self._buckets)
         return self._buckets
 
 
@@ -513,8 +516,11 @@ def split_buckets(data: bytes, bucket_size: int):
     Each chunk is a read-only `memoryview` slice of `data`, not a copy, and
     the image's immutable `bytes` is the view's `.obj`.  Receivers keep
     these very chunk objects, so an image's bytes exist once per world:
-    every holder refers to the buffer the producer generated.  A chunk the
-    adversary changes is a new object and fails its digest.
+    every holder refers to the buffer the producer generated.  Each chunk
+    is hashed here once; `UpdateImage.buckets` records the digests in its
+    world's `DigestMemo`, so no receiver in that world hashes the chunk
+    again.  A chunk the adversary changes is a new object, which the memo
+    does not know: it is hashed and fails its digest.
     """
     if bucket_size < 1:
         raise ValueError("bucket_size must be >= 1")
@@ -526,11 +532,61 @@ def split_buckets(data: bytes, bucket_size: int):
     return out
 
 
+class DigestMemo:
+    """The SHA-256 digests of one world's image chunks and images, by object
+    identity.
+
+    `record` takes the buckets of a sender's own split, whose digests
+    `split_buckets` computed from the image bytes.  A chunk is looked up by
+    `id`; the memo keeps a strong reference to every recorded chunk, so no
+    other object can take its id while the memo lives.  A whole image is
+    looked up by the tuple of its chunks' ids, and recorded only when every
+    chunk is a recorded split chunk.  Chunks are read-only views of
+    immutable bytes, so a recorded digest stays the digest of those bytes.
+    Anything else, such as a chunk the adversary rebuilt, is hashed on
+    every call and never recorded, so a refused input is never memoised.
+
+    A world owns one memo (`World.digests`); it never outlives its world.
+    Simulated time charges nothing for hashing, so the memo saves host time
+    only and changes no output.
+    """
+
+    __slots__ = ("_chunks", "_images")
+
+    def __init__(self):
+        self._chunks: dict = {}   # id(chunk) -> (index, chunk, chunk digest)
+        self._images: dict = {}   # chunk ids -> digest of their concatenation
+
+    def record(self, buckets) -> None:
+        for bucket in buckets:
+            self._chunks[id(bucket[1])] = bucket
+
+    def _recorded(self, chunk) -> Optional[tuple]:
+        bucket = self._chunks.get(id(chunk))
+        return bucket if bucket is not None and bucket[1] is chunk else None
+
+    def of_chunk(self, chunk) -> bytes:
+        """The digest of `chunk`."""
+        bucket = self._recorded(chunk)
+        return bucket[2] if bucket is not None else digest(chunk)
+
+    def of_image(self, chunks) -> bytes:
+        """The digest of the concatenation of `chunks`; the chunks are
+        joined only while that digest is computed."""
+        key = tuple(map(id, chunks))
+        image_digest = self._images.get(key)
+        if image_digest is None:
+            image_digest = digest(b"".join(chunks))
+            if all(self._recorded(chunk) is not None for chunk in chunks):
+                self._images[key] = image_digest
+        return image_digest
+
+
 @dataclass(frozen=True)
 class Complete:
     """A verified download: its in-order buckets, which are the sender's
     chunk objects (read-only views, never a joined copy), and the digest of
-    their concatenation, computed once at assembly."""
+    their concatenation, computed once per world."""
 
     buckets: tuple         # (index, chunk, chunk digest), in index order
     data_digest: bytes
@@ -544,16 +600,20 @@ class Resume:
 class Received:
     """The verified buckets of one download, by bucket index.
 
-    Each chunk is hashed once, when it arrives; a bucket whose chunk does not
-    match its digest is not kept, and a later bucket for an index replaces
-    the earlier one.  A kept bucket is the sender's own (index, chunk,
-    digest) tuple, so its chunk stays a view of the sender's image.
+    Each chunk is checked against its digest when it arrives, through the
+    world's `DigestMemo` (`memo`; default: an empty memo of its own): a
+    sender's own split chunk is looked up, any other chunk is hashed.  A
+    bucket whose chunk does not match its digest is not kept, and a later
+    bucket for an index replaces the earlier one.  A kept bucket is the
+    sender's own (index, chunk, digest) tuple, so its chunk stays a view of
+    the sender's image.
     """
 
-    __slots__ = ("buckets",)
+    __slots__ = ("buckets", "memo")
 
-    def __init__(self):
+    def __init__(self, memo: Optional[DigestMemo] = None):
         self.buckets: dict = {}   # index -> (index, chunk, chunk digest)
+        self.memo = DigestMemo() if memo is None else memo
 
     def add(self, buckets) -> list:
         """Keep every (index, chunk, chunk digest) bucket whose chunk matches
@@ -561,7 +621,7 @@ class Received:
         bad = []
         for bucket in buckets:
             index, chunk, chunk_digest = bucket
-            if digest(chunk) == chunk_digest:
+            if self.memo.of_chunk(chunk) == chunk_digest:
                 self.buckets[index] = bucket
             else:
                 bad.append(index)
@@ -598,11 +658,10 @@ def assemble_buckets(buckets_received, mu: UpdateManifest,
 
     Returns Complete, holding the verified buckets themselves, once every
     bucket is present and the full-package digest matches the manifest;
-    the chunks are joined only while that digest is computed.  Otherwise
-    returns Resume with the first missing index.  Raises IntegrityError
-    when a listed chunk does not match its digest, or when all buckets are
-    present but the full-package digest does not match (restart from
-    bucket 0).
+    that digest comes from the `Received`'s memo.  Otherwise returns Resume
+    with the first missing index.  Raises IntegrityError when a listed
+    chunk does not match its digest, or when all buckets are present but
+    the full-package digest does not match (restart from bucket 0).
     """
     received = buckets_received
     if not isinstance(received, Received):
@@ -614,7 +673,7 @@ def assemble_buckets(buckets_received, mu: UpdateManifest,
     if total is not None and next_missing < total:
         return Resume(next_missing)
     buckets = tuple(received.buckets[i] for i in range(next_missing))
-    data_digest = digest(b"".join(chunk for _, chunk, _ in buckets))
+    data_digest = received.memo.of_image([chunk for _, chunk, _ in buckets])
     if data_digest == mu.theta.h:
         return Complete(buckets, data_digest)
     if total is not None:

@@ -571,7 +571,6 @@ def _preseed(repo, director, engine, stations, items, model_mins):
                 prev = engine.last_manifest_tau.get(mu.theta.s)
                 if prev is None or mu.tau.v > prev.v:
                     engine.last_manifest_tau[mu.theta.s] = mu.tau
-    signed = {s: entries[-1] for s, entries in director.catalog.items()}
     for station in stations:
         for min_id in model_mins:
             station.known_models.add(min_id)
@@ -579,8 +578,7 @@ def _preseed(repo, director, engine, stations, items, model_mins):
             if not item.station_served:
                 continue
             if item.mix_label == "hit":
-                station.cache_insert(item.software, item.version, item.image,
-                                     signed[item.software])
+                station.cache_insert(item.software, item.version, item.image)
             elif item.mix_label == "unknown":
                 station.unknown_updates.add(item.software)
 

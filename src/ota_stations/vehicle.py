@@ -9,7 +9,7 @@ the repository over cellular, restarting at bucket 0.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from . import messages as msg
@@ -32,13 +32,13 @@ def group_digest(items, data_digests) -> bytes:
 class PendingItem:
     mu: msg.UpdateManifest
     bundle: msg.Bundle
+    # The buckets every download of this item verified.
+    received: msg.Received
     # The verified image: the sender's chunks in order, never joined.
     chunks: Optional[tuple] = None
     data_digest: Optional[bytes] = None    # digest of the chunks' bytes
     installed: bool = False
-    # The buckets every download of this item verified, and its latest one.
-    received: msg.Received = field(default_factory=msg.Received)
-    download: Optional[object] = None
+    download: Optional[object] = None      # this item's latest download
 
 
 class VehiclePrimary(Actor):
@@ -221,7 +221,8 @@ class VehiclePrimary(Actor):
             self.records["manifest_done"] = self.world.now
         if fresh:
             for mu, bundle in fresh:
-                self.pending[(mu.theta.s, mu.tau.v)] = PendingItem(mu, bundle)
+                self.pending[(mu.theta.s, mu.tau.v)] = PendingItem(
+                    mu, bundle, msg.Received(self.world.digests))
             self._arm_image_deadline()
             self._start_downloads()
 
@@ -506,10 +507,12 @@ class SecondaryEcu(Actor):
         bundle = env.payload["bundle"]
         items = env.payload["items"]
         entry = env.payload["group_sig"]
-        # Each image is hashed once, its chunks joined only for that; the
-        # group signature, the manifest check and the install log all use
-        # these digests of the same bytes.
-        data_digests = [digest(b"".join(chunks)) for _, chunks in items]
+        # Each image's digest comes from the world's memo (the primary's
+        # chunks are the sender's split) or is computed once here; the group
+        # signature, the manifest check and the install log all use these
+        # digests of the same bytes.
+        data_digests = [self.world.digests.of_image(chunks)
+                        for _, chunks in items]
         reason = self._validate_group(bundle, items, data_digests, entry)
         if reason is not None:
             self.reply(env, "install_err", {"reason": reason}, 64)

@@ -31,11 +31,10 @@ def _engine(rig):
 def test_lru_evicts_least_recently_used():
     rig = Rig()
     station = _station(rig, capacity=1000)
-    mu, _ = rig.make_update("x")
-    station.cache_insert("a", 1, _image(b"1" * 400), mu)
-    station.cache_insert("b", 1, _image(b"2" * 400), mu)
+    station.cache_insert("a", 1, _image(b"1" * 400))
+    station.cache_insert("b", 1, _image(b"2" * 400))
     station.cache_get("a", 1)                      # refresh a
-    evicted = station.cache_insert("c", 1, _image(b"3" * 400), mu)
+    evicted = station.cache_insert("c", 1, _image(b"3" * 400))
     assert evicted == ["b"]
     assert station.cache_get("b", 1) is None
     assert station.cache_get("a", 1) is not None
@@ -45,8 +44,7 @@ def test_lru_evicts_least_recently_used():
 def test_oversized_image_is_pass_through():
     rig = Rig()
     station = _station(rig, capacity=100)
-    mu, _ = rig.make_update("big")
-    assert station.cache_insert("big", 1, _image(b"x" * 500), mu) is None
+    assert station.cache_insert("big", 1, _image(b"x" * 500)) is None
     assert station.occupancy == 0
     assert station.cache_get("big", 1) is None
 
@@ -54,12 +52,11 @@ def test_oversized_image_is_pass_through():
 def test_reinsert_counts_an_entry_once():
     rig = Rig()
     station = _station(rig, capacity=1000)
-    mu, _ = rig.make_update("x")
-    station.cache_insert("a", 1, _image(b"1" * 400), mu)
-    station.cache_insert("b", 1, _image(b"2" * 400), mu)
+    station.cache_insert("a", 1, _image(b"1" * 400))
+    station.cache_insert("b", 1, _image(b"2" * 400))
     # The cache holds 800 bytes, so inserting b again must evict nothing.
-    assert station.cache_insert("b", 1, _image(b"3" * 400), mu) == []
-    station.cache_insert("b", 1, _image(b"4" * 300), mu)
+    assert station.cache_insert("b", 1, _image(b"3" * 400)) == []
+    station.cache_insert("b", 1, _image(b"4" * 300))
     assert station.occupancy == sum(e.size for e in station.cache.values())
     assert station.occupancy == 700
     assert station.cache_get("a", 1) is not None
@@ -69,9 +66,8 @@ def test_reinsert_counts_an_entry_once():
 def test_cache_dump_is_sorted():
     rig = Rig()
     station = _station(rig, capacity=10_000)
-    mu, _ = rig.make_update("x")
-    station.cache_insert("b", 1, _image(b"x" * 10), mu)
-    station.cache_insert("a", 2, _image(b"y" * 20), mu)
+    station.cache_insert("b", 1, _image(b"x" * 10))
+    station.cache_insert("a", 2, _image(b"y" * 20))
     assert station.cache_dump() == [("a", 2, 20), ("b", 1, 10)]
 
 

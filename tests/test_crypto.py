@@ -2,11 +2,16 @@ from collections import Counter
 
 import pytest
 
-from ota_stations import crypto, messages
+from ota_stations import (broker, crypto, director, image_repo, messages,
+                          scenario, vehicle)
 from ota_stations.crypto import (CryptoError, KeyPair, KeyRegistry, PROVIDERS,
                                  RevocationList, SignatureEntry, digest,
                                  revoke, sign, verify)
-from ota_stations.scenario import ScenarioConfig, run_scenario
+from ota_stations.scenario import (ScenarioConfig, build_scenario,
+                                   collect_report)
+
+DIGEST_SITES = (crypto, messages, vehicle, broker, director, image_repo,
+                scenario)
 
 
 @pytest.fixture(params=["hmac", "ed25519"])
@@ -201,6 +206,29 @@ def test_ed25519_key_object_is_kept_and_ignored_by_equality():
     assert sign(digest(b"x"), key) == first == sign(digest(b"x"), by_hand)
 
 
+def test_provider_signs_each_digest_once_per_key(provider, counting):
+    key = provider.generate("alice", b"seed")
+    by_hand = KeyPair("alice", key.public_key, key.private_key, key.scheme)
+    before = repr(key)
+    first = sign(digest(b"x"), key)
+    for _ in range(3):
+        assert sign(digest(b"x"), key) == first
+    assert counting.calls["sign"] == 1
+    sign(digest(b"y"), key)
+    assert counting.calls["sign"] == 2
+    # The memo belongs to the key object, not to its value.
+    assert sign(digest(b"x"), by_hand) == first
+    assert counting.calls["sign"] == 3
+    # A signature from the memo equals one computed afresh.
+    fresh = provider.generate("alice", b"seed")
+    assert provider.sign(digest(b"x"), fresh) == first
+    assert provider.verify(digest(b"x"), key.public_key, first.sig)
+    # The memo takes no part in equality, hashing or repr.
+    assert by_hand == key and hash(by_hand) == hash(key)
+    assert repr(key) == before == repr(fresh)
+    assert "_signed" not in repr(key)
+
+
 def test_registry_memo_is_not_a_constructor_argument():
     with pytest.raises(TypeError):
         KeyRegistry({}, {})
@@ -208,7 +236,8 @@ def test_registry_memo_is_not_a_constructor_argument():
 
 def test_repeated_scenario_does_the_same_crypto_and_codec_work(monkeypatch):
     """Every memo belongs to one world: a second run of the same scenario
-    in this process verifies, signs and encodes as much as the first."""
+    in this process verifies, signs, encodes and hashes as much as the
+    first."""
     counting = CountingProvider(PROVIDERS["ed25519"])
     monkeypatch.setitem(crypto.PROVIDERS, "ed25519", counting)
     encode = messages._encode_region
@@ -219,6 +248,14 @@ def test_repeated_scenario_does_the_same_crypto_and_codec_work(monkeypatch):
         return encode(m)
 
     monkeypatch.setattr(messages, "_encode_region", counted_encode)
+    real_digest = crypto.digest
+
+    def counted_digest(data):
+        encodes["sha256_bytes"] += len(data)
+        return real_digest(data)
+
+    for module in DIGEST_SITES:
+        monkeypatch.setattr(module, "digest", counted_digest)
     config = ScenarioConfig(
         name="memo", vehicles=2, stations=1, models=1, coverage_pct=100,
         mix_hit=100, bundle_bytes=40_000, image_count=3,
@@ -228,10 +265,16 @@ def test_repeated_scenario_does_the_same_crypto_and_codec_work(monkeypatch):
     for _ in range(2):
         counting.calls.clear()
         encodes.clear()
-        report = run_scenario(config)
+        built = build_scenario(config)
+        built.world.run(config.horizon_ms)
+        report = collect_report(built)
         work.append((report.install_count, dict(counting.calls),
-                     encodes["region"]))
+                     encodes["region"], encodes["sha256_bytes"]))
+        # The world's digest memo knows only this world's images.
+        images = {id(item.image.data) for item in built.items}
+        chunks = [chunk for _, chunk, _ in built.world.digests._chunks.values()]
+        assert chunks and all(id(chunk.obj) in images for chunk in chunks)
     assert work[0] == work[1]
-    installs, calls, regions = work[0]
+    installs, calls, regions, hashed = work[0]
     assert installs > 0 and calls["verify"] > 0 and calls["sign"] > 0
-    assert regions > 0
+    assert regions > 0 and hashed > config.bundle_bytes

@@ -1,7 +1,11 @@
 """How often image bytes are hashed: senders split and hash an image once
-and share the buckets, receivers hash each chunk once and the whole image
-once, and installs reuse the digest of the bytes they install."""
+and share the buckets, receivers look the sender's chunks up in their
+world's digest memo and hash each distinct image once per world, and
+installs reuse the digest of the bytes they install.  Bytes that fail a
+check are hashed every time and never memoised."""
 import hashlib
+
+import pytest
 
 from helpers import Rig
 from ota_stations import (broker, crypto, director, image_repo, messages,
@@ -73,6 +77,58 @@ def test_tampered_chunk_is_a_new_object_and_fails_its_digest():
     assert flipped[0] is not chunks[0] and flipped[1:] == chunks[1:]
     assert crypto.digest(b"".join(flipped)) != mu.theta.h
     assert crypto.digest(b"".join(chunks)) == mu.theta.h
+
+
+def test_warm_memo_never_launders_bad_bytes(monkeypatch):
+    rig = Rig()
+    mu, _ = rig.seed_update("sw0", size=200_000)
+    other_mu, _ = rig.seed_update("xw0", size=200_000)
+    memo = rig.world.digests
+    buckets = _fetch(rig, mu).payload["buckets"]
+    other_buckets = _fetch(rig, other_mu).payload["buckets"]
+    # Warm the memo: a genuine download verifies from it and records the
+    # whole image.
+    warm = messages.Received(memo)
+    assert warm.add(buckets) == []
+    assert isinstance(messages.assemble_buckets(warm, mu, total=4),
+                      messages.Complete)
+    chunks_before, images_before = dict(memo._chunks), dict(memo._images)
+    assert len(chunks_before) == 8 and len(images_before) == 1
+
+    hashed = []
+    real_digest = messages.digest
+    monkeypatch.setattr(messages, "digest",
+                        lambda data: hashed.append(len(data))
+                        or real_digest(data))
+    index, chunk, chunk_digest = buckets[0]
+    mutated = bytes(chunk[:-1]) + bytes([chunk[-1] ^ 1])
+    forged = bytes([chunk_digest[0] ^ 1]) + chunk_digest[1:]
+    for _ in range(2):
+        # A mutated copy of a genuine chunk, claiming the genuine digest,
+        # is hashed on every check and refused.
+        assert messages.Received(memo).add(
+            [(index, mutated, chunk_digest)]) == [index]
+        # A genuine chunk under a forged claimed digest is refused.
+        assert messages.Received(memo).add([(index, chunk, forged)]) == [index]
+    assert hashed == [len(mutated)] * 2
+
+    # Another image's genuine chunks pass their own digests but do not make
+    # up this manifest's image.
+    mixed = messages.Received(memo)
+    assert mixed.add(other_buckets) == []
+    with pytest.raises(messages.IntegrityError):
+        messages.assemble_buckets(mixed, mu, total=4)
+    # An install group whose first chunk was flipped hashes afresh.
+    chunks = tuple(c for _, c, _ in buckets)
+    flipped = (mutated,) + chunks[1:]
+    assert memo.of_image(flipped) != mu.theta.h
+    assert memo.of_image(chunks) == mu.theta.h
+
+    # No refused chunk and no image holding one was recorded.
+    assert memo._chunks == chunks_before
+    assert id(mutated) not in memo._chunks
+    assert all(id(mutated) not in key for key in memo._images)
+    assert len(memo._images) == 2   # this image and the other one
 
 
 def _small_config(**kwargs):
@@ -157,4 +213,20 @@ def test_each_image_byte_is_hashed_at_most_twice_per_receiving_hop(
         assert counts["split"] <= distinct + served
         # A receiver hashes each chunk on arrival and the whole image once.
         assert counts["image"] <= 2 * delivered + counts["split"], \
+            live_publish
+
+
+def test_each_distinct_image_is_hashed_once_per_world(monkeypatch):
+    """Senders split each image once, the repository checks a live-published
+    image once on store, and the whole image is hashed once per world: every
+    receiving hop looks the sender's chunks and their image up in the
+    world's digest memo."""
+    for live_publish in (False, True):
+        built = build_scenario(_small_config(live_publish=live_publish))
+        counts = _count_hashing(monkeypatch, built)
+        monkeypatch.undo()
+        assert built.world.install_log and not built.all_alerts()
+        distinct = sum(len(item.image.data) for item in built.items)
+        assert counts["split"] <= distinct
+        assert counts["image"] <= counts["split"] + 2 * distinct, \
             live_publish
