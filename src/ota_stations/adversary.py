@@ -187,6 +187,9 @@ def _tamper(payload, world):
             return {**payload, "items": items}
         if "bundle" in payload and isinstance(payload["bundle"], msg.Bundle):
             return {**payload, "bundle": _tamper_bundle(payload["bundle"])}
+        if isinstance(payload.get("image"), msg.UpdateImage):
+            image = payload["image"]
+            return {**payload, "image": replace(image, data=_flip(image.data))}
         return None
     if isinstance(payload, msg.StatusReport):
         return replace(payload,

@@ -15,10 +15,12 @@ exact bytes it depends on: the registered (public key, scheme), the payload
 digest and the signature.  Signing is memoised on each `KeyPair`, keyed by
 the payload digest: HMAC and Ed25519 (RFC 8032) are deterministic, so a
 repeated sign would give the same bytes.  Image digests are memoised per
-world on object identity (`messages.DigestMemo`); `digest` itself keeps no
-state.  A failed check or a refused input is never turned into a pass: a
-verdict is memoised with the exact bytes it judged, and a chunk or image
-digest only for a sender's own split chunks.
+world on object identity (`messages.DigestMemo`), so each image buffer is
+hashed twice per world: once whole, when the build computes its manifest
+digest, and once in buckets, when its first sender splits it.  `digest`
+itself keeps no state.  A failed check or a refused input is never turned
+into a pass: a verdict is memoised with the exact bytes it judged, and an
+image digest only for the build's own buffers and their split chunks.
 
 Registries, key pairs and digest memos each belong to one world, so every
 memo lives and dies with it; none lives at module level.  Simulated time

@@ -122,13 +122,16 @@ class UpdateImage:
     def buckets(self, memo: Optional["DigestMemo"] = None) -> tuple:
         """The image's (index, chunk, chunk digest) buckets, split and hashed
         on first use and shared by every later caller.  The chunks are
-        read-only views of `data` (see `split_buckets`); the first split
-        records their digests in `memo`, the sender's world's memo."""
+        read-only views of `data` (see `split_buckets`).  The first split
+        records their digests in `memo`, the sender's world's memo, and,
+        when `memo` knows the digest of `data` (the build recorded it), that
+        digest as the digest of the split's whole image.  So no receiver in
+        that world hashes a chunk or the image again."""
         if self._buckets is None:
             object.__setattr__(self, "_buckets", tuple(
                 split_buckets(self.data, self.bucket_size)))
             if memo is not None:
-                memo.record(self._buckets)
+                memo.record(self._buckets, self.data)
         return self._buckets
 
 
@@ -516,11 +519,12 @@ def split_buckets(data: bytes, bucket_size: int):
     Each chunk is a read-only `memoryview` slice of `data`, not a copy, and
     the image's immutable `bytes` is the view's `.obj`.  Receivers keep
     these very chunk objects, so an image's bytes exist once per world:
-    every holder refers to the buffer the producer generated.  Each chunk
-    is hashed here once; `UpdateImage.buckets` records the digests in its
-    world's `DigestMemo`, so no receiver in that world hashes the chunk
-    again.  A chunk the adversary changes is a new object, which the memo
-    does not know: it is hashed and fails its digest.
+    every holder refers to the buffer the producer generated.  This is the
+    one bucket pass over an image in a world: each chunk is hashed here
+    once, and `UpdateImage.buckets` records the digests in its world's
+    `DigestMemo`, so no receiver in that world hashes the chunk again.  A
+    chunk the adversary changes is a new object, which the memo does not
+    know: it is hashed and fails its digest.
     """
     if bucket_size < 1:
         raise ValueError("bucket_size must be >= 1")
@@ -533,33 +537,67 @@ def split_buckets(data: bytes, bucket_size: int):
 
 
 class DigestMemo:
-    """The SHA-256 digests of one world's image chunks and images, by object
-    identity.
+    """The SHA-256 digests of one world's image buffers, chunks and images,
+    by object identity.
 
-    `record` takes the buckets of a sender's own split, whose digests
-    `split_buckets` computed from the image bytes.  A chunk is looked up by
-    `id`; the memo keeps a strong reference to every recorded chunk, so no
-    other object can take its id while the memo lives.  A whole image is
-    looked up by the tuple of its chunks' ids, and recorded only when every
-    chunk is a recorded split chunk.  Chunks are read-only views of
-    immutable bytes, so a recorded digest stays the digest of those bytes.
-    Anything else, such as a chunk the adversary rebuilt, is hashed on
-    every call and never recorded, so a refused input is never memoised.
+    Each image buffer of a world is hashed once whole and once in buckets:
+    `build_scenario` hashes the buffer it generated through `record_data`,
+    for the manifest digest, and the first split of it (`split_buckets`,
+    through `UpdateImage.buckets`) hashes its chunks.  `record` takes the
+    buckets of that split, and records the buffer's digest as the digest
+    of the whole image they make up, keyed on the tuple of the chunks' ids.
+    Every later check is a lookup: the repository's store check
+    (`of_data`), each arriving chunk (`of_chunk`) and each whole image
+    (`of_image`).
+
+    Every entry holds a strong reference to its key object (buffer or
+    chunk), so no other object can take its id while the memo lives.  Only
+    immutable `bytes` buffers and read-only views of them are recorded, so
+    a recorded digest stays the digest of those bytes.  Anything else, such
+    as a chunk or image the adversary rebuilt or a `bytearray`, is hashed
+    on every call and never recorded, so a refused input is never memoised.
 
     A world owns one memo (`World.digests`); it never outlives its world.
     Simulated time charges nothing for hashing, so the memo saves host time
     only and changes no output.
     """
 
-    __slots__ = ("_chunks", "_images")
+    __slots__ = ("_data", "_chunks", "_images")
 
     def __init__(self):
+        self._data: dict = {}     # id(buffer) -> (buffer, digest)
         self._chunks: dict = {}   # id(chunk) -> (index, chunk, chunk digest)
         self._images: dict = {}   # chunk ids -> digest of their concatenation
 
-    def record(self, buckets) -> None:
+    def record_data(self, data: bytes) -> bytes:
+        """The digest of `data`, hashed here; an immutable `bytes` buffer is
+        recorded with it, so every later `of_data` and the split of `data`
+        look it up."""
+        data_digest = digest(data)
+        if type(data) is bytes:
+            self._data[id(data)] = (data, data_digest)
+        return data_digest
+
+    def _recorded_data(self, data) -> Optional[bytes]:
+        entry = self._data.get(id(data))
+        return entry[1] if entry is not None and entry[0] is data else None
+
+    def of_data(self, data) -> bytes:
+        """The digest of the buffer `data`."""
+        data_digest = self._recorded_data(data)
+        return data_digest if data_digest is not None else digest(data)
+
+    def record(self, buckets, data: bytes) -> None:
+        """Record the buckets of a split of `data`, and the digest of `data`
+        for the whole image they make up when the memo knows it."""
+        if type(data) is not bytes:
+            return
         for bucket in buckets:
             self._chunks[id(bucket[1])] = bucket
+        data_digest = self._recorded_data(data)
+        if data_digest is not None:
+            self._images[tuple(id(chunk) for _, chunk, _ in buckets)] = \
+                data_digest
 
     def _recorded(self, chunk) -> Optional[tuple]:
         bucket = self._chunks.get(id(chunk))
@@ -571,14 +609,11 @@ class DigestMemo:
         return bucket[2] if bucket is not None else digest(chunk)
 
     def of_image(self, chunks) -> bytes:
-        """The digest of the concatenation of `chunks`; the chunks are
-        joined only while that digest is computed."""
-        key = tuple(map(id, chunks))
-        image_digest = self._images.get(key)
+        """The digest of the concatenation of `chunks`: looked up when they
+        are a recorded split, else computed while the chunks are joined."""
+        image_digest = self._images.get(tuple(map(id, chunks)))
         if image_digest is None:
             image_digest = digest(b"".join(chunks))
-            if all(self._recorded(chunk) is not None for chunk in chunks):
-                self._images[key] = image_digest
         return image_digest
 
 
@@ -586,7 +621,7 @@ class DigestMemo:
 class Complete:
     """A verified download: its in-order buckets, which are the sender's
     chunk objects (read-only views, never a joined copy), and the digest of
-    their concatenation, computed once per world."""
+    their concatenation."""
 
     buckets: tuple         # (index, chunk, chunk digest), in index order
     data_digest: bytes
@@ -606,14 +641,16 @@ class Received:
     bucket whose chunk does not match its digest is not kept, and a later
     bucket for an index replaces the earlier one.  A kept bucket is the
     sender's own (index, chunk, digest) tuple, so its chunk stays a view of
-    the sender's image.
+    the sender's image.  `complete` turns true once `absorb` has produced
+    a `Complete`.
     """
 
-    __slots__ = ("buckets", "memo")
+    __slots__ = ("buckets", "memo", "complete")
 
     def __init__(self, memo: Optional[DigestMemo] = None):
         self.buckets: dict = {}   # index -> (index, chunk, chunk digest)
         self.memo = DigestMemo() if memo is None else memo
+        self.complete = False
 
     def add(self, buckets) -> list:
         """Keep every (index, chunk, chunk digest) bucket whose chunk matches
@@ -642,10 +679,13 @@ class Received:
         """
         self.add(reply["buckets"])
         try:
-            return assemble_buckets(self, mu, total=reply["total"])
+            result = assemble_buckets(self, mu, total=reply["total"])
         except IntegrityError:
             self.buckets = {}
             return Resume(0)
+        if isinstance(result, Complete):
+            self.complete = True
+        return result
 
 
 def assemble_buckets(buckets_received, mu: UpdateManifest,
@@ -657,11 +697,13 @@ def assemble_buckets(buckets_received, mu: UpdateManifest,
     chunks are verified here.
 
     Returns Complete, holding the verified buckets themselves, once every
-    bucket is present and the full-package digest matches the manifest;
-    that digest comes from the `Received`'s memo.  Otherwise returns Resume
-    with the first missing index.  Raises IntegrityError when a listed
-    chunk does not match its digest, or when all buckets are present but
-    the full-package digest does not match (restart from bucket 0).
+    bucket is present and the full-package digest matches the manifest.
+    For a sender's own split that digest is a lookup in the `Received`'s
+    memo, and the chunks are never joined; any other set of chunks is
+    joined and hashed.  Otherwise returns Resume with the first missing
+    index.  Raises IntegrityError when a listed chunk does not match its
+    digest, or when all buckets are present but the full-package digest
+    does not match (restart from bucket 0).
     """
     received = buckets_received
     if not isinstance(received, Received):

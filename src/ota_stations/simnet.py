@@ -321,7 +321,7 @@ class _Download:
         if reply.kind != self.kind + "_ok":
             self.fail("download")
             return
-        if self.received.next_missing() >= reply.payload["total"]:
+        if self.received.complete:
             return  # another download into `received` completed it
         result = self.received.absorb(self.mu, reply.payload)
         if isinstance(result, msg.Complete):

@@ -508,7 +508,7 @@ class SecondaryEcu(Actor):
         items = env.payload["items"]
         entry = env.payload["group_sig"]
         # Each image's digest comes from the world's memo (the primary's
-        # chunks are the sender's split) or is computed once here; the group
+        # chunks are the sender's split) or is computed here; the group
         # signature, the manifest check and the install log all use these
         # digests of the same bytes.
         data_digests = [self.world.digests.of_image(chunks)

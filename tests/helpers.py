@@ -3,7 +3,7 @@ one director, and helper constructors for signed artifacts."""
 from __future__ import annotations
 
 from ota_stations import messages as msg
-from ota_stations.crypto import PROVIDERS, KeyRegistry, digest
+from ota_stations.crypto import PROVIDERS, KeyRegistry
 from ota_stations.director import Director
 from ota_stations.image_repo import ImageRepo, location_for
 from ota_stations.simnet import ENGINE_CABLE, Link, LinkProfile, World
@@ -41,7 +41,10 @@ class Rig:
                     size=1000):
         data = bytes((software + str(version)).encode() * 1)[:1] * size
         location = location_for("repo0", software, version)
-        theta = msg.MetaRecord(digest(data), ecu, software, tuple(deps))
+        # As `build_scenario` does, the image buffer is hashed once through
+        # the world's digest memo, which records it.
+        theta = msg.MetaRecord(self.world.digests.record_data(data), ecu,
+                               software, tuple(deps))
         mu = msg.UpdateManifest(location, theta,
                                 msg.TimestampRecord(version, version))
         mu = msg.sign_message(mu, self.keys["producer0"])

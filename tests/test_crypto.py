@@ -274,6 +274,8 @@ def test_repeated_scenario_does_the_same_crypto_and_codec_work(monkeypatch):
         images = {id(item.image.data) for item in built.items}
         chunks = [chunk for _, chunk, _ in built.world.digests._chunks.values()]
         assert chunks and all(id(chunk.obj) in images for chunk in chunks)
+        buffers = {id(data) for data, _ in built.world.digests._data.values()}
+        assert buffers == images
     assert work[0] == work[1]
     installs, calls, regions, hashed = work[0]
     assert installs > 0 and calls["verify"] > 0 and calls["sign"] > 0

@@ -1,8 +1,9 @@
-"""How often image bytes are hashed: senders split and hash an image once
-and share the buckets, receivers look the sender's chunks up in their
-world's digest memo and hash each distinct image once per world, and
-installs reuse the digest of the bytes they install.  Bytes that fail a
-check are hashed every time and never memoised."""
+"""How often image bytes are hashed: the build hashes each image buffer
+once whole, senders split and hash it once in buckets and share them, and
+every later check (the repository's store check, each arriving chunk, each
+whole image) looks the build's buffer or the sender's chunks up in their
+world's digest memo.  Installs reuse the digest of the bytes they install.
+Bytes that fail a check are hashed every time and never memoised."""
 import hashlib
 
 import pytest
@@ -86,14 +87,14 @@ def test_warm_memo_never_launders_bad_bytes(monkeypatch):
     memo = rig.world.digests
     buckets = _fetch(rig, mu).payload["buckets"]
     other_buckets = _fetch(rig, other_mu).payload["buckets"]
-    # Warm the memo: a genuine download verifies from it and records the
-    # whole image.
+    # Warm the memo: each split recorded its chunks and its whole image,
+    # and a genuine download verifies from it.
     warm = messages.Received(memo)
     assert warm.add(buckets) == []
     assert isinstance(messages.assemble_buckets(warm, mu, total=4),
                       messages.Complete)
     chunks_before, images_before = dict(memo._chunks), dict(memo._images)
-    assert len(chunks_before) == 8 and len(images_before) == 1
+    assert len(chunks_before) == 8 and len(images_before) == 2
 
     hashed = []
     real_digest = messages.digest
@@ -171,18 +172,17 @@ def test_install_log_records_digest_of_installed_bytes():
     assert scenario.safety_violations(built) == []
 
 
-def _count_hashing(monkeypatch, built):
-    """Run `built` with `digest` counted at every import site.  Returns the
-    bytes hashed that lie inside an image (control-plane digests, over
-    signed regions and nonces, are not counted) and the bytes split into
-    buckets."""
-    images = [item.image.data for item in built.items]
+def _count_hashing(monkeypatch, config):
+    """Build and run `config` with `digest` counted at every import site.
+    Returns the scenario, the bytes hashed that lie inside an image
+    (control-plane digests, over signed regions and nonces, are not
+    counted) and the bytes split into buckets."""
+    hashed = []
     counts = {"image": 0, "split": 0}
     real_digest, real_split = crypto.digest, messages.split_buckets
 
     def counting_digest(data):
-        if any(data in image for image in images):
-            counts["image"] += len(data)
+        hashed.append(data)
         return real_digest(data)
 
     def counting_split(data, bucket_size):
@@ -192,16 +192,20 @@ def _count_hashing(monkeypatch, built):
     for module in DIGEST_SITES:
         monkeypatch.setattr(module, "digest", counting_digest)
     monkeypatch.setattr(messages, "split_buckets", counting_split)
-    built.world.run(built.config.horizon_ms)
-    return counts
+    built = build_scenario(config)
+    built.world.run(config.horizon_ms)
+    monkeypatch.undo()
+    images = [item.image.data for item in built.items]
+    counts["image"] = sum(len(data) for data in hashed
+                          if any(data in image for image in images))
+    return built, counts
 
 
 def test_each_image_byte_is_hashed_at_most_twice_per_receiving_hop(
         monkeypatch):
     for live_publish in (False, True):
-        built = build_scenario(_small_config(live_publish=live_publish))
-        counts = _count_hashing(monkeypatch, built)
-        monkeypatch.undo()
+        built, counts = _count_hashing(
+            monkeypatch, _small_config(live_publish=live_publish))
         delivered = sum(rec.size for rec in built.world.trace
                         if rec.kind in DATA_KINDS)
         assert built.world.install_log and not built.all_alerts()
@@ -217,16 +221,15 @@ def test_each_image_byte_is_hashed_at_most_twice_per_receiving_hop(
 
 
 def test_each_distinct_image_is_hashed_once_per_world(monkeypatch):
-    """Senders split each image once, the repository checks a live-published
-    image once on store, and the whole image is hashed once per world: every
-    receiving hop looks the sender's chunks and their image up in the
+    """Each image buffer is hashed once whole, by the build for its
+    manifest, and once in buckets, by its first split.  The repository's
+    store check (preseeded or live-published) and every receiving hop look
+    the build's buffer, the sender's chunks and their image up in the
     world's digest memo."""
     for live_publish in (False, True):
-        built = build_scenario(_small_config(live_publish=live_publish))
-        counts = _count_hashing(monkeypatch, built)
-        monkeypatch.undo()
+        built, counts = _count_hashing(
+            monkeypatch, _small_config(live_publish=live_publish))
         assert built.world.install_log and not built.all_alerts()
         distinct = sum(len(item.image.data) for item in built.items)
         assert counts["split"] <= distinct
-        assert counts["image"] <= counts["split"] + 2 * distinct, \
-            live_publish
+        assert counts["image"] <= counts["split"] + distinct, live_publish

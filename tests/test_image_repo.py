@@ -2,8 +2,10 @@ import pytest
 
 from helpers import Rig, VIN
 from ota_stations import messages as msg
+from ota_stations.adversary import AttackRule
 from ota_stations.crypto import KeyPair
 from ota_stations.image_repo import RepoError, location_for
+from ota_stations.scenario import ScenarioConfig, build_scenario
 from ota_stations.simnet import Envelope
 
 
@@ -22,6 +24,54 @@ def test_store_validates_producer_signature_and_digest():
         rig.repo.store(wrong, mu, "producer0")
     location = rig.repo.store(image, mu, "producer0")
     assert location == mu.l
+
+
+def test_warm_memo_never_launders_a_bad_stored_image(monkeypatch):
+    rig = Rig()
+    mu, image = rig.make_update("sw0", size=200_000)
+    memo = rig.world.digests
+    hashed = []   # the image-sized inputs of SHA-256
+    real_digest = msg.digest
+    monkeypatch.setattr(msg, "digest", lambda data: (
+        len(data) == len(image.data) and hashed.append(data))
+        or real_digest(data))
+    # The buffer the rig built and recorded: its store check is a lookup.
+    assert rig.repo.store(image, mu, "producer0") == mu.l
+    assert hashed == []
+    recorded = dict(memo._data)
+    assert [data for data, _ in recorded.values()] == [image.data]
+
+    flipped = image.data[:-1] + bytes([image.data[-1] ^ 1])
+    copy = bytearray(image.data)
+    for _ in range(2):
+        # A same-length copy with one byte flipped is hashed and refused.
+        with pytest.raises(RepoError):
+            rig.repo.store(msg.UpdateImage("sw0", flipped, image.bucket_size),
+                           mu, "producer0")
+        # The genuine bytes in a mutable buffer are hashed, not looked up.
+        mutable = msg.UpdateImage("sw0", copy, image.bucket_size)
+        assert rig.repo.store(mutable, mu, "producer0") == mu.l
+    assert [id(data) for data in hashed] == [id(flipped), id(copy)] * 2
+    # Neither buffer was recorded, nor the split of the mutable one.
+    mutable.buckets(memo)
+    assert memo._data == recorded
+    assert not memo._chunks and not memo._images
+
+
+def test_tampered_live_publish_is_refused_on_store():
+    config = ScenarioConfig(
+        name="store-tamper", bundle_bytes=200_000, image_count=2,
+        bucket_size=65536, live_publish=True, horizon_ms=600_000.0,
+        attacks=(AttackRule("tamper",
+                            message_kinds=frozenset({"store_image"})),))
+    built = build_scenario(config)
+    built.world.run(config.horizon_ms)
+    kinds = [rec.kind for rec in built.world.trace]
+    assert "store_err" in kinds and "store_ok" not in kinds
+    assert not built.repo.entries and not built.world.install_log
+    # The memo holds the build's buffers and no tampered one.
+    assert {id(data) for data, _ in built.world.digests._data.values()} \
+        == {id(item.image.data) for item in built.items}
 
 
 def test_prior_versions_are_retained():

@@ -1,5 +1,6 @@
 import pytest
 
+from ota_stations import messages as msg
 from ota_stations.simnet import (CELLULAR, Actor, Envelope, Link,
                                  LinkProfile, World)
 
@@ -229,3 +230,53 @@ def test_run_ends_at_latest_finish_estimate():
     world, times = run(horizon_ms=3500.0)
     assert times == [2000, 3000]
     assert world.now == 3500.0 and world.horizon_reached
+
+
+def test_forged_total_does_not_stall_a_download():
+    """A reply's `total` is unsigned: one claiming fewer buckets than the
+    download already keeps must not end it without a result."""
+    world = World(seed=1)
+    data = bytes(range(256)) * 1000
+    image = msg.UpdateImage("sw0", data, 65536)      # 4 buckets
+    mu = msg.UpdateManifest("repo0/sw0/2",
+                            msg.MetaRecord(msg.digest(data), "primary", "sw0"),
+                            msg.TimestampRecord(1, 1))
+
+    class Server(Actor):
+        def on_fetch(self, env):
+            self.reply_buckets(env, "fetch_ok", image.buckets(world.digests))
+
+    class Forger:
+        """Flips bucket 1 of the first reply, so buckets 0, 2 and 3 are
+        kept, then claims a total of 1 in the next."""
+
+        replies = 0
+
+        def intercept(self, world, env):
+            if env.kind != "fetch_ok":
+                return []
+            self.replies += 1
+            payload = dict(env.payload)
+            if self.replies == 1:
+                index, chunk, chunk_digest = payload["buckets"][1]
+                payload["buckets"] = list(payload["buckets"])
+                payload["buckets"][1] = (index, b"x" + bytes(chunk[1:]),
+                                         chunk_digest)
+            elif self.replies == 2:
+                payload["total"] = 1
+            return [("modify", Envelope(env.src, env.dst, env.kind, payload,
+                                        env.size, env.link,
+                                        reply_to=env.reply_to))]
+
+    Server("repo0", world)
+    client = Actor("client", world)
+    world.adversary = Forger()
+    done, errors = [], []
+    client.fetch_image("repo0", _link(), "fetch", {}, 96, mu, done.append,
+                       errors.append, timeout_ms=60_000.0)
+    world.run()
+    requests = [rec for rec in world.trace if rec.kind == "fetch"]
+    assert world.adversary.replies == 2 and len(requests) == 2
+    assert errors == [] and len(done) == 1
+    assert isinstance(done[0], msg.Complete)
+    assert b"".join(chunk for _, chunk, _ in done[0].buckets) == data
