@@ -9,9 +9,10 @@ produce identical event traces.
 
 Events run in (time, seq) order, where seq is the order in which they were
 scheduled: of two events due at the same instant, the one scheduled first
-runs first.  A link keeps at most one armed finisher event, for the flow
-that completes first (see `Link`), so the heap holds O(links + timers)
-entries and each message costs O(1) heap pushes.
+runs first.  A flow start or finish costs one pass over its link's flows
+plus a `min` and a `max`, and O(1) heap pushes, with results bit-identical
+to an update of each flow on its own (see `Link` for why); a link arms one
+finisher, so the heap holds O(links + timers) entries.
 """
 from __future__ import annotations
 
@@ -44,69 +45,68 @@ class LinkProfile:
             raise ValueError("latency must be non-negative")
 
 
-class _Flow:
-    __slots__ = ("remaining_bits", "rate_bps", "last_t", "at", "on_done")
-
-    def __init__(self, size_bits: float, now: float, on_done: Callable):
-        self.remaining_bits = float(size_bits)
-        self.rate_bps = 0.0
-        self.last_t = now
-        self.at = now
-        self.on_done = on_done
-
-
 class Link:
-    """A contended channel; concurrent flows share bandwidth equally and
-    rates are recomputed at every flow start/finish.
+    """A contended channel; concurrent flows share bandwidth equally.
 
-    One finisher rule: each start or finish recomputes every flow's
-    remaining bits and finish time, then arms a single finisher event, for
-    the flow with the smallest finish time; on a tie, the flow that started
-    first.  Any earlier finisher is disarmed by the link's generation
-    counter.  This is the flow a finisher per flow would complete first, at
-    the same instant, so traces do not depend on the choice.
+    Each flow start or finish updates every flow, so a link keeps one rate
+    and one last-update time, and its flows' remaining bits and callbacks
+    in start order.  An update is one list pass plus a `min` and a `max`,
+    and O(1) heap pushes.  Correctly rounded `/`, `*` and `+` are monotone,
+    so the fewest and most bits give the first and latest finish times bit
+    for bit as an update of each flow on its own would.
+
+    One finisher rule: a link arms one finisher event, for the flow that
+    finishes first; on a tie, the flow that started first.  A generation
+    counter disarms any earlier finisher and keeps an armed one's flow
+    index valid.  A finisher per flow would complete the same flow first,
+    at the same instant, so traces do not depend on the choice.
     """
 
     def __init__(self, name: str, profile: LinkProfile):
         self.name = name
         self.profile = profile
-        self._flows: list = []
+        self._bits: list = []
+        self._done: list = []
+        self._rate = self._last_t = 0.0
         self._gen = 0
 
     def start_flow(self, world: "World", size_bytes: int, on_done: Callable):
-        flow = _Flow(size_bytes * 8, world.now, on_done)
-        self._flows.append(flow)
+        self._drain(world.now)
+        self._bits.append(float(size_bytes * 8))
+        self._done.append(on_done)
         self._rebalance(world)
+
+    def _drain(self, now: float):
+        """Take from every flow the bits it sent since the last update."""
+        if self._bits and now != self._last_t:
+            sent = self._rate * ((now - self._last_t) / 1000.0)
+            self._bits = [b - sent if b > sent else 0.0 for b in self._bits]
+        self._last_t = now
 
     def _rebalance(self, world: "World"):
         self._gen += 1
-        if not self._flows:
+        if not self._bits:
             return
-        now = world.now
-        rate = self.profile.bandwidth_bps / len(self._flows)
-        first = None
-        latest = world._latest_eta
-        for flow in self._flows:
-            elapsed_s = (now - flow.last_t) / 1000.0
-            flow.remaining_bits = max(
-                0.0, flow.remaining_bits - flow.rate_bps * elapsed_s)
-            flow.last_t = now
-            flow.rate_bps = rate
-            flow.at = now + flow.remaining_bits / rate * 1000.0
-            if first is None or flow.at < first.at:
-                first = flow
-            if flow.at > latest:
-                latest = flow.at
-        world._latest_eta = latest
-        world._schedule_raw(first.at, self._finisher(world, first, self._gen))
+        bits, now = self._bits, world.now
+        rate = self._rate = self.profile.bandwidth_bps / len(bits)
+        low = min(bits)
+        at = now + low / rate * 1000.0
+        first = bits.index(low)
+        if first:  # an earlier flow, with more bits, may round to `at` too
+            first = next((i for i in range(first)
+                          if now + bits[i] / rate * 1000.0 == at), first)
+        world._latest_eta = max(world._latest_eta,
+                                now + max(bits) / rate * 1000.0)
+        world._schedule_raw(at, self._finisher(world, first, self._gen))
 
-    def _finisher(self, world, flow, gen):
+    def _finisher(self, world, index, gen):
         def fire():
             if gen != self._gen:
                 return
-            self._flows.remove(flow)
+            del self._bits[index]
+            self._drain(world.now)
             self._rebalance(world)
-            flow.on_done()
+            self._done.pop(index)()
         return fire
 
 
@@ -214,11 +214,11 @@ class World:
     def _transmit(self, env: Envelope):
         latency = env.link.profile.latency_ms
         if env.size <= 0:
-            self.schedule(latency, lambda: self._deliver(env))
+            self._schedule_raw(self.now + latency, lambda: self._deliver(env))
         else:
             env.link.start_flow(
-                self, env.size,
-                lambda: self.schedule(latency, lambda: self._deliver(env)))
+                self, env.size, lambda: self._schedule_raw(
+                    self.now + latency, lambda: self._deliver(env)))
 
     def _deliver(self, env: Envelope):
         self.trace.append(TraceRecord(self.now, env.src, env.dst, env.size,

@@ -47,26 +47,30 @@ def _mixed_config(**kwargs) -> ScenarioConfig:
         **kwargs)
 
 
-def _large_bytes(roots, min_len: int) -> list:
-    """Every bytes object of at least `min_len` bytes reachable from
-    `roots`, following closures and views but not modules or classes."""
-    found, seen, stack = [], set(), list(roots)
+def _reachable(roots):
+    """Every object reachable from `roots`, following closures and views
+    but not modules or classes."""
+    seen, stack = set(), list(roots)
     while stack:
         obj = stack.pop()
         if id(obj) in seen:
             continue
         seen.add(id(obj))
-        if isinstance(obj, (bytes, bytearray)):
-            if len(obj) >= min_len:
-                found.append(obj)
-        elif isinstance(obj, memoryview):
+        yield obj
+        if isinstance(obj, memoryview):
             stack.append(obj.obj)
         elif isinstance(obj, types.FunctionType):
             stack.extend(cell.cell_contents for cell in obj.__closure__ or ())
             stack.extend(obj.__defaults__ or ())
         elif not isinstance(obj, (type, types.ModuleType)):
             stack.extend(gc.get_referents(obj))
-    return found
+
+
+def _large_bytes(roots, min_len: int) -> list:
+    """Every bytes object of at least `min_len` bytes reachable from
+    `roots`."""
+    return [obj for obj in _reachable(roots)
+            if isinstance(obj, (bytes, bytearray)) and len(obj) >= min_len]
 
 
 def test_image_bytes_are_shared_by_every_holder():
@@ -97,6 +101,20 @@ def test_image_bytes_are_shared_by_every_holder():
     smallest = min(len(item.image.data) for item in built.items)
     held = _large_bytes(list(built.world.actors.values()), smallest)
     assert held and all(id(data) in images for data in held)
+
+
+def test_finished_run_leaves_every_link_empty():
+    # A run that ends before its horizon has completed every flow, and no
+    # link keeps the bits or the callback of one.
+    built = build_scenario(_mixed_config())
+    built.world.run(built.config.horizon_ms)
+    assert not built.world.horizon_reached
+    links = [obj for obj in _reachable(built.world.actors.values())
+             if isinstance(obj, simnet.Link)]
+    assert {link.profile.cls for link in links} == {
+        simnet.CELLULAR, simnet.ENGINE_CABLE, simnet.STATION_WIRE,
+        simnet.IN_VEHICLE}
+    assert all(link._bits == [] and link._done == [] for link in links)
 
 
 def test_finished_requests_leave_no_reference_cycles():

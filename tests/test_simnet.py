@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from ota_stations import messages as msg
@@ -280,3 +282,169 @@ def test_forged_total_does_not_stall_a_download():
     assert errors == [] and len(done) == 1
     assert isinstance(done[0], msg.Complete)
     assert b"".join(chunk for _, chunk, _ in done[0].buckets) == data
+
+
+# ---------------------------------------------------------------------------
+# Shared-rate flow lists, bit-identical to an update of each flow
+# ---------------------------------------------------------------------------
+
+class _ReferenceLink(Link):
+    """The reference model of `Link`: each flow keeps its own remaining
+    bits, rate, last-update time and finish time, and every start or finish
+    updates the flows one at a time."""
+
+    class Flow:
+        def __init__(self, size_bits, now, on_done):
+            self.remaining_bits = float(size_bits)
+            self.rate_bps = 0.0
+            self.last_t = self.at = now
+            self.on_done = on_done
+
+    def __init__(self, name, profile):
+        super().__init__(name, profile)
+        self.flows = []
+
+    def start_flow(self, world, size_bytes, on_done):
+        self.flows.append(self.Flow(size_bytes * 8, world.now, on_done))
+        self._rebalance(world)
+
+    def _rebalance(self, world):
+        self._gen += 1
+        if not self.flows:
+            return
+        now = world.now
+        rate = self.profile.bandwidth_bps / len(self.flows)
+        first = None
+        for flow in self.flows:
+            elapsed_s = (now - flow.last_t) / 1000.0
+            flow.remaining_bits = max(
+                0.0, flow.remaining_bits - flow.rate_bps * elapsed_s)
+            flow.last_t = now
+            flow.rate_bps = rate
+            flow.at = now + flow.remaining_bits / rate * 1000.0
+            if first is None or flow.at < first.at:
+                first = flow
+            world._latest_eta = max(world._latest_eta, flow.at)
+        world._schedule_raw(first.at, self._finisher(world, first, self._gen))
+
+    def _finisher(self, world, flow, gen):
+        def fire():
+            if gen != self._gen:
+                return
+            self.flows.remove(flow)
+            self._rebalance(world)
+            flow.on_done()
+        return fire
+
+
+def _random_flows(rng):
+    """Two link bandwidths and flows of (link, start ms, bytes, follow-up
+    bytes or None); starts often share an instant and sizes often repeat.
+    Some runs start late on a very fast link, where flows of different
+    sizes round to the same finish time."""
+    offset, fast = rng.choice([(0.0, False), (1e9, True)])
+    bandwidths = [1e12 if fast and rng.random() < 0.5 else
+                  rng.choice([1e6, 3e6, 5e6, rng.uniform(1e5, 1e8)])
+                  for _ in range(2)]
+    instants = [offset + rng.uniform(0, 50) for _ in range(3)]
+    sizes = [rng.randrange(1, 200_000) for _ in range(3)]
+    flows = []
+    for _ in range(rng.randrange(1, 25)):
+        start = rng.choice(instants) if rng.random() < 0.5 \
+            else offset + rng.uniform(0, 100)
+        size = rng.choice(sizes) if rng.random() < 0.5 \
+            else rng.randrange(1, rng.choice([8, 400_000]))
+        follow = rng.randrange(1, 100_000) if rng.random() < 0.3 else None
+        flows.append((rng.randrange(2), start, size, follow))
+    return bandwidths, flows
+
+
+def _run_flows(link_cls, bandwidths, flows):
+    """Run `flows` on links of `link_cls`; a flow's follow-up starts on the
+    same link from its completion callback.  Returns every completion as
+    (time, flow), the clock after `run` and the number of events."""
+    world = World(seed=1)
+    links = [link_cls(f"l{i}", LinkProfile(bps, 0.0))
+             for i, bps in enumerate(bandwidths)]
+    done = []
+
+    def start(n, link, size, follow):
+        def on_done():
+            done.append((world.now, n))
+            if follow is not None:
+                start((n, "follow"), link, follow, None)
+        link.start_flow(world, size, on_done)
+
+    for n, (i, at, size, follow) in enumerate(flows):
+        world.schedule(at, lambda n=n, i=i, size=size, follow=follow:
+                       start(n, links[i], size, follow))
+    world.run()
+    return done, world.now, world._seq
+
+
+def test_link_matches_reference_model_exactly():
+    for seed in range(500):
+        bandwidths, flows = _random_flows(random.Random(seed))
+        expected = _run_flows(_ReferenceLink, bandwidths, flows)
+        assert _run_flows(Link, bandwidths, flows) == expected, seed
+
+
+def test_flow_started_as_another_drains():
+    # Alone on 3 Mbps, a 1,020-byte flow is due at 2.72 ms, and after 2.72 ms
+    # its 8,160 bits were sent with a rounding surplus.  A flow started by a
+    # timer at that instant leaves it 0 bits, it completes at once, and the
+    # new flow then has the whole link.
+    world = World(seed=1)
+    link = _link(3.0, 0.0)
+    due = 1020 * 8 / 3e6 * 1000.0
+    done, bits = [], []
+
+    def start_second():
+        link.start_flow(world, 3000, lambda: done.append((world.now, 2)))
+        bits.extend(link._bits)
+
+    world.schedule(due, start_second)
+    link.start_flow(world, 1020, lambda: done.append((world.now, 1)))
+    world.run()
+    assert 3e6 * (due / 1000.0) > 1020 * 8
+    assert bits == [0.0, 24000.0]
+    assert done == [(due, 1), (due + 24000 / 3e6 * 1000.0, 2)]
+
+
+def test_smaller_later_flow_finishes_first():
+    # On 10 Mbps, 10 Mb and 20 Mb flows share from 0 ms; a 1 Mb flow joins
+    # at 500 ms and finishes at 800 ms, the 10 Mb flow at 2,100 ms and the
+    # 20 Mb flow, alone, at 3,100 ms.  Each callback fires for its own flow.
+    world = World(seed=1)
+    link = _link(10.0, 0.0)
+    done = []
+
+    def start(name, megabits):
+        link.start_flow(world, megabits * 1_000_000 // 8,
+                        lambda: done.append((name, world.now)))
+
+    start("10 Mb", 10)
+    start("20 Mb", 20)
+    world.schedule(500.0, lambda: start("1 Mb", 1))
+    world.run()
+    assert [name for name, _ in done] == ["1 Mb", "10 Mb", "20 Mb"]
+    assert [at for _, at in done] == pytest.approx([800.0, 2100.0, 3100.0],
+                                                   rel=1e-12)
+    assert link._bits == [] and link._done == []
+
+
+def test_rounded_tie_goes_to_first_started_flow():
+    # At 1e9 ms on a 1 Tbps link, 16 and 8 bits take 3.2e-8 and 1.6e-8 ms,
+    # below half a step of the clock: both flows are due at 1e9 ms, and the
+    # one started first completes first although it has more bits.
+    world = World(seed=1)
+    link = Link("l", LinkProfile(1e12, 0.0))
+    done = []
+
+    def start():
+        for name, size in (("2 bytes", 2), ("1 byte", 1)):
+            link.start_flow(world, size, lambda name=name: done.append(name))
+
+    world.schedule(1e9, start)
+    world.run()
+    assert done == ["2 bytes", "1 byte"] and world.now == 1e9
