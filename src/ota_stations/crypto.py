@@ -16,8 +16,8 @@ digest and the signature.  Signing is memoised on each `KeyPair`, keyed by
 the payload digest: HMAC and Ed25519 (RFC 8032) are deterministic, so a
 repeated sign would give the same bytes.  Image digests are memoised per
 world on object identity (`messages.DigestMemo`), so each image buffer is
-hashed twice per world: once whole, when the build computes its manifest
-digest, and once in buckets, when its first sender splits it.  `digest`
+hashed once per world, by the build, when it computes the manifest digest;
+a bucket digest is computed only to check a foreign chunk.  `digest`
 itself keeps no state.  A failed check or a refused input is never turned
 into a pass: a verdict is memoised with the exact bytes it judged, and an
 image digest only for the build's own buffers and their split chunks.
@@ -81,11 +81,11 @@ class HmacProvider:
         return KeyPair(signer_id, secret, secret, self.scheme)
 
     def sign(self, payload_digest: bytes, key: KeyPair) -> SignatureEntry:
-        sig = hmac.new(key.private_key, payload_digest, hashlib.sha256).digest()
+        sig = hmac.digest(key.private_key, payload_digest, "sha256")
         return SignatureEntry(key.signer_id, sig)
 
     def verify(self, payload_digest: bytes, public_key: bytes, sig: bytes) -> bool:
-        want = hmac.new(public_key, payload_digest, hashlib.sha256).digest()
+        want = hmac.digest(public_key, payload_digest, "sha256")
         return hmac.compare_digest(want, sig)
 
 

@@ -120,13 +120,14 @@ class UpdateImage:
                                       compare=False)
 
     def buckets(self, memo: Optional["DigestMemo"] = None) -> tuple:
-        """The image's (index, chunk, chunk digest) buckets, split and hashed
-        on first use and shared by every later caller.  The chunks are
-        read-only views of `data` (see `split_buckets`).  The first split
-        records their digests in `memo`, the sender's world's memo, and,
-        when `memo` knows the digest of `data` (the build recorded it), that
-        digest as the digest of the split's whole image.  So no receiver in
-        that world hashes a chunk or the image again."""
+        """The image's (index, chunk, chunk digest) buckets, split on first
+        use and shared by every later caller.  The chunks are read-only
+        views of `data` and their digests are lazy (see `split_buckets`).
+        The first split records the buckets in `memo`, the sender's world's
+        memo, and, when `memo` knows the digest of `data` (the build
+        recorded it), that digest as the digest of the split's whole image.
+        So no receiver in that world hashes a genuine chunk or the image;
+        a bucket digest is computed only to check a foreign chunk."""
         if self._buckets is None:
             object.__setattr__(self, "_buckets", tuple(
                 split_buckets(self.data, self.bucket_size)))
@@ -519,12 +520,13 @@ def split_buckets(data: bytes, bucket_size: int):
     Each chunk is a read-only `memoryview` slice of `data`, not a copy, and
     the image's immutable `bytes` is the view's `.obj`.  Receivers keep
     these very chunk objects, so an image's bytes exist once per world:
-    every holder refers to the buffer the producer generated.  This is the
-    one bucket pass over an image in a world: each chunk is hashed here
-    once, and `UpdateImage.buckets` records the digests in its world's
-    `DigestMemo`, so no receiver in that world hashes the chunk again.  A
-    chunk the adversary changes is a new object, which the memo does not
-    know: it is hashed and fails its digest.
+    every holder refers to the buffer the producer generated.  No chunk is
+    hashed here: each bucket's digest is a lazy `ChunkDigest`, and
+    `UpdateImage.buckets` records the buckets in its world's `DigestMemo`,
+    so a receiver accepts the sender's own chunk by identity.  A bucket
+    digest is computed only to check a foreign chunk against it: a chunk
+    the adversary changes is a new object, which the memo does not know,
+    so it is hashed and compared with the value its genuine bucket hashes.
     """
     if bucket_size < 1:
         raise ValueError("bucket_size must be >= 1")
@@ -532,23 +534,62 @@ def split_buckets(data: bytes, bucket_size: int):
     out = []
     for i in range(0, max(len(data), 1), bucket_size):
         chunk = view[i:i + bucket_size]
-        out.append((i // bucket_size, chunk, digest(chunk)))
+        out.append((i // bucket_size, chunk, ChunkDigest(chunk)))
     return out
+
+
+class ChunkDigest:
+    """The digest of one split chunk, hashed on first use and kept.
+
+    It equals itself without hashing, so a receiver's check of a sender's
+    own bucket (the memo hands back this very object) costs nothing.
+    Compared with `bytes` or with another `ChunkDigest`, it compares
+    `value`, which hashes the chunk once.  `bytes()` gives that value.
+    """
+
+    __slots__ = ("chunk", "_value")
+
+    def __init__(self, chunk):
+        self.chunk = chunk
+        self._value: Optional[bytes] = None
+
+    @property
+    def value(self) -> bytes:
+        if self._value is None:
+            self._value = digest(self.chunk)
+        return self._value
+
+    def __eq__(self, other):
+        if other is self:
+            return True
+        if isinstance(other, ChunkDigest):
+            return self.value == other.value
+        if isinstance(other, bytes):
+            return self.value == other
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self.value)
+
+    def __bytes__(self):
+        return self.value
 
 
 class DigestMemo:
     """The SHA-256 digests of one world's image buffers, chunks and images,
     by object identity.
 
-    Each image buffer of a world is hashed once whole and once in buckets:
+    Each image buffer of a world is hashed once per world, by the build:
     `build_scenario` hashes the buffer it generated through `record_data`,
-    for the manifest digest, and the first split of it (`split_buckets`,
-    through `UpdateImage.buckets`) hashes its chunks.  `record` takes the
-    buckets of that split, and records the buffer's digest as the digest
-    of the whole image they make up, keyed on the tuple of the chunks' ids.
-    Every later check is a lookup: the repository's store check
-    (`of_data`), each arriving chunk (`of_chunk`) and each whole image
-    (`of_image`).
+    for the manifest digest.  The first split of it (`split_buckets`,
+    through `UpdateImage.buckets`) hashes nothing; its bucket digests are
+    lazy `ChunkDigest`s.  `record` takes the buckets of that split, and
+    records the buffer's digest as the digest of the whole image they make
+    up, keyed on the tuple of the chunks' ids.  Every later check is a
+    lookup: the repository's store check (`of_data`), each arriving chunk
+    (`of_chunk`, which hands back the bucket's own `ChunkDigest`, equal to
+    the reply's by identity) and each whole image (`of_image`).  A bucket
+    digest is computed only to check a foreign chunk against it.
 
     Every entry holds a strong reference to its key object (buffer or
     chunk), so no other object can take its id while the memo lives.  Only
@@ -603,8 +644,9 @@ class DigestMemo:
         bucket = self._chunks.get(id(chunk))
         return bucket if bucket is not None and bucket[1] is chunk else None
 
-    def of_chunk(self, chunk) -> bytes:
-        """The digest of `chunk`."""
+    def of_chunk(self, chunk):
+        """The digest of `chunk`: its bucket's `ChunkDigest` when `chunk` is
+        a recorded split chunk, else `bytes` hashed here."""
         bucket = self._recorded(chunk)
         return bucket[2] if bucket is not None else digest(chunk)
 
@@ -637,12 +679,14 @@ class Received:
 
     Each chunk is checked against its digest when it arrives, through the
     world's `DigestMemo` (`memo`; default: an empty memo of its own): a
-    sender's own split chunk is looked up, any other chunk is hashed.  A
-    bucket whose chunk does not match its digest is not kept, and a later
-    bucket for an index replaces the earlier one.  A kept bucket is the
-    sender's own (index, chunk, digest) tuple, so its chunk stays a view of
-    the sender's image.  `complete` turns true once `absorb` has produced
-    a `Complete`.
+    sender's own split chunk is looked up and matches its own bucket's
+    digest by identity, with no hashing; any other chunk is hashed, and so
+    is the genuine chunk behind the digest it claims (once, on that
+    bucket's `ChunkDigest`).  A bucket whose chunk does not match its
+    digest is not kept, and a later bucket for an index replaces the
+    earlier one.  A kept bucket is the sender's own (index, chunk, digest)
+    tuple, so its chunk stays a view of the sender's image.  `complete`
+    turns true once `absorb` has produced a `Complete`.
     """
 
     __slots__ = ("buckets", "memo", "complete")

@@ -111,6 +111,9 @@ class Link:
 
 
 class Timer:
+    """A scheduled call's handle; `World.run` drops the call unrun, and
+    without moving the clock, once its timer is cancelled."""
+
     __slots__ = ("cancelled", "fired")
 
     def __init__(self):
@@ -169,19 +172,19 @@ class World:
 
     # -- scheduling --------------------------------------------------------
 
-    def _schedule_raw(self, at: float, fn: Callable):
+    def _schedule_raw(self, at: float, fn: Callable,
+                      timer: Optional[Timer] = None):
         self._seq += 1
-        heapq.heappush(self._heap, (at, self._seq, fn))
+        heapq.heappush(self._heap, (at, self._seq, fn, timer))
 
     def schedule(self, delay_ms: float, fn: Callable) -> Timer:
         timer = Timer()
 
         def fire():
-            if not timer.cancelled:
-                timer.fired = True
-                fn()
+            timer.fired = True
+            fn()
 
-        self._schedule_raw(self.now + delay_ms, fire)
+        self._schedule_raw(self.now + delay_ms, fire, timer)
         return timer
 
     def add_actor(self, actor: "Actor"):
@@ -233,7 +236,8 @@ class World:
         """Process events in (time, seq) order until quiescent or horizon.
 
         A reached horizon with live timers is reported via `horizon_reached`,
-        not an exception.
+        not an exception.  A cancelled timer is dropped when it comes due:
+        it neither moves the clock nor counts against the horizon.
 
         The run ends at the latest finish time a link has computed, even when
         a rebalance moved that flow's finish earlier: the clock and the
@@ -241,7 +245,9 @@ class World:
         events stayed queued until their time.
         """
         while self._heap:
-            at, _, fn = heapq.heappop(self._heap)
+            at, _, fn, timer = heapq.heappop(self._heap)
+            if timer is not None and timer.cancelled:
+                continue
             if horizon_ms is not None and at > horizon_ms:
                 self.horizon_reached = True
                 self.now = horizon_ms

@@ -1,3 +1,5 @@
+import hashlib
+import hmac
 from collections import Counter
 
 import pytest
@@ -33,6 +35,21 @@ def test_sign_verify_roundtrip(provider):
     assert entry.signer_id == "alice"
     assert verify(digest(b"payload"), entry, registry, RevocationList())
     assert not verify(digest(b"other"), entry, registry, RevocationList())
+
+
+def test_hmac_one_shot_matches_the_hmac_object():
+    provider = PROVIDERS["hmac"]
+    for seed, payload in ((b"seed", b""), (b"other", b"payload"),
+                          (b"", bytes(range(256)) * 3)):
+        key = provider.generate("alice", seed)
+        payload_digest = digest(payload)
+        want = hmac.new(key.private_key, payload_digest,
+                        hashlib.sha256).digest()
+        assert hmac.digest(key.private_key, payload_digest, "sha256") == want
+        assert provider.sign(payload_digest, key).sig == want
+        assert provider.verify(payload_digest, key.public_key, want)
+        assert not provider.verify(payload_digest, key.public_key,
+                                   bytes([want[0] ^ 1]) + want[1:])
 
 
 def test_unknown_signer_verifies_false():

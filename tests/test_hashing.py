@@ -1,8 +1,9 @@
 """How often image bytes are hashed: the build hashes each image buffer
-once whole, senders split and hash it once in buckets and share them, and
-every later check (the repository's store check, each arriving chunk, each
-whole image) looks the build's buffer or the sender's chunks up in their
-world's digest memo.  Installs reuse the digest of the bytes they install.
+once per world, senders split it once into buckets whose digests are lazy,
+and every later check (the repository's store check, each arriving chunk,
+each whole image) looks the build's buffer or the sender's chunks up in
+their world's digest memo.  A bucket digest is computed only to check a
+foreign chunk.  Installs reuse the digest of the bytes they install.
 Bytes that fail a check are hashed every time and never memoised."""
 import hashlib
 
@@ -80,6 +81,71 @@ def test_tampered_chunk_is_a_new_object_and_fails_its_digest():
     assert crypto.digest(b"".join(chunks)) == mu.theta.h
 
 
+def _count_messages_digest(monkeypatch):
+    hashed = []
+    real_digest = messages.digest
+    monkeypatch.setattr(messages, "digest",
+                        lambda data: hashed.append(data) or real_digest(data))
+    return hashed
+
+
+def test_chunk_digest_bytes_are_the_chunk_digest():
+    data = bytes(range(256)) * 700
+    for _, chunk, chunk_digest in messages.split_buckets(data, 65536):
+        assert isinstance(chunk_digest, messages.ChunkDigest)
+        assert bytes(chunk_digest) == crypto.digest(chunk)
+        assert chunk_digest == crypto.digest(chunk)
+        assert hash(chunk_digest) == hash(crypto.digest(chunk))
+    assert messages.ChunkDigest(b"") == crypto.digest(b"")
+
+
+def test_split_hashes_nothing_and_a_bucket_digest_hashes_once(monkeypatch):
+    hashed = _count_messages_digest(monkeypatch)
+    buckets = messages.split_buckets(b"x" * 200_000, 65536)
+    assert hashed == []
+    _, chunk, chunk_digest = buckets[0]
+    assert chunk_digest == chunk_digest and hashed == []
+    assert chunk_digest == messages.ChunkDigest(chunk)
+    assert bytes(chunk_digest) == crypto.digest(chunk)
+    # Each of the two digests hashed the chunk once, and keeps the value.
+    assert [len(data) for data in hashed] == [len(chunk)] * 2
+
+
+def test_flipped_bucket_with_its_genuine_digest_costs_two_bucket_hashes(
+        monkeypatch):
+    rig = Rig()
+    mu, _ = rig.seed_update("sw0", size=200_000)
+    reply = _fetch(rig, mu)
+    (action, tampered), = Adversary([AttackRule("tamper")]).intercept(
+        rig.world, reply)
+    assert action == "modify"
+    genuine = reply.payload["buckets"][0]
+    flipped = tampered.payload["buckets"][0]
+    assert flipped[2] is genuine[2]
+    hashed = _count_messages_digest(monkeypatch)
+    received = messages.Received(rig.world.digests)
+    assert received.add(tampered.payload["buckets"]) == [0]
+    # The flipped chunk and the genuine chunk behind its claimed digest,
+    # not the whole image.
+    assert len(hashed) == 2
+    assert hashed[0] is flipped[1]
+    assert hashed[1] is genuine[1]
+    assert sorted(received.buckets) == [1, 2, 3]
+
+
+def test_genuine_chunk_under_a_forged_digest_is_refused():
+    rig = Rig()
+    mu, _ = rig.seed_update("sw0", size=200_000)
+    buckets = _fetch(rig, mu).payload["buckets"]
+    index, chunk, chunk_digest = buckets[1]
+    genuine = crypto.digest(chunk)
+    forged = genuine[:-1] + bytes([genuine[-1] ^ 1])
+    received = messages.Received(rig.world.digests)
+    assert received.add([(index, chunk, forged)]) == [index]
+    assert received.add([(index, chunk, genuine)]) == []
+    assert chunk_digest == genuine and chunk_digest != forged
+
+
 def test_warm_memo_never_launders_bad_bytes(monkeypatch):
     rig = Rig()
     mu, _ = rig.seed_update("sw0", size=200_000)
@@ -96,14 +162,17 @@ def test_warm_memo_never_launders_bad_bytes(monkeypatch):
     chunks_before, images_before = dict(memo._chunks), dict(memo._images)
     assert len(chunks_before) == 8 and len(images_before) == 2
 
+    index, chunk, chunk_digest = buckets[0]
+    mutated = bytes(chunk[:-1]) + bytes([chunk[-1] ^ 1])
+    # Forging from the genuine value hashes the genuine chunk once, before
+    # the checks below are counted.
+    genuine = bytes(chunk_digest)
+    forged = bytes([genuine[0] ^ 1]) + genuine[1:]
     hashed = []
     real_digest = messages.digest
     monkeypatch.setattr(messages, "digest",
                         lambda data: hashed.append(len(data))
                         or real_digest(data))
-    index, chunk, chunk_digest = buckets[0]
-    mutated = bytes(chunk[:-1]) + bytes([chunk[-1] ^ 1])
-    forged = bytes([chunk_digest[0] ^ 1]) + chunk_digest[1:]
     for _ in range(2):
         # A mutated copy of a genuine chunk, claiming the genuine digest,
         # is hashed on every check and refused.
@@ -176,7 +245,8 @@ def _count_hashing(monkeypatch, config):
     """Build and run `config` with `digest` counted at every import site.
     Returns the scenario, the bytes hashed that lie inside an image
     (control-plane digests, over signed regions and nonces, are not
-    counted) and the bytes split into buckets."""
+    counted), those of them hashed inside `World.run`, and the bytes split
+    into buckets."""
     hashed = []
     counts = {"image": 0, "split": 0}
     real_digest, real_split = crypto.digest, messages.split_buckets
@@ -193,11 +263,17 @@ def _count_hashing(monkeypatch, config):
         monkeypatch.setattr(module, "digest", counting_digest)
     monkeypatch.setattr(messages, "split_buckets", counting_split)
     built = build_scenario(config)
+    built_hashes = len(hashed)
     built.world.run(config.horizon_ms)
     monkeypatch.undo()
     images = [item.image.data for item in built.items]
-    counts["image"] = sum(len(data) for data in hashed
-                          if any(data in image for image in images))
+
+    def image_bytes(hashed):
+        return sum(len(data) for data in hashed
+                   if any(data in image for image in images))
+
+    counts["image"] = image_bytes(hashed)
+    counts["run_image"] = image_bytes(hashed[built_hashes:])
     return built, counts
 
 
@@ -221,15 +297,23 @@ def test_each_image_byte_is_hashed_at_most_twice_per_receiving_hop(
 
 
 def test_each_distinct_image_is_hashed_once_per_world(monkeypatch):
-    """Each image buffer is hashed once whole, by the build for its
-    manifest, and once in buckets, by its first split.  The repository's
-    store check (preseeded or live-published) and every receiving hop look
-    the build's buffer, the sender's chunks and their image up in the
-    world's digest memo."""
+    """Each image buffer is hashed once, by the build for its manifest; its
+    split hashes nothing.  The repository's store check (preseeded or
+    live-published) and every receiving hop look the build's buffer, the
+    sender's chunks and their image up in the world's digest memo."""
     for live_publish in (False, True):
         built, counts = _count_hashing(
             monkeypatch, _small_config(live_publish=live_publish))
         assert built.world.install_log and not built.all_alerts()
         distinct = sum(len(item.image.data) for item in built.items)
         assert counts["split"] <= distinct
-        assert counts["image"] <= counts["split"] + distinct, live_publish
+        assert counts["image"] <= distinct, live_publish
+
+
+def test_untampered_run_hashes_no_image_byte(monkeypatch):
+    for live_publish in (False, True):
+        built, counts = _count_hashing(
+            monkeypatch, _small_config(live_publish=live_publish))
+        assert built.world.install_log and not built.all_alerts()
+        assert counts["split"] > 0
+        assert counts["run_image"] == 0, live_publish

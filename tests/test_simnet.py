@@ -115,6 +115,28 @@ def test_horizon_stops_cleanly():
     assert world.now == 100.0
 
 
+def test_cancelled_timeout_neither_moves_the_clock_nor_reaches_the_horizon():
+    # A request answered at 3.0 ms cancels its 60 s timeout; the run ends at
+    # the reply, well inside the horizon.
+    world = World(seed=1)
+    responder = Recorder("b", world)
+    responder.on_ask = lambda env: responder.reply(env, "answer", None, 0)
+
+    class Asker(Actor):
+        pass
+
+    asker = Asker("a", world)
+    answered = []
+    asker.request("b", "ask", "q", 0, _link(10.0, 1.5),
+                  on_reply=lambda env: answered.append(world.now),
+                  on_fail=lambda: answered.append("fail"),
+                  timeout_ms=60_000.0)
+    world.run(horizon_ms=30_000.0)
+    assert answered == [3.0]
+    assert not world.horizon_reached
+    assert world.now == 3.0
+
+
 def test_request_reply_and_idempotent_retransmission():
     world = World(seed=1)
     responder = Recorder("b", world)
