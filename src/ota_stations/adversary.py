@@ -172,19 +172,23 @@ def _flip(data: bytes) -> bytes:
     return bytes([data[0] ^ 0xFF]) + data[1:]
 
 
+def _flip_first_bucket(buckets) -> list:
+    """The buckets with the first one's chunk flipped; its genuine digest
+    is kept."""
+    index, chunk, chunk_digest = buckets[0]
+    return [(index, _flip(chunk), chunk_digest)] + list(buckets[1:])
+
+
 def _tamper(payload, world):
     """Flip payload bytes without fixing any signature."""
     if isinstance(payload, dict):
-        if "buckets" in payload and payload["buckets"]:
-            index, chunk, chunk_digest = payload["buckets"][0]
-            buckets = [(index, _flip(chunk), chunk_digest)]
-            buckets += list(payload["buckets"][1:])
-            return {**payload, "buckets": buckets}
-        if "items" in payload and payload["items"]:
-            mu, chunks = payload["items"][0]
-            flipped = (_flip(chunks[0]),) + tuple(chunks[1:])
-            items = [(mu, flipped)] + list(payload["items"][1:])
-            return {**payload, "items": items}
+        if payload.get("buckets"):
+            return {**payload,
+                    "buckets": _flip_first_bucket(payload["buckets"])}
+        if payload.get("items"):
+            mu, buckets = payload["items"][0]
+            items = [(mu, _flip_first_bucket(buckets))]
+            return {**payload, "items": items + list(payload["items"][1:])}
         if "bundle" in payload and isinstance(payload["bundle"], msg.Bundle):
             return {**payload, "bundle": _tamper_bundle(payload["bundle"])}
         if isinstance(payload.get("image"), msg.UpdateImage):

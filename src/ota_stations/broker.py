@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import Union
 
 from . import messages as msg
 from .crypto import KeyPair, digest, sign
@@ -32,9 +32,9 @@ class CacheEntry:
         else:
             self.size = len(self.image.data)
 
-    def buckets(self, memo: Optional[msg.DigestMemo] = None) -> tuple:
+    def buckets(self) -> tuple:
         image = self.image
-        return image if isinstance(image, tuple) else image.buckets(memo)
+        return image if isinstance(image, tuple) else image.buckets()
 
 
 class UpdateEngine(Actor):
@@ -256,8 +256,7 @@ class Station(Actor):
             return
         cached = self.cache_get(mu.theta.s, mu.tau.v)
         if cached is not None:
-            self._serve_bytes(env, mu, cached.buckets(self.world.digests),
-                              "hit")
+            self._serve_bytes(env, mu, cached.buckets(), "hit")
             return
         if min_id in self.known_models and mu.theta.s not in self.unknown_updates:
             self._miss_path(env, mu, min_id, "miss")

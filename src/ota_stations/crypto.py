@@ -14,16 +14,18 @@ the provider's pure check is memoised, on the `KeyRegistry`, keyed by the
 exact bytes it depends on: the registered (public key, scheme), the payload
 digest and the signature.  Signing is memoised on each `KeyPair`, keyed by
 the payload digest: HMAC and Ed25519 (RFC 8032) are deterministic, so a
-repeated sign would give the same bytes.  Image digests are memoised per
-world on object identity (`messages.DigestMemo`), so each image buffer is
-hashed once per world, by the build, when it computes the manifest digest;
-a bucket digest is computed only to check a foreign chunk.  `digest`
+repeated sign would give the same bytes.  An image's digest is kept on the
+object that owns its bytes: `messages.UpdateImage.data_digest`, which the
+build computes for the manifest, and the image's split, which carries it
+(`messages.split_buckets`).  So each image buffer is hashed once per
+world; a sender's own chunk and whole image are recognised by identity,
+and a bucket digest is computed only to check a foreign chunk.  `digest`
 itself keeps no state.  A failed check or a refused input is never turned
 into a pass: a verdict is memoised with the exact bytes it judged, and an
-image digest only for the build's own buffers and their split chunks.
+image digest only with the immutable bytes it was computed from.
 
-Registries, key pairs and digest memos each belong to one world, so every
-memo lives and dies with it; none lives at module level.  Simulated time
+Registries, key pairs and images each belong to one world, so every memo
+lives and dies with it; none lives at module level.  Simulated time
 charges nothing for computation, so the memos save host time only and
 leave every output unchanged.
 """

@@ -43,12 +43,12 @@ class ImageRepo(Actor):
     def store(self, image: msg.UpdateImage, manifest: msg.UpdateManifest,
               producer: str) -> str:
         """Step-1 ingestion; prior versions are retained.  The image check
-        is a lookup in the world's digest memo for a buffer the build
-        hashed, and hashes any other buffer."""
+        reads the image's own `data_digest`, which the build computed for
+        the manifest; any other image hashes its bytes here."""
         if not self.trust.signed_by(manifest.sigma, (producer,),
                                     msg.payload_digest(manifest)):
             raise RepoError("manifest not signed by the claimed producer")
-        if self.world.digests.of_data(image.data) != manifest.theta.h:
+        if image.data_digest != manifest.theta.h:
             raise RepoError("image digest does not match manifest")
         self.entries[manifest.l] = RepoEntry(manifest.l, image, manifest)
         return manifest.l
@@ -94,6 +94,5 @@ class ImageRepo(Actor):
             self.reply(env, "fetch_err", {"reason": "not_found",
                                           "l": location}, 64)
             return
-        self.reply_buckets(env, "fetch_ok",
-                           entry.image.buckets(self.world.digests), l=location)
+        self.reply_buckets(env, "fetch_ok", entry.image.buckets(), l=location)
 

@@ -10,6 +10,7 @@ signed region, so adding them never changes the digest other parties verify.
 """
 from __future__ import annotations
 
+import operator
 import struct
 from dataclasses import dataclass, field, replace
 from typing import Optional, Union
@@ -118,21 +119,32 @@ class UpdateImage:
     bucket_size: int = DEFAULT_BUCKET_SIZE
     _buckets: Optional[tuple] = field(default=None, init=False, repr=False,
                                       compare=False)
+    _digest: Optional[bytes] = field(default=None, init=False, repr=False,
+                                     compare=False)
 
-    def buckets(self, memo: Optional["DigestMemo"] = None) -> tuple:
+    @property
+    def data_digest(self) -> bytes:
+        """The digest of `data`, hashed on first use.  It is kept only when
+        `data` is immutable `bytes`; any other buffer is hashed on every
+        call.  `replace` gives a new instance, which hashes its own bytes."""
+        if self._digest is not None:
+            return self._digest
+        data_digest = digest(self.data)
+        if type(self.data) is bytes:
+            object.__setattr__(self, "_digest", data_digest)
+        return data_digest
+
+    def buckets(self) -> tuple:
         """The image's (index, chunk, chunk digest) buckets, split on first
         use and shared by every later caller.  The chunks are read-only
         views of `data` and their digests are lazy (see `split_buckets`).
-        The first split records the buckets in `memo`, the sender's world's
-        memo, and, when `memo` knows the digest of `data` (the build
-        recorded it), that digest as the digest of the split's whole image.
-        So no receiver in that world hashes a genuine chunk or the image;
+        When `data_digest` was computed before the split (the build computes
+        it for the manifest), the split carries it as the digest of its
+        whole image.  So no receiver hashes a genuine chunk or the image;
         a bucket digest is computed only to check a foreign chunk."""
         if self._buckets is None:
-            object.__setattr__(self, "_buckets", tuple(
-                split_buckets(self.data, self.bucket_size)))
-            if memo is not None:
-                memo.record(self._buckets, self.data)
+            object.__setattr__(self, "_buckets", tuple(split_buckets(
+                self.data, self.bucket_size, self._digest)))
         return self._buckets
 
 
@@ -514,43 +526,48 @@ def assert_status_fresh_at_primary(new: TimestampRecord,
 # Bucketed downloads
 # ---------------------------------------------------------------------------
 
-def split_buckets(data: bytes, bucket_size: int):
+def split_buckets(data: bytes, bucket_size: int,
+                  data_digest: Optional[bytes] = None):
     """Fixed-size chunks with per-bucket digests; concatenation is identity.
 
     Each chunk is a read-only `memoryview` slice of `data`, not a copy, and
     the image's immutable `bytes` is the view's `.obj`.  Receivers keep
     these very chunk objects, so an image's bytes exist once per world:
     every holder refers to the buffer the producer generated.  No chunk is
-    hashed here: each bucket's digest is a lazy `ChunkDigest`, and
-    `UpdateImage.buckets` records the buckets in its world's `DigestMemo`,
-    so a receiver accepts the sender's own chunk by identity.  A bucket
-    digest is computed only to check a foreign chunk against it: a chunk
-    the adversary changes is a new object, which the memo does not know,
-    so it is hashed and compared with the value its genuine bucket hashes.
+    hashed here: each bucket's digest is a lazy `ChunkDigest` of its chunk,
+    and all of them share the split's (chunks, `data_digest`) pair, so a
+    receiver accepts the sender's own chunk by identity (`Received.add`)
+    and the sender's whole image by that digest (`image_digest`).
+    `data_digest` is the digest of `data` when `data` is immutable `bytes`,
+    and None otherwise or when unknown.  A chunk the adversary changes is a new object, so it is
+    hashed and compared with the value its genuine bucket hashes.  The
+    split refers to the bytes, never to the image holding them.
     """
     if bucket_size < 1:
         raise ValueError("bucket_size must be >= 1")
     view = memoryview(data).toreadonly()
-    out = []
-    for i in range(0, max(len(data), 1), bucket_size):
-        chunk = view[i:i + bucket_size]
-        out.append((i // bucket_size, chunk, ChunkDigest(chunk)))
-    return out
+    chunks = tuple(view[i:i + bucket_size]
+                   for i in range(0, max(len(data), 1), bucket_size))
+    split = (chunks, data_digest)
+    return [(i, chunk, ChunkDigest(chunk, split))
+            for i, chunk in enumerate(chunks)]
 
 
 class ChunkDigest:
-    """The digest of one split chunk, hashed on first use and kept.
+    """The digest of one split chunk, hashed on first use and kept, and the
+    (chunks, digest of their concatenation) pair of the split it came from.
 
     It equals itself without hashing, so a receiver's check of a sender's
-    own bucket (the memo hands back this very object) costs nothing.
-    Compared with `bytes` or with another `ChunkDigest`, it compares
-    `value`, which hashes the chunk once.  `bytes()` gives that value.
+    own bucket costs nothing.  Compared with `bytes` or with another
+    `ChunkDigest`, it compares `value`, which hashes the chunk once.
+    `bytes()` gives that value.
     """
 
-    __slots__ = ("chunk", "_value")
+    __slots__ = ("chunk", "split", "_value")
 
-    def __init__(self, chunk):
+    def __init__(self, chunk, split: tuple = ((), None)):
         self.chunk = chunk
+        self.split = split
         self._value: Optional[bytes] = None
 
     @property
@@ -575,88 +592,18 @@ class ChunkDigest:
         return self.value
 
 
-class DigestMemo:
-    """The SHA-256 digests of one world's image buffers, chunks and images,
-    by object identity.
-
-    Each image buffer of a world is hashed once per world, by the build:
-    `build_scenario` hashes the buffer it generated through `record_data`,
-    for the manifest digest.  The first split of it (`split_buckets`,
-    through `UpdateImage.buckets`) hashes nothing; its bucket digests are
-    lazy `ChunkDigest`s.  `record` takes the buckets of that split, and
-    records the buffer's digest as the digest of the whole image they make
-    up, keyed on the tuple of the chunks' ids.  Every later check is a
-    lookup: the repository's store check (`of_data`), each arriving chunk
-    (`of_chunk`, which hands back the bucket's own `ChunkDigest`, equal to
-    the reply's by identity) and each whole image (`of_image`).  A bucket
-    digest is computed only to check a foreign chunk against it.
-
-    Every entry holds a strong reference to its key object (buffer or
-    chunk), so no other object can take its id while the memo lives.  Only
-    immutable `bytes` buffers and read-only views of them are recorded, so
-    a recorded digest stays the digest of those bytes.  Anything else, such
-    as a chunk or image the adversary rebuilt or a `bytearray`, is hashed
-    on every call and never recorded, so a refused input is never memoised.
-
-    A world owns one memo (`World.digests`); it never outlives its world.
-    Simulated time charges nothing for hashing, so the memo saves host time
-    only and changes no output.
-    """
-
-    __slots__ = ("_data", "_chunks", "_images")
-
-    def __init__(self):
-        self._data: dict = {}     # id(buffer) -> (buffer, digest)
-        self._chunks: dict = {}   # id(chunk) -> (index, chunk, chunk digest)
-        self._images: dict = {}   # chunk ids -> digest of their concatenation
-
-    def record_data(self, data: bytes) -> bytes:
-        """The digest of `data`, hashed here; an immutable `bytes` buffer is
-        recorded with it, so every later `of_data` and the split of `data`
-        look it up."""
-        data_digest = digest(data)
-        if type(data) is bytes:
-            self._data[id(data)] = (data, data_digest)
-        return data_digest
-
-    def _recorded_data(self, data) -> Optional[bytes]:
-        entry = self._data.get(id(data))
-        return entry[1] if entry is not None and entry[0] is data else None
-
-    def of_data(self, data) -> bytes:
-        """The digest of the buffer `data`."""
-        data_digest = self._recorded_data(data)
-        return data_digest if data_digest is not None else digest(data)
-
-    def record(self, buckets, data: bytes) -> None:
-        """Record the buckets of a split of `data`, and the digest of `data`
-        for the whole image they make up when the memo knows it."""
-        if type(data) is not bytes:
-            return
-        for bucket in buckets:
-            self._chunks[id(bucket[1])] = bucket
-        data_digest = self._recorded_data(data)
-        if data_digest is not None:
-            self._images[tuple(id(chunk) for _, chunk, _ in buckets)] = \
-                data_digest
-
-    def _recorded(self, chunk) -> Optional[tuple]:
-        bucket = self._chunks.get(id(chunk))
-        return bucket if bucket is not None and bucket[1] is chunk else None
-
-    def of_chunk(self, chunk):
-        """The digest of `chunk`: its bucket's `ChunkDigest` when `chunk` is
-        a recorded split chunk, else `bytes` hashed here."""
-        bucket = self._recorded(chunk)
-        return bucket[2] if bucket is not None else digest(chunk)
-
-    def of_image(self, chunks) -> bytes:
-        """The digest of the concatenation of `chunks`: looked up when they
-        are a recorded split, else computed while the chunks are joined."""
-        image_digest = self._images.get(tuple(map(id, chunks)))
-        if image_digest is None:
-            image_digest = digest(b"".join(chunks))
-        return image_digest
+def image_digest(buckets) -> bytes:
+    """The digest of the concatenated chunks of (index, chunk, digest)
+    `buckets`: the split's digest, unhashed, when the chunks are in order
+    every chunk of one split (by identity: `==` would compare a view's
+    contents), else computed while the chunks are joined."""
+    if buckets and isinstance(buckets[0][2], ChunkDigest):
+        chunks, data_digest = buckets[0][2].split
+        if data_digest is not None and len(chunks) == len(buckets) \
+                and all(map(operator.is_, chunks,
+                            (chunk for _, chunk, _ in buckets))):
+            return data_digest
+    return digest(b"".join(chunk for _, chunk, _ in buckets))
 
 
 @dataclass(frozen=True)
@@ -677,23 +624,20 @@ class Resume:
 class Received:
     """The verified buckets of one download, by bucket index.
 
-    Each chunk is checked against its digest when it arrives, through the
-    world's `DigestMemo` (`memo`; default: an empty memo of its own): a
-    sender's own split chunk is looked up and matches its own bucket's
-    digest by identity, with no hashing; any other chunk is hashed, and so
-    is the genuine chunk behind the digest it claims (once, on that
-    bucket's `ChunkDigest`).  A bucket whose chunk does not match its
-    digest is not kept, and a later bucket for an index replaces the
-    earlier one.  A kept bucket is the sender's own (index, chunk, digest)
+    Each chunk is checked against its digest when it arrives: a sender's
+    own split chunk matches its own bucket's digest by identity, with no
+    hashing; any other chunk is hashed, and so is the genuine chunk behind
+    the digest it claims (once, on that bucket's `ChunkDigest`).  A bucket
+    whose chunk does not match its digest is not kept, and a later bucket
+    for an index replaces the earlier one.  A kept bucket is the sender's own (index, chunk, digest)
     tuple, so its chunk stays a view of the sender's image.  `complete`
     turns true once `absorb` has produced a `Complete`.
     """
 
-    __slots__ = ("buckets", "memo", "complete")
+    __slots__ = ("buckets", "complete")
 
-    def __init__(self, memo: Optional[DigestMemo] = None):
+    def __init__(self):
         self.buckets: dict = {}   # index -> (index, chunk, chunk digest)
-        self.memo = DigestMemo() if memo is None else memo
         self.complete = False
 
     def add(self, buckets) -> list:
@@ -702,7 +646,9 @@ class Received:
         bad = []
         for bucket in buckets:
             index, chunk, chunk_digest = bucket
-            if self.memo.of_chunk(chunk) == chunk_digest:
+            if (isinstance(chunk_digest, ChunkDigest)
+                    and chunk_digest.chunk is chunk) \
+                    or digest(chunk) == chunk_digest:
                 self.buckets[index] = bucket
             else:
                 bad.append(index)
@@ -742,12 +688,12 @@ def assemble_buckets(buckets_received, mu: UpdateManifest,
 
     Returns Complete, holding the verified buckets themselves, once every
     bucket is present and the full-package digest matches the manifest.
-    For a sender's own split that digest is a lookup in the `Received`'s
-    memo, and the chunks are never joined; any other set of chunks is
-    joined and hashed.  Otherwise returns Resume with the first missing
-    index.  Raises IntegrityError when a listed chunk does not match its
-    digest, or when all buckets are present but the full-package digest
-    does not match (restart from bucket 0).
+    For a sender's whole split that digest is the split's own
+    (`image_digest`), and the chunks are never joined; any other set of
+    chunks is joined and hashed.  Otherwise returns Resume with the first
+    missing index.  Raises IntegrityError when a listed chunk does not
+    match its digest, or when all buckets are present but the full-package
+    digest does not match (restart from bucket 0).
     """
     received = buckets_received
     if not isinstance(received, Received):
@@ -759,7 +705,7 @@ def assemble_buckets(buckets_received, mu: UpdateManifest,
     if total is not None and next_missing < total:
         return Resume(next_missing)
     buckets = tuple(received.buckets[i] for i in range(next_missing))
-    data_digest = received.memo.of_image([chunk for _, chunk, _ in buckets])
+    data_digest = image_digest(buckets)
     if data_digest == mu.theta.h:
         return Complete(buckets, data_digest)
     if total is not None:

@@ -443,14 +443,14 @@ def build_scenario(config: ScenarioConfig) -> Scenario:
         data = body_rng.randbytes(size)
         version = 2
         location = location_for("repo0", software, version)
-        data_digest = world.digests.record_data(data)
+        image = msg.UpdateImage(software, data, config.bucket_size)
+        data_digest = image.data_digest
         theta = msg.MetaRecord(data_digest, ecu, software)
         mu = msg.UpdateManifest(location, theta,
                                 msg.TimestampRecord(2, version))
         producer = sorted(producer_ids)[i % len(producer_ids)]
         mu = msg.sign_message(mu, keys[producer])
         served = i < served_count
-        image = msg.UpdateImage(software, data, config.bucket_size)
         items.append(SoftwareItem(software, ecu, version, image, mu, served,
                                   labels[i] if served else "cellular"))
         truth[software] = (version, data_digest)

@@ -167,8 +167,6 @@ class World:
         self.install_log: list = []
         # Latest finish time any link has computed, armed or not (see run).
         self._latest_eta = 0.0
-        # The digests of this world's image chunks and images.
-        self.digests = msg.DigestMemo()
 
     # -- scheduling --------------------------------------------------------
 
@@ -436,17 +434,17 @@ class Actor:
         ("fetch") or a station ("serve"); vehicles, stations and the
         director all download this way.  Each request of `kind` is `size`
         bytes: `payload` plus the first bucket index missing from `received`
-        (default: a fresh `Received` on the world's digest memo).  Each
-        `<kind>_ok` reply's buckets are verified and kept there; a corrupt
-        image restarts at bucket 0.  A download makes at most FETCH_RETRIES
-        re-requests, none once cancelled.
+        (default: a fresh `Received`).  Each `<kind>_ok` reply's buckets are
+        verified and kept there; a corrupt image restarts at bucket 0.  A
+        download makes at most FETCH_RETRIES re-requests, none once
+        cancelled.
 
         Calls `on_done` with the `Complete` verified image, or `on_error`
         with "download_failed" (request timed out), "download" (refused) or
         "integrity" (retries exhausted).
         """
         if received is None:
-            received = msg.Received(self.world.digests)
+            received = msg.Received()
         download = _Download(self, dst, link, kind, payload, size, mu,
                              on_done, on_error, timeout_ms, retries, received)
         download.pull(0)

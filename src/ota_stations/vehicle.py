@@ -21,7 +21,7 @@ PRIMARY_ECU = "primary"
 
 def group_digest(items, data_digests) -> bytes:
     """Digest binding an all-or-nothing install group: (manifest, image
-    chunks) pairs destined to one ECU, given the digests of their bytes."""
+    buckets) pairs destined to one ECU, given the digests of their bytes."""
     acc = b"group"
     for (mu, _), data_digest in zip(items, data_digests):
         acc += msg.payload_digest(mu) + data_digest
@@ -34,9 +34,9 @@ class PendingItem:
     bundle: msg.Bundle
     # The buckets every download of this item verified.
     received: msg.Received
-    # The verified image: the sender's chunks in order, never joined.
-    chunks: Optional[tuple] = None
-    data_digest: Optional[bytes] = None    # digest of the chunks' bytes
+    # The verified image: the sender's buckets in order, never joined.
+    buckets: Optional[tuple] = None
+    data_digest: Optional[bytes] = None    # digest of the buckets' bytes
     installed: bool = False
     download: Optional[object] = None      # this item's latest download
 
@@ -222,7 +222,7 @@ class VehiclePrimary(Actor):
         if fresh:
             for mu, bundle in fresh:
                 self.pending[(mu.theta.s, mu.tau.v)] = PendingItem(
-                    mu, bundle, msg.Received(self.world.digests))
+                    mu, bundle, msg.Received())
             self._arm_image_deadline()
             self._start_downloads()
 
@@ -307,7 +307,7 @@ class VehiclePrimary(Actor):
                 self._station_queue.remove(item)
             if result is not None:
                 self._image_complete(item, result)
-            elif item.chunks is None:
+            elif item.buckets is None:
                 self._cellular(item)
             self._station_next()
 
@@ -334,14 +334,14 @@ class VehiclePrimary(Actor):
     # -- install push (step 10) --------------------------------------------
 
     def _image_complete(self, item: PendingItem, result: msg.Complete):
-        if item.chunks is not None:
+        if item.buckets is not None:
             return  # already completed by another download
-        item.chunks = tuple(chunk for _, chunk, _ in result.buckets)
+        item.buckets = result.buckets
         item.data_digest = result.data_digest
         ecu = item.mu.theta.e
         group = [p for p in self.pending.values()
                  if p.bundle is item.bundle and p.mu.theta.e == ecu]
-        if any(p.chunks is None for p in group):
+        if any(p.buckets is None for p in group):
             return
         if ecu == PRIMARY_ECU:
             self.world.schedule(self.flash_latency_ms,
@@ -362,10 +362,11 @@ class VehiclePrimary(Actor):
     def _push_group(self, ecu, bundle, group):
         name, link = self.secondaries[ecu]
         ordered = sorted(group, key=lambda p: p.mu.theta.s)
-        items = tuple((p.mu, p.chunks) for p in ordered)
+        items = tuple((p.mu, p.buckets) for p in ordered)
         entry = sign(group_digest(items, [p.data_digest for p in ordered]),
                      self.key)
-        size = sum(len(chunk) for _, chunks in items for chunk in chunks) + 256
+        size = sum(len(chunk) for _, buckets in items
+                   for _, chunk, _ in buckets) + 256
         self.request(name, "install_group",
                      {"bundle": bundle, "items": items, "group_sig": entry},
                      size, link,
@@ -405,7 +406,7 @@ class VehiclePrimary(Actor):
             self._fallback_used = True
             self._station_queue = []
             for item in stuck:
-                if item.chunks is None:
+                if item.buckets is None:
                     self._cellular(item)
             self._arm_image_deadline()
             return
@@ -507,12 +508,11 @@ class SecondaryEcu(Actor):
         bundle = env.payload["bundle"]
         items = env.payload["items"]
         entry = env.payload["group_sig"]
-        # Each image's digest comes from the world's memo (the primary's
-        # chunks are the sender's split) or is computed here; the group
-        # signature, the manifest check and the install log all use these
-        # digests of the same bytes.
-        data_digests = [self.world.digests.of_image(chunks)
-                        for _, chunks in items]
+        # Each image's digest is its split's own when the primary's buckets
+        # are the sender's whole split, and is computed here otherwise; the
+        # group signature, the manifest check and the install log all use
+        # these digests of the same bytes.
+        data_digests = [msg.image_digest(buckets) for _, buckets in items]
         reason = self._validate_group(bundle, items, data_digests, entry)
         if reason is not None:
             self.reply(env, "install_err", {"reason": reason}, 64)

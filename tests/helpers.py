@@ -41,14 +41,14 @@ class Rig:
                     size=1000):
         data = bytes((software + str(version)).encode() * 1)[:1] * size
         location = location_for("repo0", software, version)
-        # As `build_scenario` does, the image buffer is hashed once through
-        # the world's digest memo, which records it.
-        theta = msg.MetaRecord(self.world.digests.record_data(data), ecu,
-                               software, tuple(deps))
+        # As `build_scenario` does, the image hashes its buffer once and
+        # keeps the digest.
+        image = msg.UpdateImage(software, data, 65536)
+        theta = msg.MetaRecord(image.data_digest, ecu, software, tuple(deps))
         mu = msg.UpdateManifest(location, theta,
                                 msg.TimestampRecord(version, version))
         mu = msg.sign_message(mu, self.keys["producer0"])
-        return mu, msg.UpdateImage(software, data, 65536)
+        return mu, image
 
     def seed_update(self, software, version=2, ecu="primary", deps=(),
                     size=1000):

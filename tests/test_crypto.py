@@ -287,12 +287,17 @@ def test_repeated_scenario_does_the_same_crypto_and_codec_work(monkeypatch):
         report = collect_report(built)
         work.append((report.install_count, dict(counting.calls),
                      encodes["region"], encodes["sha256_bytes"]))
-        # The world's digest memo knows only this world's images.
+        # Each image keeps its own digest, and every split this world made
+        # holds only views of this world's images.
         images = {id(item.image.data) for item in built.items}
-        chunks = [chunk for _, chunk, _ in built.world.digests._chunks.values()]
-        assert chunks and all(id(chunk.obj) in images for chunk in chunks)
-        buffers = {id(data) for data, _ in built.world.digests._data.values()}
-        assert buffers == images
+        assert all(item.image._digest == item.manifest.theta.h
+                   for item in built.items)
+        splits = [chunk_digest.split for item in built.items
+                  for _, _, chunk_digest in item.image._buckets or ()]
+        assert splits and all(id(chunk.obj) in images
+                              and split_digest is not None
+                              for chunks, split_digest in splits
+                              for chunk in chunks)
     assert work[0] == work[1]
     installs, calls, regions, hashed = work[0]
     assert installs > 0 and calls["verify"] > 0 and calls["sign"] > 0

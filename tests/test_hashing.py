@@ -1,10 +1,12 @@
 """How often image bytes are hashed: the build hashes each image buffer
-once per world, senders split it once into buckets whose digests are lazy,
-and every later check (the repository's store check, each arriving chunk,
-each whole image) looks the build's buffer or the sender's chunks up in
-their world's digest memo.  A bucket digest is computed only to check a
+once per world and the image keeps that digest; senders split it once into
+buckets whose digests are lazy and share the split's chunks and image
+digest.  Every later check reads those: the repository's store check reads
+the image's digest, an arriving chunk matches its own bucket's digest by
+identity, and a whole image that is, in order, every chunk of one split
+gets the split's digest.  A bucket digest is computed only to check a
 foreign chunk.  Installs reuse the digest of the bytes they install.
-Bytes that fail a check are hashed every time and never memoised."""
+Bytes that fail a check are hashed every time and never kept."""
 import hashlib
 
 import pytest
@@ -72,13 +74,17 @@ def test_tampered_chunk_is_a_new_object_and_fails_its_digest():
     assert crypto.digest(chunk) != chunk_digest
     assert messages.Received().add(tampered.payload["buckets"]) == [index]
 
-    # An install group the primary pushes: the first chunk is flipped.
-    chunks = tuple(chunk for _, chunk, _ in reply.payload["buckets"])
-    mutated = _tamper({"items": ((mu, chunks),)}, rig.world)
+    # An install group the primary pushes: the first chunk is flipped and
+    # keeps its genuine digest.
+    buckets = reply.payload["buckets"]
+    mutated = _tamper({"items": ((mu, buckets),)}, rig.world)
     (_, flipped), = mutated["items"]
-    assert flipped[0] is not chunks[0] and flipped[1:] == chunks[1:]
-    assert crypto.digest(b"".join(flipped)) != mu.theta.h
-    assert crypto.digest(b"".join(chunks)) == mu.theta.h
+    assert flipped[0][1] is not buckets[0][1]
+    assert flipped[0][2] is buckets[0][2]
+    assert all(a is b for a, b in zip(flipped[1:], buckets[1:]))
+    assert crypto.digest(b"".join(c for _, c, _ in flipped)) != mu.theta.h
+    assert crypto.digest(b"".join(c for _, c, _ in buckets)) == mu.theta.h
+    assert messages.image_digest(flipped) != mu.theta.h
 
 
 def _count_messages_digest(monkeypatch):
@@ -123,7 +129,7 @@ def test_flipped_bucket_with_its_genuine_digest_costs_two_bucket_hashes(
     flipped = tampered.payload["buckets"][0]
     assert flipped[2] is genuine[2]
     hashed = _count_messages_digest(monkeypatch)
-    received = messages.Received(rig.world.digests)
+    received = messages.Received()
     assert received.add(tampered.payload["buckets"]) == [0]
     # The flipped chunk and the genuine chunk behind its claimed digest,
     # not the whole image.
@@ -140,7 +146,7 @@ def test_genuine_chunk_under_a_forged_digest_is_refused():
     index, chunk, chunk_digest = buckets[1]
     genuine = crypto.digest(chunk)
     forged = genuine[:-1] + bytes([genuine[-1] ^ 1])
-    received = messages.Received(rig.world.digests)
+    received = messages.Received()
     assert received.add([(index, chunk, forged)]) == [index]
     assert received.add([(index, chunk, genuine)]) == []
     assert chunk_digest == genuine and chunk_digest != forged
@@ -150,17 +156,13 @@ def test_warm_memo_never_launders_bad_bytes(monkeypatch):
     rig = Rig()
     mu, _ = rig.seed_update("sw0", size=200_000)
     other_mu, _ = rig.seed_update("xw0", size=200_000)
-    memo = rig.world.digests
     buckets = _fetch(rig, mu).payload["buckets"]
     other_buckets = _fetch(rig, other_mu).payload["buckets"]
-    # Warm the memo: each split recorded its chunks and its whole image,
-    # and a genuine download verifies from it.
-    warm = messages.Received(memo)
+    # A genuine download verifies from the split's own digests.
+    warm = messages.Received()
     assert warm.add(buckets) == []
     assert isinstance(messages.assemble_buckets(warm, mu, total=4),
                       messages.Complete)
-    chunks_before, images_before = dict(memo._chunks), dict(memo._images)
-    assert len(chunks_before) == 8 and len(images_before) == 2
 
     index, chunk, chunk_digest = buckets[0]
     mutated = bytes(chunk[:-1]) + bytes([chunk[-1] ^ 1])
@@ -168,37 +170,66 @@ def test_warm_memo_never_launders_bad_bytes(monkeypatch):
     # the checks below are counted.
     genuine = bytes(chunk_digest)
     forged = bytes([genuine[0] ^ 1]) + genuine[1:]
-    hashed = []
-    real_digest = messages.digest
-    monkeypatch.setattr(messages, "digest",
-                        lambda data: hashed.append(len(data))
-                        or real_digest(data))
+    hashed = _count_messages_digest(monkeypatch)
     for _ in range(2):
         # A mutated copy of a genuine chunk, claiming the genuine digest,
         # is hashed on every check and refused.
-        assert messages.Received(memo).add(
+        assert messages.Received().add(
             [(index, mutated, chunk_digest)]) == [index]
-        # A genuine chunk under a forged claimed digest is refused.
-        assert messages.Received(memo).add([(index, chunk, forged)]) == [index]
-    assert hashed == [len(mutated)] * 2
+        # A genuine chunk under a forged `bytes` digest is hashed, since
+        # only its own bucket's digest matches it by identity, and refused.
+        assert messages.Received().add([(index, chunk, forged)]) == [index]
+    assert [id(data) for data in hashed] == [id(mutated), id(chunk)] * 2
 
     # Another image's genuine chunks pass their own digests but do not make
     # up this manifest's image.
-    mixed = messages.Received(memo)
+    mixed = messages.Received()
     assert mixed.add(other_buckets) == []
     with pytest.raises(messages.IntegrityError):
         messages.assemble_buckets(mixed, mu, total=4)
     # An install group whose first chunk was flipped hashes afresh.
-    chunks = tuple(c for _, c, _ in buckets)
-    flipped = (mutated,) + chunks[1:]
-    assert memo.of_image(flipped) != mu.theta.h
-    assert memo.of_image(chunks) == mu.theta.h
+    flipped = [(index, mutated, chunk_digest)] + list(buckets[1:])
+    assert messages.image_digest(flipped) != mu.theta.h
+    assert messages.image_digest(buckets) == mu.theta.h
 
-    # No refused chunk and no image holding one was recorded.
-    assert memo._chunks == chunks_before
-    assert id(mutated) not in memo._chunks
-    assert all(id(mutated) not in key for key in memo._images)
-    assert len(memo._images) == 2   # this image and the other one
+    # No refused chunk reached the split, nor changed a kept digest.
+    chunks, data_digest = chunk_digest.split
+    assert data_digest == mu.theta.h and len(chunks) == 4
+    assert all(a is b for a, (_, b, _) in zip(chunks, buckets))
+    assert bytes(chunk_digest) == genuine
+
+
+def _distinct_split():
+    """A manifest and the buckets of its image, whose chunks all differ."""
+    image = messages.UpdateImage("sw0", bytes(range(251)) * 800, 65536)
+    mu = messages.UpdateManifest(
+        "repo0/sw0/2", messages.MetaRecord(image.data_digest, "primary",
+                                           "sw0"),
+        messages.TimestampRecord(1, 1))
+    return mu, image.buckets()
+
+
+def test_reordered_split_is_not_given_the_split_digest(monkeypatch):
+    mu, buckets = _distinct_split()
+    assert len(buckets) == 4 and buckets[1][1] != buckets[2][1]
+    swapped = [buckets[0], (1,) + buckets[2][1:], (2,) + buckets[1][1:],
+               buckets[3]]
+    hashed = _count_messages_digest(monkeypatch)
+    received = messages.Received()
+    # Every bucket still matches its own digest by identity.
+    assert received.add(swapped) == [] and hashed == []
+    with pytest.raises(messages.IntegrityError):
+        messages.assemble_buckets(received, mu, total=4)
+    assert [len(data) for data in hashed] == [251 * 800]
+
+
+def test_prefix_of_a_split_is_not_given_the_split_digest():
+    mu, buckets = _distinct_split()
+    assert messages.image_digest(buckets) == mu.theta.h
+    for n in range(1, len(buckets)):
+        prefix = buckets[:n]
+        assert messages.image_digest(prefix) == crypto.digest(
+            b"".join(chunk for _, chunk, _ in prefix)) != mu.theta.h
 
 
 def _small_config(**kwargs):
@@ -219,8 +250,8 @@ def test_install_log_records_digest_of_installed_bytes():
         def install_local(group, primary=primary, original=original):
             for p in group:
                 flashed.append((primary.vin, vehicle.PRIMARY_ECU,
-                                p.mu.theta.s,
-                                hashlib.sha256(b"".join(p.chunks)).digest()))
+                                p.mu.theta.s, hashlib.sha256(b"".join(
+                                    c for _, c, _ in p.buckets)).digest()))
             original(group)
         primary._install_local = install_local
     for secondaries in built.secondaries.values():
@@ -228,9 +259,10 @@ def test_install_log_records_digest_of_installed_bytes():
             original = ecu._flash
 
             def flash(env, items, data_digests, ecu=ecu, original=original):
-                for mu, chunks in items:
+                for mu, buckets in items:
                     flashed.append((ecu.vin, ecu.ecu, mu.theta.s,
-                                    hashlib.sha256(b"".join(chunks)).digest()))
+                                    hashlib.sha256(b"".join(
+                                        c for _, c, _ in buckets)).digest()))
                 original(env, items, data_digests)
             ecu._flash = flash
     built.world.run(built.config.horizon_ms)
@@ -255,9 +287,9 @@ def _count_hashing(monkeypatch, config):
         hashed.append(data)
         return real_digest(data)
 
-    def counting_split(data, bucket_size):
+    def counting_split(data, *args):
         counts["split"] += len(data)
-        return real_split(data, bucket_size)
+        return real_split(data, *args)
 
     for module in DIGEST_SITES:
         monkeypatch.setattr(module, "digest", counting_digest)
@@ -299,8 +331,8 @@ def test_each_image_byte_is_hashed_at_most_twice_per_receiving_hop(
 def test_each_distinct_image_is_hashed_once_per_world(monkeypatch):
     """Each image buffer is hashed once, by the build for its manifest; its
     split hashes nothing.  The repository's store check (preseeded or
-    live-published) and every receiving hop look the build's buffer, the
-    sender's chunks and their image up in the world's digest memo."""
+    live-published) reads the image's kept digest, and every receiving hop
+    matches the sender's chunks and whole split by identity."""
     for live_publish in (False, True):
         built, counts = _count_hashing(
             monkeypatch, _small_config(live_publish=live_publish))

@@ -1,9 +1,11 @@
+from dataclasses import replace
+
 import pytest
 
 from helpers import Rig, VIN
 from ota_stations import messages as msg
-from ota_stations.adversary import AttackRule
-from ota_stations.crypto import KeyPair
+from ota_stations.adversary import AttackRule, _flip
+from ota_stations.crypto import KeyPair, digest
 from ota_stations.image_repo import RepoError, location_for
 from ota_stations.scenario import ScenarioConfig, build_scenario
 from ota_stations.simnet import Envelope
@@ -26,20 +28,24 @@ def test_store_validates_producer_signature_and_digest():
     assert location == mu.l
 
 
+def _count_image_hashes(monkeypatch, size):
+    """The inputs of SHA-256 in `messages` that are `size` bytes long."""
+    hashed = []
+    real_digest = msg.digest
+    monkeypatch.setattr(msg, "digest", lambda data: (
+        len(data) == size and hashed.append(data)) or real_digest(data))
+    return hashed
+
+
 def test_warm_memo_never_launders_a_bad_stored_image(monkeypatch):
     rig = Rig()
     mu, image = rig.make_update("sw0", size=200_000)
-    memo = rig.world.digests
-    hashed = []   # the image-sized inputs of SHA-256
-    real_digest = msg.digest
-    monkeypatch.setattr(msg, "digest", lambda data: (
-        len(data) == len(image.data) and hashed.append(data))
-        or real_digest(data))
-    # The buffer the rig built and recorded: its store check is a lookup.
+    hashed = _count_image_hashes(monkeypatch, len(image.data))
+    # The image the rig built keeps the digest it computed for the
+    # manifest: its store check hashes nothing.
     assert rig.repo.store(image, mu, "producer0") == mu.l
     assert hashed == []
-    recorded = dict(memo._data)
-    assert [data for data, _ in recorded.values()] == [image.data]
+    assert image._digest == mu.theta.h
 
     flipped = image.data[:-1] + bytes([image.data[-1] ^ 1])
     copy = bytearray(image.data)
@@ -48,14 +54,37 @@ def test_warm_memo_never_launders_a_bad_stored_image(monkeypatch):
         with pytest.raises(RepoError):
             rig.repo.store(msg.UpdateImage("sw0", flipped, image.bucket_size),
                            mu, "producer0")
-        # The genuine bytes in a mutable buffer are hashed, not looked up.
+        # The genuine bytes in a mutable buffer are hashed, not kept.
         mutable = msg.UpdateImage("sw0", copy, image.bucket_size)
         assert rig.repo.store(mutable, mu, "producer0") == mu.l
     assert [id(data) for data in hashed] == [id(flipped), id(copy)] * 2
-    # Neither buffer was recorded, nor the split of the mutable one.
-    mutable.buckets(memo)
-    assert memo._data == recorded
-    assert not memo._chunks and not memo._images
+    # Neither the mutable image nor its split keeps a digest.
+    assert mutable._digest is None
+    assert all(chunk_digest.split[1] is None
+               for _, _, chunk_digest in mutable.buckets())
+
+
+def test_image_digest_is_the_digest_of_its_own_bytes(monkeypatch):
+    rig = Rig()
+    mu, image = rig.make_update("sw0", size=200_000)
+    assert image.data_digest == mu.theta.h
+    # The adversary's store-image tamper: `replace` carries no digest onto
+    # the flipped bytes.
+    tampered = replace(image, data=_flip(image.data))
+    assert tampered.data_digest == digest(tampered.data) != mu.theta.h
+    with pytest.raises(RepoError):
+        rig.repo.store(tampered, mu, "producer0")
+
+    # A mutable buffer is hashed on every store, so bytes changed after a
+    # store that passed are refused.
+    buffer = bytearray(image.data)
+    mutable = msg.UpdateImage("sw0", buffer, image.bucket_size)
+    hashed = _count_image_hashes(monkeypatch, len(buffer))
+    assert rig.repo.store(mutable, mu, "producer0") == mu.l
+    buffer[0] ^= 0xFF
+    with pytest.raises(RepoError):
+        rig.repo.store(mutable, mu, "producer0")
+    assert [data is buffer for data in hashed] == [True, True]
 
 
 def test_tampered_live_publish_is_refused_on_store():
@@ -69,9 +98,9 @@ def test_tampered_live_publish_is_refused_on_store():
     kinds = [rec.kind for rec in built.world.trace]
     assert "store_err" in kinds and "store_ok" not in kinds
     assert not built.repo.entries and not built.world.install_log
-    # The memo holds the build's buffers and no tampered one.
-    assert {id(data) for data, _ in built.world.digests._data.values()} \
-        == {id(item.image.data) for item in built.items}
+    # Each built image still keeps the digest of its own bytes.
+    assert all(item.image._digest == item.manifest.theta.h
+               == digest(item.image.data) for item in built.items)
 
 
 def test_prior_versions_are_retained():

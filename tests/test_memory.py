@@ -4,6 +4,7 @@ behind for the cycle collector."""
 import gc
 import tracemalloc
 import types
+import weakref
 
 from ota_stations import messages, simnet
 from ota_stations.scenario import ScenarioConfig, build_scenario
@@ -80,8 +81,8 @@ def test_image_bytes_are_shared_by_every_holder():
         for ecu in secondaries:
             def on_install_group(env, ecu=ecu,
                                  original=ecu.on_install_group):
-                pushed.extend(chunk for _, chunks in env.payload["items"]
-                              for chunk in chunks)
+                pushed.extend(chunk for _, buckets in env.payload["items"]
+                              for _, chunk, _ in buckets)
                 original(env)
             ecu.on_install_group = on_install_group
     built.world.run(built.config.horizon_ms)
@@ -92,7 +93,8 @@ def test_image_bytes_are_shared_by_every_holder():
               for entry in station.cache.values()
               for _, chunk, _ in entry.buckets()]
     kept = [chunk for primary in built.vehicles
-            for item in primary.pending.values() for chunk in item.chunks]
+            for item in primary.pending.values()
+            for _, chunk, _ in item.buckets]
     assert cached and kept and pushed
     for chunk in cached + kept + pushed:
         assert isinstance(chunk, memoryview) and chunk.readonly
@@ -142,3 +144,23 @@ def test_finished_requests_leave_no_reference_cycles():
                   and obj.__module__ == simnet.__name__)]
     assert leaked == []
     assert garbage == [], garbage[:10]
+
+
+def test_an_image_and_its_split_form_no_reference_cycle():
+    # The split refers to the image's bytes, never to the image, so an image
+    # whose buckets a download still keeps is freed by reference counting
+    # alone, and the kept buckets still carry the image's digest.
+    gc.collect()
+    gc.disable()
+    try:
+        image = messages.UpdateImage("sw0", bytes(range(251)) * 800, 65536)
+        data_digest = image.data_digest
+        received = messages.Received()
+        assert received.add(image.buckets()) == []
+        alive = weakref.ref(image)
+        del image
+        assert alive() is None
+    finally:
+        gc.enable()
+    buckets = tuple(received.buckets[i] for i in range(4))
+    assert messages.image_digest(buckets) == data_digest

@@ -268,7 +268,7 @@ def test_forged_total_does_not_stall_a_download():
 
     class Server(Actor):
         def on_fetch(self, env):
-            self.reply_buckets(env, "fetch_ok", image.buckets(world.digests))
+            self.reply_buckets(env, "fetch_ok", image.buckets())
 
     class Forger:
         """Flips bucket 1 of the first reply, so buckets 0, 2 and 3 are

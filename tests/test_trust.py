@@ -95,7 +95,7 @@ def _secondary_accepts(rig, bundle, image):
     replies = _capture(secondary)
     endorsed = msg.endorse_for_ecu(bundle, ECU,
                                    rig.keys[msg.ROLE_IDS["targets"]])
-    items = ((bundle.manifests[0], (image.data,)),)
+    items = ((bundle.manifests[0], image.buckets()),)
     entry = sign(group_digest(items, [digest(image.data)]),
                  rig.keys[f"{VIN}.primary"])
     secondary.on_install_group(Envelope(

@@ -196,9 +196,9 @@ def _secondary(rig, untrusted=False, installed_version=1):
 
 def _install_env(rig, items, bundle=None, signer=None):
     signer = signer or rig.keys[f"{VIN}.primary"]
-    entry = sign(group_digest(items, [digest(b"".join(chunks))
-                                      for _, chunks in items]),
-                 signer)
+    entry = sign(group_digest(items, [
+        digest(b"".join(chunk for _, chunk, _ in buckets))
+        for _, buckets in items]), signer)
     return Envelope(f"{VIN}.primary", f"{VIN}.sec", "install_group",
                     {"bundle": bundle, "items": items, "group_sig": entry},
                     256, rig.link("iv"), req_id=rig.world.next_req_id())
@@ -218,7 +218,7 @@ def test_secondary_installs_valid_group():
     sec = _secondary(rig)
     replies = _capture(sec)
     mu, image = rig.make_update("sw0", version=2, ecu="sec")
-    sec.on_install_group(_install_env(rig, ((mu, (image.data,)),)))
+    sec.on_install_group(_install_env(rig, ((mu, image.buckets()),)))
     rig.world.run()
     assert replies[0][0] == "install_ok"
     assert sec.installed["sw0"][0].v == 2
@@ -231,7 +231,7 @@ def test_secondary_group_is_all_or_nothing():
     replies = _capture(sec)
     good, image = rig.make_update("sw0", version=2, ecu="sec")
     bad, _ = rig.make_update("sw1", version=2, ecu="sec")
-    items = ((good, (image.data,)), (bad, (b"not the signed bytes",)))
+    items = ((good, image.buckets()), (bad, msg.split_buckets(b"not the signed bytes", 65536)))
     sec.on_install_group(_install_env(rig, items))
     rig.world.run()
     assert replies[0] == ("install_err", {"reason": "integrity"})
@@ -245,12 +245,12 @@ def test_secondary_rejects_stale_and_foreign_signer():
     sec = _secondary(rig, installed_version=3)
     replies = _capture(sec)
     mu, image = rig.make_update("sw0", version=2, ecu="sec")
-    sec.on_install_group(_install_env(rig, ((mu, (image.data,)),)))
+    sec.on_install_group(_install_env(rig, ((mu, image.buckets()),)))
     assert replies[-1] == ("install_err", {"reason": "stale"})
     mallory = rig.add_key("mallory")
     fresh, image = rig.make_update("sw0", version=9, ecu="sec")
     sec.on_install_group(
-        _install_env(rig, ((fresh, (image.data,)),), signer=mallory))
+        _install_env(rig, ((fresh, image.buckets()),), signer=mallory))
     assert replies[-1] == ("install_err", {"reason": "primary_auth"})
     assert sec.installed["sw0"][0].v == 3
 
@@ -263,10 +263,10 @@ def test_untrusted_secondary_requires_endorsed_bundle():
     bundle = msg.sign_message(
         msg.Bundle((mu,), msg.TimestampRecord(5, 1)),
         rig.keys["sud.snapshot"])
-    sec.on_install_group(_install_env(rig, ((mu, (image.data,)),), bundle))
+    sec.on_install_group(_install_env(rig, ((mu, image.buckets()),), bundle))
     assert replies[-1] == ("install_err", {"reason": "no_endorsement"})
     endorsed = msg.endorse_for_ecu(bundle, "sec", rig.keys["sud.targets"])
-    sec.on_install_group(_install_env(rig, ((mu, (image.data,)),), endorsed))
+    sec.on_install_group(_install_env(rig, ((mu, image.buckets()),), endorsed))
     rig.world.run()
     assert replies[-1][0] == "install_ok"
     assert sec.installed["sw0"][0].v == 2
