@@ -20,6 +20,8 @@ attack rule.  Unknown keys are rejected before the simulation starts.
 """
 from __future__ import annotations
 
+import hashlib
+import io
 from dataclasses import dataclass, fields
 from typing import Optional
 
@@ -372,6 +374,35 @@ def _mix_labels(config: ScenarioConfig, served_count: int) -> list:
     return labels[:served_count]
 
 
+_IMAGE_BLOCK = 64 * 1024  # most keyed bytes drawn for one image
+_IMAGE_RUN = 4096         # every run of this length ends in its offset
+
+
+def _image_bytes(key: bytes, size: int) -> bytes:
+    """`size` image bytes that depend on `key` alone.
+
+    SHAKE-128 makes a block of `min(size, 64 KiB)` bytes from the key, and
+    the block is tiled to `size`.  The last 8 bytes of every 4 KiB run are
+    then the run's offset, big-endian, so no two runs of one image are
+    equal, nor two buckets that hold a whole run.  The keyed bytes come
+    first, so images shorter than a run differ by key.  The bytes are
+    written into one buffer of exactly `size` bytes, which `getvalue` hands
+    over without a copy: the build's peak holds each image once.
+    """
+    block = hashlib.shake_128(key).digest(min(size, _IMAGE_BLOCK))
+    out = io.BytesIO()
+    out.seek(size - 1)
+    out.write(b"\0")  # sizes the buffer once, to exactly `size` bytes
+    out.seek(0)
+    for start in range(0, size, len(block)):
+        out.write(block[:size - start])
+    for stamp in range(_IMAGE_RUN - 8, size, _IMAGE_RUN):
+        out.seek(stamp)
+        run = stamp - (_IMAGE_RUN - 8)
+        out.write(run.to_bytes(8, "big")[:size - stamp])
+    return out.getvalue()
+
+
 def build_scenario(config: ScenarioConfig) -> Scenario:
     config.validate()
     world = World(seed=config.seed)
@@ -434,13 +465,12 @@ def build_scenario(config: ScenarioConfig) -> Scenario:
     labels = _mix_labels(config, served_count)
     items: list = []
     truth: dict = {}
-    body_rng = world.rng
     for i in range(config.image_count):
         software = f"sw{i}"
         ecu = ecus[i % len(ecus)]
         size = per_image if i < config.image_count - 1 \
             else config.bundle_bytes - per_image * (config.image_count - 1)
-        data = body_rng.randbytes(size)
+        data = _image_bytes(b"image:" + seed_bytes + software.encode(), size)
         version = 2
         location = location_for("repo0", software, version)
         image = msg.UpdateImage(software, data, config.bucket_size)

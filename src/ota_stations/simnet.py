@@ -152,6 +152,8 @@ class World:
 
     def __init__(self, seed: int = 0):
         self.now = 0.0
+        # Feeds only the vehicles' request nonces; image bytes are a
+        # function of (seed, software) and draw nothing from it.
         self.rng = random.Random(seed)
         self.seed = seed
         self._heap: list = []

@@ -7,7 +7,7 @@ import types
 import weakref
 
 from ota_stations import messages, simnet
-from ota_stations.scenario import ScenarioConfig, build_scenario
+from ota_stations.scenario import ScenarioConfig, _image_bytes, build_scenario
 
 
 def _cellular_config(vehicles: int) -> ScenarioConfig:
@@ -72,6 +72,22 @@ def _large_bytes(roots, min_len: int) -> list:
     `roots`."""
     return [obj for obj in _reachable(roots)
             if isinstance(obj, (bytes, bytearray)) and len(obj) >= min_len]
+
+
+def test_an_image_is_generated_without_a_second_copy():
+    # The build holds every image of a world at once, so a transient second
+    # copy while one image is made (a `join(...)[:size]` that copies, an
+    # int round trip) would show in the build's peak RSS.
+    size = 10_000_000
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        data = _image_bytes(b"image:0sw0", size)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(data) == size
+    assert peak - before < size + 128 * 1024, peak - before
 
 
 def test_image_bytes_are_shared_by_every_holder():

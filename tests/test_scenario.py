@@ -1,10 +1,12 @@
+import random
+
 import pytest
 
 from ota_stations.adversary import AttackRule
 from ota_stations.scenario import (ConfigError, ScenarioConfig,
-                                   _mix_labels, bandwidth_cost,
-                                   format_config, parse_config,
-                                   run_scenario)
+                                   _image_bytes, _mix_labels, bandwidth_cost,
+                                   build_scenario, format_config,
+                                   parse_config, run_scenario)
 
 
 # ---------------------------------------------------------------------------
@@ -92,6 +94,60 @@ def test_same_config_and_seed_give_identical_csv_bytes(tmp_path):
 def test_different_seed_changes_the_trace():
     lines = [tuple(run_scenario(_small(seed)).csv_lines()) for seed in (3, 4)]
     assert lines[0] != lines[1]
+
+
+# ---------------------------------------------------------------------------
+# Image bytes
+# ---------------------------------------------------------------------------
+
+def _images(**fields) -> list:
+    config = ScenarioConfig(vehicles=1, coverage_pct=0, **fields)
+    return [item.image.data for item in build_scenario(config).items]
+
+
+@pytest.mark.parametrize("size", [1, 7, 8, 9, 4095, 4096, 4097, 65536,
+                                  65537, 1_000_003])
+def test_image_bytes_have_exactly_the_asked_size(size):
+    data = _image_bytes(b"image:0sw0", size)
+    assert type(data) is bytes and len(data) == size
+
+
+def test_image_bytes_depend_on_seed_and_software_alone():
+    assert _image_bytes(b"k", 70_000) == _image_bytes(b"k", 70_000)
+    first = _images(seed=5, bundle_bytes=300_000, image_count=3)
+    assert _images(seed=5, bundle_bytes=300_000, image_count=3) == first
+    # A different seed changes every image, and the images of one world,
+    # named sw0..sw2, differ from each other.
+    other = _images(seed=6, bundle_bytes=300_000, image_count=3)
+    assert all(a != b for a, b in zip(first, other))
+    assert len(set(first)) == 3
+
+
+def test_one_byte_images_of_one_world_differ():
+    # Keyed bytes come first, so an image shorter than a run is keyed
+    # bytes alone; were the offset stamp first, every such image would be
+    # the zero offset.
+    images = _images(bundle_bytes=5, image_count=5)
+    assert all(len(data) == 1 for data in images)
+    assert len(set(images)) == 5
+
+
+@pytest.mark.parametrize("bucket_size", [32_768, 65_536, 262_144])
+def test_no_two_buckets_of_a_built_image_are_equal(bucket_size):
+    # Each image is 1 MB, 16 tiles of its 64 KiB keyed block.
+    config = ScenarioConfig(vehicles=1, coverage_pct=0, image_count=2,
+                            bundle_bytes=2_000_000, bucket_size=bucket_size)
+    for item in build_scenario(config).items:
+        chunks = [bytes(chunk) for _, chunk, _ in item.image.buckets()]
+        assert len(chunks) > 1 and len(set(chunks)) == len(chunks)
+
+
+def test_the_build_draws_nothing_from_the_world_rng():
+    # Only vehicle nonces consume the world's stream.
+    config = ScenarioConfig(seed=11, vehicles=2, bundle_bytes=200_000,
+                            coverage_pct=50, mix_hit=100)
+    built = build_scenario(config)
+    assert built.world.rng.getstate() == random.Random(config.seed).getstate()
 
 
 # ---------------------------------------------------------------------------
