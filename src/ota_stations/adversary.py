@@ -219,12 +219,13 @@ def _spoof(payload, key: Optional[KeyPair], world):
         return None
     if isinstance(payload, (msg.StatusReport, msg.UpdateManifest, msg.Bundle)):
         entry = sign(msg.payload_digest(payload), key)
-        return replace(payload, sigma=(entry,))
+        return msg.replace_outside_region(payload, sigma=(entry,))
     if isinstance(payload, dict) and isinstance(payload.get("bundle"),
                                                 msg.Bundle):
         bundle = payload["bundle"]
         entry = sign(msg.payload_digest(bundle), key)
-        return {**payload, "bundle": replace(bundle, sigma=(entry,))}
+        return {**payload,
+                "bundle": msg.replace_outside_region(bundle, sigma=(entry,))}
     return None
 
 

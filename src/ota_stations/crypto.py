@@ -14,9 +14,13 @@ the provider's pure check is memoised, on the `KeyRegistry`, keyed by the
 exact bytes it depends on: the registered (public key, scheme), the payload
 digest and the signature.  Signing is memoised on each `KeyPair`, keyed by
 the payload digest: HMAC and Ed25519 (RFC 8032) are deterministic, so a
-repeated sign would give the same bytes.  An image's digest is kept on the
-object that owns its bytes: `messages.UpdateImage.data_digest`, which the
-build computes for the manifest, and the image's split, which carries it
+repeated sign would give the same bytes.  A signed message keeps its
+region bytes and payload digest (`messages.payload_digest`); signatures,
+grants and endorsements lie outside the region, so appending one gives an
+instance that shares both, and each region is hashed once per world.  An
+image's digest is kept on the object that owns its bytes:
+`messages.UpdateImage.data_digest`, which the build computes for the
+manifest, and the image's split, which carries it
 (`messages.split_buckets`).  So each image buffer is hashed once per
 world; a sender's own chunk and whole image are recognised by identity,
 and a bucket digest is computed only to check a foreign chunk.  `digest`

@@ -285,8 +285,11 @@ class Director(Actor):
         record.last_tau = msg.TimestampRecord(gamma.tau.t, reply_tau.v)
         if not isinstance(gamma.r, bytes):
             record.last_full_r = tuple(gamma.r)
-            record.last_r_digest = digest(msg.signed_region(
-                msg.StatusReport(gamma.r, gamma.tau, gamma.nonce)))
+            # The vehicle keeps the digest of the report it signed, which
+            # carries no bundles; only a report with bundles is rebuilt.
+            record.last_r_digest = msg.payload_digest(
+                gamma if not gamma.bundles
+                else msg.StatusReport(gamma.r, gamma.tau, gamma.nonce))
         self.reply(env, "status_reply", reply, msg.wire_size(reply))
 
     def _entries_verified(self, vin: str, entries) -> bool:

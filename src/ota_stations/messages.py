@@ -70,6 +70,8 @@ class UpdateManifest:
     sigma: tuple = ()      # SignatureEntry list, append-only
     _region: Optional[bytes] = field(default=None, init=False, repr=False,
                                      compare=False)
+    _payload_digest: Optional[bytes] = field(default=None, init=False,
+                                             repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -91,6 +93,8 @@ class Bundle:
     ecu_sigs: tuple = ()   # (ecu_id, SignatureEntry), outside the signed region
     _region: Optional[bytes] = field(default=None, init=False, repr=False,
                                      compare=False)
+    _payload_digest: Optional[bytes] = field(default=None, init=False,
+                                             repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -110,6 +114,12 @@ class StatusReport:
     bundles: tuple = ()     # present only in director replies
     _region: Optional[bytes] = field(default=None, init=False, repr=False,
                                      compare=False)
+    _payload_digest: Optional[bytes] = field(default=None, init=False,
+                                             repr=False, compare=False)
+
+
+# The messages that keep their signed region and its digest once computed.
+_SIGNED = (UpdateManifest, Bundle, StatusReport)
 
 
 @dataclass(frozen=True)
@@ -265,10 +275,13 @@ def signed_region(msg) -> bytes:
     """Canonical bytes of the signature-covered part of a message.
 
     Signed messages are frozen, so the region of a manifest, bundle or status
-    report is encoded on first use and kept on the instance; `replace` gives
-    a new instance, which encodes afresh.
+    report is encoded on first use and kept on the instance.  Appending a
+    signature, grant or endorsement (`sign_message`, `grant_bundle`,
+    `endorse_for_ecu`) leaves the region as it was, so the new instance
+    shares these very bytes; a `replace` of any region field gives an
+    instance that encodes afresh.
     """
-    if isinstance(msg, (UpdateManifest, Bundle, StatusReport)):
+    if isinstance(msg, _SIGNED):
         if msg._region is None:
             object.__setattr__(msg, "_region", _encode_region(msg))
         return msg._region
@@ -388,6 +401,16 @@ def _decode(r: _Reader):
 
 
 def payload_digest(msg) -> bytes:
+    """The digest of `signed_region(msg)`.  A manifest, bundle or status
+    report keeps it beside its region, hashed on first use, and hands both
+    on to each instance that appends a signature, grant or endorsement to
+    it (`replace_outside_region`); a `replace` of a region field gives an
+    instance that keeps neither."""
+    if isinstance(msg, _SIGNED):
+        if msg._payload_digest is None:
+            object.__setattr__(msg, "_payload_digest",
+                               digest(signed_region(msg)))
+        return msg._payload_digest
     return digest(signed_region(msg))
 
 
@@ -399,10 +422,31 @@ def wire_size(msg) -> int:
 # Signing helpers
 # ---------------------------------------------------------------------------
 
+# The fields of a signed message that lie outside its signed region.
+_OUTSIDE_REGION = frozenset(("sigma", "grants", "ecu_sigs"))
+
+
+def replace_outside_region(msg, **outside):
+    """`msg` with some of `sigma`, `grants` and `ecu_sigs` replaced.
+
+    Those fields lie outside the signed region, as TUF and Uptane keep
+    signatures outside the "signed" part of their metadata, so the new
+    instance shares `msg`'s region bytes and payload digest.  Any other
+    field raises ValueError: changing it would change the region."""
+    if not _OUTSIDE_REGION.issuperset(outside):
+        raise ValueError(f"not outside the signed region: {sorted(outside)}")
+    # A kept digest implies a kept region; computing one keeps both.
+    region_digest = msg._payload_digest or payload_digest(msg)
+    copy = replace(msg, **outside)
+    object.__setattr__(copy, "_region", msg._region)
+    object.__setattr__(copy, "_payload_digest", region_digest)
+    return copy
+
+
 def sign_message(msg, key: KeyPair):
     """Append the signer's entry; prior entries are never removed."""
     entry = sign(payload_digest(msg), key)
-    return replace(msg, sigma=msg.sigma + (entry,))
+    return replace_outside_region(msg, sigma=msg.sigma + (entry,))
 
 
 def _grant_digest(bundle: Bundle, subject: str) -> bytes:
@@ -412,7 +456,8 @@ def _grant_digest(bundle: Bundle, subject: str) -> bytes:
 def grant_bundle(bundle: Bundle, subject: str, key: KeyPair) -> Bundle:
     """Append a download grant for `subject`, signed by `key`."""
     entry = sign(_grant_digest(bundle, subject), key)
-    return replace(bundle, grants=bundle.grants + (Grant(subject, entry),))
+    return replace_outside_region(
+        bundle, grants=bundle.grants + (Grant(subject, entry),))
 
 
 def _ecu_digest(bundle: Bundle, ecu: str) -> bytes:
@@ -421,7 +466,8 @@ def _ecu_digest(bundle: Bundle, ecu: str) -> bytes:
 
 def endorse_for_ecu(bundle: Bundle, ecu: str, key: KeyPair) -> Bundle:
     entry = sign(_ecu_digest(bundle, ecu), key)
-    return replace(bundle, ecu_sigs=bundle.ecu_sigs + ((ecu, entry),))
+    return replace_outside_region(
+        bundle, ecu_sigs=bundle.ecu_sigs + ((ecu, entry),))
 
 
 def status_entry_digest(entry: StatusEntry) -> bytes:

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import hashlib
 import io
+import struct
 from dataclasses import dataclass, fields
 from typing import Optional
 
@@ -374,32 +375,40 @@ def _mix_labels(config: ScenarioConfig, served_count: int) -> list:
     return labels[:served_count]
 
 
-_IMAGE_BLOCK = 64 * 1024  # most keyed bytes drawn for one image
-_IMAGE_RUN = 4096         # every run of this length ends in its offset
+_IMAGE_RUN = 4096  # keyed bytes drawn for one image; each run ends in its offset
 
 
 def _image_bytes(key: bytes, size: int) -> bytes:
     """`size` image bytes that depend on `key` alone.
 
-    SHAKE-128 makes a block of `min(size, 64 KiB)` bytes from the key, and
-    the block is tiled to `size`.  The last 8 bytes of every 4 KiB run are
-    then the run's offset, big-endian, so no two runs of one image are
-    equal, nor two buckets that hold a whole run.  The keyed bytes come
-    first, so images shorter than a run differ by key.  The bytes are
-    written into one buffer of exactly `size` bytes, which `getvalue` hands
-    over without a copy: the build's peak holds each image once.
+    SHAKE-128 draws one run of `min(size, 4 KiB)` bytes from the key, and
+    the run is tiled to `size` by doubling buffer copies.  The last 8 bytes
+    of every 4 KiB run are then the run's offset, big-endian, written as 8
+    strided byte columns, so no two runs of one image are equal, nor two
+    buckets that hold a whole run.  The keyed bytes come first, so images
+    shorter than a run differ by key.  The bytes are written into one
+    buffer of exactly `size` bytes, which `getvalue` hands over without a
+    copy: the build's peak holds each image once.
     """
-    block = hashlib.shake_128(key).digest(min(size, _IMAGE_BLOCK))
+    first = _IMAGE_RUN - 8  # where run 0's offset stamp starts
+    offsets = range(0, size - first, _IMAGE_RUN)
+    # Packed before the buffer exists, so the transient tuple of offsets
+    # never adds to a peak that holds the image.
+    stamps = struct.pack(f">{len(offsets)}Q", *offsets)
+    run = hashlib.shake_128(key).digest(min(size, _IMAGE_RUN))
     out = io.BytesIO()
     out.seek(size - 1)
     out.write(b"\0")  # sizes the buffer once, to exactly `size` bytes
-    out.seek(0)
-    for start in range(0, size, len(block)):
-        out.write(block[:size - start])
-    for stamp in range(_IMAGE_RUN - 8, size, _IMAGE_RUN):
-        out.seek(stamp)
-        run = stamp - (_IMAGE_RUN - 8)
-        out.write(run.to_bytes(8, "big")[:size - stamp])
+    with out.getbuffer() as buf:
+        filled = len(run)
+        buf[:filled] = run
+        while filled < size:
+            n = min(filled, size - filled)
+            buf[filled:filled + n] = buf[:n]
+            filled += n
+        for b in range(8):
+            count = len(range(first + b, size, _IMAGE_RUN))
+            buf[first + b::_IMAGE_RUN] = stamps[b:8 * count:8]
     return out.getvalue()
 
 

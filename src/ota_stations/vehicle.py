@@ -163,7 +163,7 @@ class VehiclePrimary(Actor):
         nonce = self.world.rng.randbytes(msg.NONCE_LEN)
         gamma = msg.StatusReport(r, tau, nonce)
         gamma = msg.sign_message(gamma, self.key)
-        sent_digest = None if use_digest else digest(msg.signed_region(gamma))
+        sent_digest = None if use_digest else msg.payload_digest(gamma)
         expect_nonce = digest(b"echo" + nonce)[:msg.NONCE_LEN]
         self._arm_status_deadline()
         self.request(self.sud, "status", gamma, msg.wire_size(gamma),

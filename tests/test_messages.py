@@ -205,10 +205,64 @@ def test_replace_of_cached_message_encodes_afresh():
         assert changed._region is None
         assert msg.signed_region(changed) != region
         assert msg.signed_region(changed) == _fresh_region(changed)
-        # A signature added by `replace` leaves the region as it was.
+        # An appended signature leaves the region as it was: the signed
+        # copy shares the very bytes.
         resigned = msg.sign_message(message, _key("other"))
-        assert resigned._region is None
+        assert resigned._region is region
         assert msg.signed_region(resigned) == region
+
+
+def _flip(data: bytes) -> bytes:
+    return bytes([data[0] ^ 1]) + data[1:]
+
+
+# A different value for each field of a signed region.
+_REGION_CHANGES = {
+    msg.UpdateManifest: {
+        "l": lambda m: m.l + "x",
+        "theta": lambda m: dataclasses.replace(m.theta, h=_flip(m.theta.h)),
+        "tau": lambda m: msg.TimestampRecord(m.tau.t + 1, m.tau.v),
+    },
+    msg.Bundle: {
+        "manifests": lambda b: (dataclasses.replace(
+            b.manifests[0], l=b.manifests[0].l + "x"),) + b.manifests[1:],
+        "tau": lambda b: msg.TimestampRecord(b.tau.t + 1, b.tau.v),
+    },
+    msg.StatusReport: {
+        "r": lambda g: () if isinstance(g.r, bytes) else bytes(32),
+        "tau": lambda g: msg.TimestampRecord(g.tau.t + 1, g.tau.v),
+        "nonce": lambda g: _flip(g.nonce),
+        "bundles": lambda g: g.bundles + (msg.Bundle(
+            (_manifest("z"),), msg.TimestampRecord(1, 1)),),
+    },
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(manifests(), bundles(), status_reports()), names,
+       st.sampled_from(("sign", "grant", "endorse")))
+def test_appending_keeps_the_region_and_digest_memo(message, name, append):
+    if append == "sign" or not isinstance(message, msg.Bundle):
+        result = msg.sign_message(message, _key(name))
+    elif append == "grant":
+        result = msg.grant_bundle(message, name, _key("sud.publish"))
+    else:
+        result = msg.endorse_for_ecu(message, name, _key("sud.targets"))
+    assert result != message
+    assert result._region is message._region is not None
+    assert result._payload_digest is not None
+    assert msg.payload_digest(result) == digest(_fresh_region(result))
+    for field, change in _REGION_CHANGES[type(message)].items():
+        changed = dataclasses.replace(result, **{field: change(result)})
+        assert changed._region is None and changed._payload_digest is None
+        assert msg.payload_digest(changed) != msg.payload_digest(result)
+        assert msg.payload_digest(changed) == digest(_fresh_region(changed))
+
+
+def test_only_fields_outside_the_region_are_replaced_with_the_memo():
+    mu = msg.sign_message(_manifest("s"), _key("producer0"))
+    with pytest.raises(ValueError, match="outside the signed region"):
+        msg.replace_outside_region(mu, l="repo0/s/3")
 
 
 def test_adversary_bundle_mutations_change_the_payload_digest():
@@ -231,8 +285,10 @@ def test_adversary_bundle_mutations_change_the_payload_digest():
 
 
 def test_region_memo_leaves_equality_hash_and_repr_alone():
-    for cached, plain in zip(_signed_messages(), _signed_messages()):
+    for cached in _signed_messages():
         msg.signed_region(cached)
+        # A wire decode is an equal message with no memo.
+        plain = msg.decode_message(msg.canonical_encode(cached))
         assert cached._region is not None and plain._region is None
         assert cached == plain
         assert hash(cached) == hash(plain)

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -112,6 +113,46 @@ def test_image_bytes_have_exactly_the_asked_size(size):
     assert type(data) is bytes and len(data) == size
 
 
+def _reference_image_bytes(key: bytes, size: int) -> bytes:
+    """The slow model of `_image_bytes`: one keyed 4 KiB run, tiled, and
+    each run's last 8 bytes overwritten by its offset, one run at a time."""
+    run = hashlib.shake_128(key).digest(min(size, 4096))
+    out = bytearray()
+    while len(out) < size:
+        out += run[:size - len(out)]
+    for start in range(0, size, 4096):
+        stamp = start + 4088
+        if stamp < size:
+            data = start.to_bytes(8, "big")[:size - stamp]
+            out[stamp:stamp + len(data)] = data
+    return bytes(out)
+
+
+@pytest.mark.parametrize("size", [1, 7, 8, 9, 4087, 4088, 4089, 4095, 4096,
+                                  4097, 8184, 8191, 8192, 65537, 1_000_003])
+def test_image_bytes_equal_the_reference_model(size):
+    key = b"image:0sw0"
+    assert _image_bytes(key, size) == _reference_image_bytes(key, size)
+
+
+def test_the_build_draws_at_most_one_run_per_image(monkeypatch):
+    drawn = []
+    shake_128 = hashlib.shake_128
+
+    class Counting:
+        def __init__(self, key):
+            self.xof = shake_128(key)
+
+        def digest(self, n):
+            drawn.append(n)
+            return self.xof.digest(n)
+
+    monkeypatch.setattr(hashlib, "shake_128", Counting)
+    images = _images(image_count=4, bundle_bytes=3_000_003)
+    assert len(drawn) == len(images) == 4
+    assert all(n <= 4096 for n in drawn)
+
+
 def test_image_bytes_depend_on_seed_and_software_alone():
     assert _image_bytes(b"k", 70_000) == _image_bytes(b"k", 70_000)
     first = _images(seed=5, bundle_bytes=300_000, image_count=3)
@@ -132,9 +173,11 @@ def test_one_byte_images_of_one_world_differ():
     assert len(set(images)) == 5
 
 
-@pytest.mark.parametrize("bucket_size", [32_768, 65_536, 262_144])
+@pytest.mark.parametrize("bucket_size", [4_096, 8_192, 32_768, 65_536,
+                                         262_144])
 def test_no_two_buckets_of_a_built_image_are_equal(bucket_size):
-    # Each image is 1 MB, 16 tiles of its 64 KiB keyed block.
+    # Each image is 1 MB, 245 tiles of its 4 KiB keyed run; only the
+    # offset stamps tell the runs apart.
     config = ScenarioConfig(vehicles=1, coverage_pct=0, image_count=2,
                             bundle_bytes=2_000_000, bucket_size=bucket_size)
     for item in build_scenario(config).items:
