@@ -170,9 +170,6 @@ class KeyRegistry:
             raise CryptoError(f"duplicate signer_id {key.signer_id}")
         self.keys[key.signer_id] = (key.public_key, key.scheme)
 
-    def public_of(self, signer_id: str):
-        return self.keys.get(signer_id)
-
 
 def verify(payload_digest: bytes, entry: SignatureEntry,
            registry: KeyRegistry, crl: RevocationList) -> bool:
@@ -184,7 +181,7 @@ def verify(payload_digest: bytes, entry: SignatureEntry,
     """
     if entry.signer_id in crl.revoked:
         return False
-    rec = registry.public_of(entry.signer_id)
+    rec = registry.keys.get(entry.signer_id)
     if rec is None:
         return False
     memo_key = (rec, payload_digest, entry.sig)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import operator
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional, Union
 
 from .crypto import (DIGEST_LEN, KeyPair, KeyRegistry, RevocationList,
@@ -162,22 +162,18 @@ class UpdateImage:
 # Canonical encoding
 # ---------------------------------------------------------------------------
 
-def _u64(n: int) -> bytes:
-    if n < 0:
-        raise EncodingError("negative integer")
-    return struct.pack(">Q", n)
+_TS = struct.Struct(">QQ")
+_U32 = struct.Struct(">I")
+_count = _U32.pack
 
 
 def _blob(b: bytes) -> bytes:
-    return struct.pack(">I", len(b)) + b
+    return _U32.pack(len(b)) + b
 
 
 def _s(s: str) -> bytes:
-    return _blob(s.encode("utf-8"))
-
-
-def _count(n: int) -> bytes:
-    return struct.pack(">I", n)
+    b = s.encode("utf-8")
+    return _U32.pack(len(b)) + b
 
 
 class _Reader:
@@ -215,11 +211,6 @@ class _Reader:
         return self.pos == len(self.data)
 
 
-def _check_ts(ts: TimestampRecord) -> None:
-    if ts.v < 1 or ts.t < 0:
-        raise EncodingError(f"bad timestamp record {ts}")
-
-
 def _check_meta(m: MetaRecord) -> None:
     if len(m.h) != DIGEST_LEN:
         raise EncodingError("digest length must be 32")
@@ -228,8 +219,9 @@ def _check_meta(m: MetaRecord) -> None:
 
 
 def _enc_ts(ts: TimestampRecord) -> bytes:
-    _check_ts(ts)
-    return _u64(ts.t) + _u64(ts.v)
+    if ts.v < 1 or ts.t < 0:
+        raise EncodingError(f"bad timestamp record {ts}")
+    return _TS.pack(ts.t, ts.v)
 
 
 def _dec_ts(r: _Reader) -> TimestampRecord:
@@ -253,7 +245,9 @@ def _dec_meta(r: _Reader) -> MetaRecord:
 
 
 def _enc_sig(entry: SignatureEntry) -> bytes:
-    return _s(entry.signer_id) + _blob(entry.sig)
+    signer = entry.signer_id.encode("utf-8")
+    return (_U32.pack(len(signer)) + signer + _U32.pack(len(entry.sig))
+            + entry.sig)
 
 
 def _dec_sig(r: _Reader) -> SignatureEntry:
@@ -329,25 +323,26 @@ def _encode_region(msg) -> bytes:
     raise EncodingError(f"unencodable message {type(msg).__name__}")
 
 
-def canonical_encode(msg) -> bytes:
-    """Full wire encoding: signed region followed by the signature section."""
-    region = signed_region(msg)
-    if isinstance(msg, (TimestampRecord, MetaRecord)):
-        return region
-    if isinstance(msg, UpdateManifest):
-        return region + _enc_sigma(msg.sigma)
+def _enc_sections(msg) -> bytes:
+    """The sections of a manifest, bundle or status report that follow its
+    signed region: its signatures, then a bundle's grants and endorsements."""
+    out = _enc_sigma(msg.sigma)
     if isinstance(msg, Bundle):
-        out = region + _enc_sigma(msg.sigma)
         out += _count(len(msg.grants))
         for g in msg.grants:
             out += _s(g.subject) + _enc_sig(g.entry)
         out += _count(len(msg.ecu_sigs))
         for ecu, entry in msg.ecu_sigs:
             out += _s(ecu) + _enc_sig(entry)
-        return out
-    if isinstance(msg, StatusReport):
-        return region + _enc_sigma(msg.sigma)
-    raise EncodingError(f"unencodable message {type(msg).__name__}")
+    return out
+
+
+def canonical_encode(msg) -> bytes:
+    """Full wire encoding: signed region followed by the signature section."""
+    region = signed_region(msg)
+    if isinstance(msg, _SIGNED):
+        return region + _enc_sections(msg)
+    return region
 
 
 def decode_message(data: bytes):
@@ -415,6 +410,11 @@ def payload_digest(msg) -> bytes:
 
 
 def wire_size(msg) -> int:
+    """`len(canonical_encode(msg))`.  A manifest, bundle or status report
+    adds its encoded sections' length to its kept region's, so its region
+    is not copied into a new encoding; others are encoded."""
+    if isinstance(msg, _SIGNED):
+        return len(signed_region(msg)) + len(_enc_sections(msg))
     return len(canonical_encode(msg))
 
 
@@ -432,14 +432,17 @@ def replace_outside_region(msg, **outside):
     Those fields lie outside the signed region, as TUF and Uptane keep
     signatures outside the "signed" part of their metadata, so the new
     instance shares `msg`'s region bytes and payload digest.  Any other
-    field raises ValueError: changing it would change the region."""
+    field raises ValueError: changing it would change the region.  The copy
+    skips `__init__`, which validates nothing: its dict is `msg`'s plus the
+    replaced fields and the kept digest, as `dataclasses.replace` would give
+    with the memo."""
     if not _OUTSIDE_REGION.issuperset(outside):
         raise ValueError(f"not outside the signed region: {sorted(outside)}")
     # A kept digest implies a kept region; computing one keeps both.
     region_digest = msg._payload_digest or payload_digest(msg)
-    copy = replace(msg, **outside)
-    object.__setattr__(copy, "_region", msg._region)
-    object.__setattr__(copy, "_payload_digest", region_digest)
+    copy = object.__new__(type(msg))
+    copy.__dict__.update(msg.__dict__, _payload_digest=region_digest,
+                         **outside)
     return copy
 
 
@@ -476,7 +479,8 @@ def status_entry_digest(entry: StatusEntry) -> bytes:
 
 
 def sign_status_entry(entry: StatusEntry, key: KeyPair) -> StatusEntry:
-    return replace(entry, sig=sign(status_entry_digest(entry), key))
+    return StatusEntry(entry.ecu, entry.software, entry.tau,
+                       sign(status_entry_digest(entry), key))
 
 
 # ---------------------------------------------------------------------------
@@ -504,10 +508,14 @@ class TrustContext:
     def signed_by(self, sigma, required, payload_digest_: bytes) -> bool:
         """True iff every required signer has a verifying, non-revoked entry
         in `sigma` over `payload_digest_`."""
-        return all(any(e.signer_id == signer_id
-                       and verify(payload_digest_, e, self.registry, self.crl)
-                       for e in sigma)
-                   for signer_id in required)
+        for signer_id in required:
+            for e in sigma:
+                if e.signer_id == signer_id and verify(
+                        payload_digest_, e, self.registry, self.crl):
+                    break
+            else:
+                return False
+        return True
 
     def verify_manifest(self, mu: UpdateManifest,
                         roles=MANIFEST_ROLES) -> bool:

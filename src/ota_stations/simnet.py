@@ -13,13 +13,20 @@ runs first.  A flow start or finish costs one pass over its link's flows
 plus a `min` and a `max`, and O(1) heap pushes, with results bit-identical
 to an update of each flow on its own (see `Link` for why); a link arms one
 finisher, so the heap holds O(links + timers) entries.
+
+One delivered message costs one `Envelope`, one `TraceRecord` row and at
+most one callable: the `partial` its link calls when the last bit is sent.
+A heap entry carries its event's argument, so the delivery and a link's
+finisher need no closure, and a timer's entry holds the caller's function
+beside its `Timer`, so no timer needs one either.
 """
 from __future__ import annotations
 
 import heapq
 import random
 from dataclasses import dataclass
-from typing import Callable, Optional
+from functools import partial
+from typing import Callable, NamedTuple, Optional
 
 from . import messages as msg
 
@@ -95,24 +102,26 @@ class Link:
         if first:  # an earlier flow, with more bits, may round to `at` too
             first = next((i for i in range(first)
                           if now + bits[i] / rate * 1000.0 == at), first)
-        world._latest_eta = max(world._latest_eta,
-                                now + max(bits) / rate * 1000.0)
-        world._schedule_raw(at, self._finisher(world, first, self._gen))
+        latest = now + max(bits) / rate * 1000.0
+        if latest > world._latest_eta:
+            world._latest_eta = latest
+        world._schedule_raw(at, self._finish, (world, first, self._gen))
 
-    def _finisher(self, world, index, gen):
-        def fire():
-            if gen != self._gen:
-                return
-            del self._bits[index]
-            self._drain(world.now)
-            self._rebalance(world)
-            self._done.pop(index)()
-        return fire
+    def _finish(self, armed: tuple):
+        """The armed finisher: complete flow `index` unless disarmed."""
+        world, index, gen = armed
+        if gen != self._gen:
+            return
+        del self._bits[index]
+        self._drain(world.now)
+        self._rebalance(world)
+        self._done.pop(index)()
 
 
 class Timer:
-    """A scheduled call's handle; `World.run` drops the call unrun, and
-    without moving the clock, once its timer is cancelled."""
+    """A scheduled call's handle; `World.run` sets `fired` just before the
+    call, and drops the call unrun, without moving the clock, once its timer
+    is cancelled."""
 
     __slots__ = ("cancelled", "fired")
 
@@ -124,7 +133,7 @@ class Timer:
         self.cancelled = True
 
 
-@dataclass
+@dataclass(slots=True)
 class Envelope:
     src: str
     dst: str
@@ -137,8 +146,7 @@ class Envelope:
     attempt: int = 0
 
 
-@dataclass(frozen=True)
-class TraceRecord:
+class TraceRecord(NamedTuple):
     time: float
     src: str
     dst: str
@@ -172,19 +180,15 @@ class World:
 
     # -- scheduling --------------------------------------------------------
 
-    def _schedule_raw(self, at: float, fn: Callable,
+    def _schedule_raw(self, at: float, fn: Callable, arg=None,
                       timer: Optional[Timer] = None):
+        """Queue `fn(arg)`, or `fn()` when `arg` is None, to run at `at`."""
         self._seq += 1
-        heapq.heappush(self._heap, (at, self._seq, fn, timer))
+        heapq.heappush(self._heap, (at, self._seq, fn, arg, timer))
 
     def schedule(self, delay_ms: float, fn: Callable) -> Timer:
         timer = Timer()
-
-        def fire():
-            timer.fired = True
-            fn()
-
-        self._schedule_raw(self.now + delay_ms, fire, timer)
+        self._schedule_raw(self.now + delay_ms, fn, None, timer)
         return timer
 
     def add_actor(self, actor: "Actor"):
@@ -204,8 +208,7 @@ class World:
                 if action == "drop":
                     return
                 if action == "delay":
-                    delayed = env
-                    self.schedule(value, lambda e=delayed: self._transmit(e))
+                    self.schedule(value, partial(self._transmit, env))
                     return
                 if action == "modify":
                     env = value
@@ -215,13 +218,15 @@ class World:
         self._transmit(env)
 
     def _transmit(self, env: Envelope):
-        latency = env.link.profile.latency_ms
         if env.size <= 0:
-            self._schedule_raw(self.now + latency, lambda: self._deliver(env))
+            self._arrive(env)
         else:
-            env.link.start_flow(
-                self, env.size, lambda: self._schedule_raw(
-                    self.now + latency, lambda: self._deliver(env)))
+            env.link.start_flow(self, env.size, partial(self._arrive, env))
+
+    def _arrive(self, env: Envelope):
+        """The last bit of `env` is sent: deliver it one latency later."""
+        self._schedule_raw(self.now + env.link.profile.latency_ms,
+                           self._deliver, env)
 
     def _deliver(self, env: Envelope):
         self.trace.append(TraceRecord(self.now, env.src, env.dst, env.size,
@@ -245,7 +250,7 @@ class World:
         events stayed queued until their time.
         """
         while self._heap:
-            at, _, fn, timer = heapq.heappop(self._heap)
+            at, _, fn, arg, timer = heapq.heappop(self._heap)
             if timer is not None and timer.cancelled:
                 continue
             if horizon_ms is not None and at > horizon_ms:
@@ -253,7 +258,9 @@ class World:
                 self.now = horizon_ms
                 return self.trace
             self.now = at
-            fn()
+            if timer is not None:
+                timer.fired = True
+            fn() if arg is None else fn(arg)
         if self._latest_eta > self.now:
             if horizon_ms is not None and self._latest_eta > horizon_ms:
                 self.horizon_reached = True

@@ -3,11 +3,11 @@ import struct
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ota_stations import adversary, messages as msg
 from ota_stations.crypto import (PROVIDERS, KeyRegistry, RevocationList,
-                                 digest)
+                                 SignatureEntry, digest)
 
 HMAC = PROVIDERS["hmac"]
 
@@ -94,6 +94,8 @@ def _manifest(software, version=2, ecu="e", deps=()):
 
 names = st.text(alphabet="abcdefghijklmnopqrstuvwxyz0123456789_.-",
                 min_size=1, max_size=12)
+# Any text but surrogates, which UTF-8 cannot encode: mostly non-ASCII.
+wide_names = st.text(min_size=1, max_size=12)
 
 
 @st.composite
@@ -103,56 +105,56 @@ def timestamps(draw):
 
 
 @st.composite
-def metas(draw):
-    s = draw(names)
-    deps = draw(st.lists(names.filter(lambda n: n != s), max_size=4,
+def metas(draw, text=names):
+    s = draw(text)
+    deps = draw(st.lists(text.filter(lambda n: n != s), max_size=4,
                          unique=True))
     return msg.MetaRecord(draw(st.binary(min_size=32, max_size=32)),
-                          draw(names), s, tuple(deps))
+                          draw(text), s, tuple(deps))
 
 
 @st.composite
-def sigmas(draw):
+def sigmas(draw, text=names):
     entries = draw(st.lists(
-        st.tuples(names, st.binary(min_size=1, max_size=64)), max_size=3))
-    from ota_stations.crypto import SignatureEntry
+        st.tuples(text, st.binary(min_size=1, max_size=64)), max_size=3))
     return tuple(SignatureEntry(n, b) for n, b in entries)
 
 
 @st.composite
-def manifests(draw):
-    return msg.UpdateManifest(draw(names), draw(metas()), draw(timestamps()),
-                              draw(sigmas()))
+def manifests(draw, text=names):
+    return msg.UpdateManifest(draw(text), draw(metas(text)),
+                              draw(timestamps()), draw(sigmas(text)))
 
 
 @st.composite
-def bundles(draw):
-    ms = draw(st.lists(manifests(), min_size=1, max_size=4))
+def bundles(draw, text=names):
+    ms = draw(st.lists(manifests(text), min_size=1, max_size=4))
     keys = {(m.theta.s, m.tau.v) for m in ms}
     if len(keys) != len(ms):
         ms = list({(m.theta.s, m.tau.v): m for m in ms}.values())
-    grants = tuple(msg.Grant(draw(names), e) for e in draw(sigmas()))
-    ecu_sigs = tuple((draw(names), e) for e in draw(sigmas()))
-    return msg.Bundle(tuple(ms), draw(timestamps()), draw(sigmas()),
+    grants = tuple(msg.Grant(draw(text), e) for e in draw(sigmas(text)))
+    ecu_sigs = tuple((draw(text), e) for e in draw(sigmas(text)))
+    return msg.Bundle(tuple(ms), draw(timestamps()), draw(sigmas(text)),
                       grants, ecu_sigs)
 
 
 @st.composite
-def status_reports(draw):
+def status_entries(draw, text=names):
+    sig = draw(sigmas(text))
+    return msg.StatusEntry(draw(text), draw(text), draw(timestamps()),
+                           sig[0] if sig else None)
+
+
+@st.composite
+def status_reports(draw, text=names):
     if draw(st.booleans()):
         r = draw(st.binary(min_size=32, max_size=32))
     else:
-        entries = []
-        for _ in range(draw(st.integers(0, 3))):
-            sig = draw(sigmas())
-            entries.append(msg.StatusEntry(draw(names), draw(names),
-                                           draw(timestamps()),
-                                           sig[0] if sig else None))
-        r = tuple(entries)
-    bs = tuple(draw(st.lists(bundles(), max_size=2)))
+        r = tuple(draw(st.lists(status_entries(text), max_size=3)))
+    bs = tuple(draw(st.lists(bundles(text), max_size=2)))
     return msg.StatusReport(r, draw(timestamps()),
                             draw(st.binary(min_size=16, max_size=16)),
-                            draw(sigmas()), bs)
+                            draw(sigmas(text)), bs)
 
 
 @settings(max_examples=150, deadline=None)
@@ -161,6 +163,30 @@ def status_reports(draw):
 def test_encoding_round_trip(message):
     encoded = msg.canonical_encode(message)
     assert msg.decode_message(encoded) == message
+
+
+def _wide_report():
+    """A status report whose every id is non-ASCII: an entry, a grant, an
+    endorsement and signatures on the report, its bundle and manifest."""
+    sig = SignatureEntry("ключ.targets", b"s" * 32)
+    mu = msg.UpdateManifest("dépôt/λ/2", msg.MetaRecord(
+        digest(b"x"), "ЭБУ", "λ", ("μ",)), msg.TimestampRecord(2, 2), (sig,))
+    bundle = msg.Bundle((mu,), msg.TimestampRecord(5, 1), (sig,),
+                        (msg.Grant("站点0", sig),), (("ЭБУ", sig),))
+    entry = msg.StatusEntry("ЭБУ", "λ", msg.TimestampRecord(1, 1), sig)
+    return msg.StatusReport((entry,), msg.TimestampRecord(7, 1), b"n" * 16,
+                            (sig,), (bundle,))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(timestamps(), metas(wide_names), manifests(wide_names),
+                 bundles(wide_names), status_reports(wide_names),
+                 manifests(), bundles(), status_reports()))
+@example(_wide_report())
+def test_wire_size_is_the_encoded_length(message):
+    # A signed message adds its sections' length to its kept region's, so
+    # every id counts in UTF-8 bytes, in every section and in the region.
+    assert msg.wire_size(message) == len(msg.canonical_encode(message))
 
 
 @settings(max_examples=100, deadline=None)
@@ -263,6 +289,32 @@ def test_only_fields_outside_the_region_are_replaced_with_the_memo():
     mu = msg.sign_message(_manifest("s"), _key("producer0"))
     with pytest.raises(ValueError, match="outside the signed region"):
         msg.replace_outside_region(mu, l="repo0/s/3")
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(manifests(), bundles(), status_reports(), status_entries()),
+       names, st.sampled_from(("sign", "grant", "endorse")))
+def test_signed_copies_equal_a_dataclasses_replace(message, name, append):
+    # The signing helpers copy without `dataclasses.replace`; the copy must
+    # be what `replace` gives, frozen, and hold its own instance dict.
+    if isinstance(message, msg.StatusEntry):
+        result = msg.sign_status_entry(message, _key(name))
+        expected = dataclasses.replace(message, sig=result.sig)
+    elif append == "sign" or not isinstance(message, msg.Bundle):
+        result = msg.sign_message(message, _key(name))
+        expected = dataclasses.replace(message, sigma=result.sigma)
+    elif append == "grant":
+        result = msg.grant_bundle(message, name, _key("sud.publish"))
+        expected = dataclasses.replace(message, grants=result.grants)
+    else:
+        result = msg.endorse_for_ecu(message, name, _key("sud.targets"))
+        expected = dataclasses.replace(message, ecu_sigs=result.ecu_sigs)
+    assert type(result) is type(expected)
+    assert result == expected and hash(result) == hash(expected)
+    assert repr(result) == repr(expected)
+    assert result.__dict__ is not message.__dict__
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        result.tau = msg.TimestampRecord(1, 1)
 
 
 def test_adversary_bundle_mutations_change_the_payload_digest():

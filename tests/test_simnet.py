@@ -361,9 +361,9 @@ class _ReferenceLink(Link):
 
 def _random_flows(rng):
     """Two link bandwidths and flows of (link, start ms, bytes, follow-up
-    bytes or None); starts often share an instant and sizes often repeat.
-    Some runs start late on a very fast link, where flows of different
-    sizes round to the same finish time."""
+    bytes); starts often share an instant and sizes often repeat.  Some runs
+    start late on a very fast link, where flows of different sizes round to
+    the same finish time."""
     offset, fast = rng.choice([(0.0, False), (1e9, True)])
     bandwidths = [1e12 if fast and rng.random() < 0.5 else
                   rng.choice([1e6, 3e6, 5e6, rng.uniform(1e5, 1e8)])
@@ -376,15 +376,32 @@ def _random_flows(rng):
             else offset + rng.uniform(0, 100)
         size = rng.choice(sizes) if rng.random() < 0.5 \
             else rng.randrange(1, rng.choice([8, 400_000]))
-        follow = rng.randrange(1, 100_000) if rng.random() < 0.3 else None
+        follow = (rng.randrange(1, 100_000),) if rng.random() < 0.3 else ()
         flows.append((rng.randrange(2), start, size, follow))
     return bandwidths, flows
 
 
+def _one_flow_sets(rng):
+    """Flows on one link that often leave it a single flow, in the format of
+    `_random_flows`: back-to-back sends, each started by the last one's
+    completion, or a flow joined by a second (1 -> 2 -> 1 flows), whose
+    survivor may send one more back to back."""
+    bandwidths = [rng.choice([1e6, 3e6, 5e6, rng.uniform(1e5, 1e8)])]
+    sizes = [rng.randrange(1, 400_000) for _ in range(rng.randrange(2, 6))]
+    if rng.random() < 0.5:
+        return bandwidths, [(0, rng.uniform(0, 50), sizes[0],
+                             tuple(sizes[1:]))]
+    alone_ms = sizes[0] * 8 / bandwidths[0] * 1000.0
+    follow = (sizes[2],) if len(sizes) > 2 else ()
+    return bandwidths, [(0, 0.0, sizes[0], ()),
+                        (0, rng.uniform(0, alone_ms), sizes[1], follow)]
+
+
 def _run_flows(link_cls, bandwidths, flows):
-    """Run `flows` on links of `link_cls`; a flow's follow-up starts on the
-    same link from its completion callback.  Returns every completion as
-    (time, flow), the clock after `run` and the number of events."""
+    """Run `flows` on links of `link_cls`; a flow's follow-ups start on the
+    same link one after another, each from the last one's completion
+    callback.  Returns every completion as (time, flow), the clock after
+    `run`, the latest finish time computed and the number of events."""
     world = World(seed=1)
     links = [link_cls(f"l{i}", LinkProfile(bps, 0.0))
              for i, bps in enumerate(bandwidths)]
@@ -393,22 +410,24 @@ def _run_flows(link_cls, bandwidths, flows):
     def start(n, link, size, follow):
         def on_done():
             done.append((world.now, n))
-            if follow is not None:
-                start((n, "follow"), link, follow, None)
+            if follow:
+                start((n, "follow"), link, follow[0], follow[1:])
         link.start_flow(world, size, on_done)
 
     for n, (i, at, size, follow) in enumerate(flows):
         world.schedule(at, lambda n=n, i=i, size=size, follow=follow:
                        start(n, links[i], size, follow))
     world.run()
-    return done, world.now, world._seq
+    return done, world.now, world._latest_eta, world._seq
 
 
 def test_link_matches_reference_model_exactly():
+    # Each seed also draws flows that leave a link one flow at a time.
     for seed in range(500):
-        bandwidths, flows = _random_flows(random.Random(seed))
-        expected = _run_flows(_ReferenceLink, bandwidths, flows)
-        assert _run_flows(Link, bandwidths, flows) == expected, seed
+        for draw in (_random_flows, _one_flow_sets):
+            bandwidths, flows = draw(random.Random(seed))
+            expected = _run_flows(_ReferenceLink, bandwidths, flows)
+            assert _run_flows(Link, bandwidths, flows) == expected, seed
 
 
 def test_flow_started_as_another_drains():
