@@ -136,7 +136,14 @@ class UpdateImage:
     def data_digest(self) -> bytes:
         """The digest of `data`, hashed on first use.  It is kept only when
         `data` is immutable `bytes`; any other buffer is hashed on every
-        call.  `replace` gives a new instance, which hashes its own bytes."""
+        call.  `replace` gives a new instance, which hashes its own bytes.
+
+        `build_scenario` calls this for an image of at least 1 MiB on its
+        one helper thread, right after generating the image, and joins that
+        thread before it reads the digest for the manifest.  Either thread
+        hashes through this module's `digest` binding, so a traced or
+        counted `digest` sees every image hash, and a read that finds no
+        kept digest hashes the bytes itself."""
         if self._digest is not None:
             return self._digest
         data_digest = digest(self.data)

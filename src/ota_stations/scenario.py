@@ -20,9 +20,12 @@ attack rule.  Unknown keys are rejected before the simulation starts.
 """
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import io
+import queue
 import struct
+import threading
 from dataclasses import dataclass, fields
 from typing import Optional
 
@@ -412,7 +415,42 @@ def _image_bytes(key: bytes, size: int) -> bytes:
     return out.getvalue()
 
 
+# Images this large are hashed on the build's helper thread while the
+# next one is generated; handing a smaller one over costs more than it saves.
+_HASH_AHEAD_BYTES = 1 << 20
+
+
+def _hash_ahead(todo: queue.SimpleQueue, taken: threading.Semaphore):
+    """The build's helper thread: for each image put on `todo` until None,
+    release `taken`, then compute and keep the image's `data_digest`.
+
+    A failed hash is left to the manifest's read of `data_digest`, which
+    hashes on the build's thread and raises any error that persists; so
+    the helper takes every image, and the build never waits on it forever.
+    """
+    for image in iter(todo.get, None):
+        taken.release()
+        with contextlib.suppress(Exception):
+            image.data_digest
+
+
 def build_scenario(config: ScenarioConfig) -> Scenario:
+    """Build the world of `config`: keys, actors, links, images, signed
+    manifests and the fleet, preseeded unless `live_publish` is set.
+
+    Images are generated one after another on this thread.  Each image of
+    at least 1 MiB is handed, as soon as its bytes exist, to one helper
+    thread that computes its `data_digest` (`hashlib` releases the GIL)
+    while this thread generates the next; the hand-over waits until the
+    helper has taken the image.  That thread is started, before the first
+    image is generated, only when some image is that large, and is joined
+    before any manifest is built, also on error.  The manifests then read
+    each image's `data_digest`; an image the helper did not hash is hashed
+    there, so the result never depends on the helper.  While the helper
+    hashes, this thread makes no call that `perfbench/tracer.py` wraps, so
+    spans and counts stay exact.  Nothing after the join, and nothing in
+    `World.run`, uses a second thread.
+    """
     config.validate()
     world = World(seed=config.seed)
     world.request_timeout_ms = config.request_timeout_ms
@@ -472,17 +510,46 @@ def build_scenario(config: ScenarioConfig) -> Scenario:
     per_image = config.bundle_bytes // config.image_count
     served_count = round(config.image_count * config.coverage_pct / 100)
     labels = _mix_labels(config, served_count)
+    sizes = [per_image] * (config.image_count - 1)
+    sizes.append(config.bundle_bytes - sum(sizes))
+    images: list = []
+    helper = None
+    if max(sizes) >= _HASH_AHEAD_BYTES:
+        # Started before the first image is generated, so that it waits on
+        # `todo` by the first hand-over and then wakes on an idle CPU.  A
+        # thread started at the hand-over would first run on this thread's
+        # CPU while this thread waits, which can move this thread to
+        # another CPU for the rest of the build and the run.
+        todo, taken = queue.SimpleQueue(), threading.Semaphore(0)
+        helper = threading.Thread(target=_hash_ahead, args=(todo, taken))
+        helper.start()
+    try:
+        for i, size in enumerate(sizes):
+            software = f"sw{i}"
+            data = _image_bytes(b"image:" + seed_bytes + software.encode(),
+                                size)
+            image = msg.UpdateImage(software, data, config.bucket_size)
+            images.append(image)
+            if size >= _HASH_AHEAD_BYTES:
+                todo.put(image)
+                # Wait, without the GIL, until the helper has taken the
+                # image: were this thread in a long buffer copy when the
+                # helper needs the GIL to start the hash, the helper would
+                # wait out the interpreter's 5 ms switch interval.  A hash
+                # that outlasts the next image's generation ends while this
+                # thread waits here again, so it too finds the GIL free.
+                taken.acquire()
+    finally:
+        if helper is not None:
+            todo.put(None)
+            helper.join()
     items: list = []
     truth: dict = {}
-    for i in range(config.image_count):
-        software = f"sw{i}"
+    for i, image in enumerate(images):
+        software = image.s
         ecu = ecus[i % len(ecus)]
-        size = per_image if i < config.image_count - 1 \
-            else config.bundle_bytes - per_image * (config.image_count - 1)
-        data = _image_bytes(b"image:" + seed_bytes + software.encode(), size)
         version = 2
         location = location_for("repo0", software, version)
-        image = msg.UpdateImage(software, data, config.bucket_size)
         data_digest = image.data_digest
         theta = msg.MetaRecord(data_digest, ecu, software)
         mu = msg.UpdateManifest(location, theta,

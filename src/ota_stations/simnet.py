@@ -4,8 +4,11 @@ a request/reply layer with bounded retransmission, and the one resumable
 image download that vehicles, stations and the director share, whether
 they pull from a repository or from a station.
 
-One world is strictly single-threaded; identical (scenario, seed) pairs
-produce identical event traces.
+A world's event loop is strictly single-threaded, so identical (scenario,
+seed) pairs produce identical event traces.  The one other thread a world
+ever sees is `build_scenario`'s helper, which hashes large images while the
+build generates the next one; it is joined before the build returns, so
+before any event runs, and it touches no actor, link or heap.
 
 Events run in (time, seq) order, where seq is the order in which they were
 scheduled: of two events due at the same instant, the one scheduled first
@@ -26,6 +29,7 @@ import heapq
 import random
 from dataclasses import dataclass
 from functools import partial
+from operator import itemgetter
 from typing import Callable, NamedTuple, Optional
 
 from . import messages as msg
@@ -37,6 +41,8 @@ IN_VEHICLE = "in_vehicle"
 
 # Re-requests one `Actor.fetch_image` download may make after its first.
 FETCH_RETRIES = 8
+
+_chunk_of = itemgetter(1)  # the chunk of an (index, chunk, digest) bucket
 
 
 @dataclass(frozen=True)
@@ -426,10 +432,11 @@ class Actor:
     def reply_buckets(self, env: Envelope, kind: str, buckets: tuple, **extra):
         """Answer a download request `env` with `buckets` from its
         `from_index` on and the count of all of them, plus the `extra`
-        payload keys; the reply's size is its chunk bytes plus 64."""
+        payload keys; the reply's size is its chunk bytes plus 64, summed
+        in C, with no interpreted step per bucket."""
         out = buckets[env.payload.get("from_index", 0):]
         self.reply(env, kind, dict(extra, buckets=out, total=len(buckets)),
-                   sum(len(chunk) for _, chunk, _ in out) + 64)
+                   sum(map(len, map(_chunk_of, out))) + 64)
 
     # -- resumable image download ------------------------------------------
 

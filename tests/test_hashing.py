@@ -1,10 +1,11 @@
 """How often image bytes are hashed: the build hashes each image buffer
-once per world and the image keeps that digest; senders split it once into
-buckets whose digests are lazy and share the split's chunks and image
-digest.  Every later check reads those: the repository's store check reads
-the image's digest, an arriving chunk matches its own bucket's digest by
-identity, and a whole image that is, in order, every chunk of one split
-gets the split's digest.  A bucket digest is computed only to check a
+once per world (an image of at least 1 MiB on its helper thread) and the
+image keeps that digest; senders split it once into buckets whose digests
+are lazy and share the split's chunks and image digest.  Every later
+check reads those: the repository's store check reads the image's digest,
+an arriving chunk matches its own bucket's digest by identity, and a whole
+image that is, in order, every chunk of one split gets the split's
+digest.  A bucket digest is computed only to check a
 foreign chunk.  Installs reuse the digest of the bytes they install.
 Bytes that fail a check are hashed every time and never kept."""
 import hashlib
@@ -233,12 +234,21 @@ def test_prefix_of_a_split_is_not_given_the_split_digest():
 
 
 def _small_config(**kwargs):
-    return ScenarioConfig(
+    fields = dict(
         name="hashing", vehicles=3, stations=1, bundle_bytes=1_200_000,
         image_count=4, bucket_size=65536, coverage_pct=75, mix_hit=34,
         mix_miss=33, mix_unknown=33, secondaries_per_vehicle=1,
         untrusted_secondaries=True, ignition_period_ms=60_000.0,
-        ignition_limit=3, horizon_ms=900_000, **kwargs)
+        ignition_limit=3, horizon_ms=900_000)
+    return ScenarioConfig(**{**fields, **kwargs})
+
+
+def _both_image_sizes(**kwargs):
+    """`_small_config`'s 300 KB images, hashed where the manifests are
+    built, and two 1.2 MB ones, which the build's helper thread hashes."""
+    large = _small_config(bundle_bytes=2_400_000, image_count=2, **kwargs)
+    assert large.bundle_bytes // 2 >= scenario._HASH_AHEAD_BYTES
+    return _small_config(**kwargs), large
 
 
 def test_install_log_records_digest_of_installed_bytes():
@@ -277,8 +287,8 @@ def _count_hashing(monkeypatch, config):
     """Build and run `config` with `digest` counted at every import site.
     Returns the scenario, the bytes hashed that lie inside an image
     (control-plane digests, over signed regions and nonces, are not
-    counted), those of them hashed inside `World.run`, and the bytes split
-    into buckets."""
+    counted), those of them hashed inside `World.run`, the bytes split
+    into buckets, and how often each image's whole buffer was hashed."""
     hashed = []
     counts = {"image": 0, "split": 0}
     real_digest, real_split = crypto.digest, messages.split_buckets
@@ -306,7 +316,16 @@ def _count_hashing(monkeypatch, config):
 
     counts["image"] = image_bytes(hashed)
     counts["run_image"] = image_bytes(hashed[built_hashes:])
+    counts["whole"] = [sum(data is image for data in hashed)
+                       for image in images]
     return built, counts
+
+
+def _assert_each_image_hashed_once(built, counts):
+    assert counts["whole"] == [1] * len(built.items)
+    for item in built.items:
+        assert built.truth[item.software][1] == hashlib.sha256(
+            item.image.data).digest()
 
 
 def test_each_image_byte_is_hashed_at_most_twice_per_receiving_hop(
@@ -329,23 +348,26 @@ def test_each_image_byte_is_hashed_at_most_twice_per_receiving_hop(
 
 
 def test_each_distinct_image_is_hashed_once_per_world(monkeypatch):
-    """Each image buffer is hashed once, by the build for its manifest; its
-    split hashes nothing.  The repository's store check (preseeded or
+    """Each image buffer is hashed once, by the build for its manifest (on
+    the build's helper thread when it is at least 1 MiB); its split hashes
+    nothing.  The repository's store check (preseeded or
     live-published) reads the image's kept digest, and every receiving hop
     matches the sender's chunks and whole split by identity."""
     for live_publish in (False, True):
-        built, counts = _count_hashing(
-            monkeypatch, _small_config(live_publish=live_publish))
-        assert built.world.install_log and not built.all_alerts()
-        distinct = sum(len(item.image.data) for item in built.items)
-        assert counts["split"] <= distinct
-        assert counts["image"] <= distinct, live_publish
+        for config in _both_image_sizes(live_publish=live_publish):
+            built, counts = _count_hashing(monkeypatch, config)
+            assert built.world.install_log and not built.all_alerts()
+            distinct = sum(len(item.image.data) for item in built.items)
+            assert counts["split"] <= distinct
+            assert counts["image"] <= distinct, live_publish
+            _assert_each_image_hashed_once(built, counts)
 
 
 def test_untampered_run_hashes_no_image_byte(monkeypatch):
     for live_publish in (False, True):
-        built, counts = _count_hashing(
-            monkeypatch, _small_config(live_publish=live_publish))
-        assert built.world.install_log and not built.all_alerts()
-        assert counts["split"] > 0
-        assert counts["run_image"] == 0, live_publish
+        for config in _both_image_sizes(live_publish=live_publish):
+            built, counts = _count_hashing(monkeypatch, config)
+            assert built.world.install_log and not built.all_alerts()
+            assert counts["split"] > 0
+            assert counts["run_image"] == 0, live_publish
+            _assert_each_image_hashed_once(built, counts)

@@ -90,6 +90,27 @@ def test_an_image_is_generated_without_a_second_copy():
     assert peak - before < size + 128 * 1024, peak - before
 
 
+def test_a_build_with_large_images_holds_each_image_once():
+    # Both images are hashed on the build's helper thread.  tracemalloc
+    # traces every thread, so a copy of an image made there, or kept by the
+    # thread, would add 1.2 MB to the peak; the rest of this build (keys,
+    # actors, manifests, the thread itself) takes about 60 KB.
+    config = ScenarioConfig(
+        name="memory-build", vehicles=2, stations=1, bundle_bytes=2_400_000,
+        image_count=2, bucket_size=65536, secondaries_per_vehicle=1)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        built = build_scenario(config)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    sizes = [len(item.image.data) for item in built.items]
+    assert sizes == [1_200_000] * 2
+    assert peak - before < sum(sizes) + 256 * 1024, peak - before - sum(sizes)
+
+
 def test_image_bytes_are_shared_by_every_holder():
     built = build_scenario(_mixed_config())
     pushed = []

@@ -1,8 +1,12 @@
+import contextlib
+import faulthandler
 import hashlib
 import random
+import threading
 
 import pytest
 
+from ota_stations import messages, scenario
 from ota_stations.adversary import AttackRule
 from ota_stations.scenario import (ConfigError, ScenarioConfig,
                                    _image_bytes, _mix_labels, bandwidth_cost,
@@ -191,6 +195,119 @@ def test_the_build_draws_nothing_from_the_world_rng():
                             coverage_pct=50, mix_hit=100)
     built = build_scenario(config)
     assert built.world.rng.getstate() == random.Random(config.seed).getstate()
+
+
+# ---------------------------------------------------------------------------
+# The build's helper thread
+# ---------------------------------------------------------------------------
+
+def _two_large_images(**fields) -> ScenarioConfig:
+    config = ScenarioConfig(vehicles=1, coverage_pct=0, image_count=2,
+                            bundle_bytes=2_400_000, **fields)
+    assert config.bundle_bytes // 2 >= scenario._HASH_AHEAD_BYTES
+    return config
+
+
+def _count_thread_starts(monkeypatch) -> list:
+    started = []
+    start = threading.Thread.start
+
+    def counting_start(thread):
+        started.append(thread)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", counting_start)
+    return started
+
+
+@contextlib.contextmanager
+def _no_hang(seconds: float = 60):
+    """End the test process with every thread's traceback should the block
+    not finish in time: a build that waits forever on its helper."""
+    faulthandler.dump_traceback_later(seconds, exit=True)
+    try:
+        yield
+    finally:
+        faulthandler.cancel_dump_traceback_later()
+
+
+def test_large_images_are_hashed_on_one_helper_thread(monkeypatch):
+    started = _count_thread_starts(monkeypatch)
+    hashed_on = []
+    digest = messages.digest
+
+    def recording_digest(data):
+        if len(data) >= scenario._HASH_AHEAD_BYTES:
+            hashed_on.append(threading.get_ident())
+        return digest(data)
+
+    monkeypatch.setattr(messages, "digest", recording_digest)
+    built = build_scenario(_two_large_images())
+    assert len(started) == 1
+    assert hashed_on == [started[0].ident] * 2
+    assert hashed_on[0] != threading.get_ident()
+    for item in built.items:
+        assert item.manifest.theta.h == hashlib.sha256(
+            item.image.data).digest()
+
+
+def test_small_images_start_no_thread(monkeypatch):
+    # The largest images of the other benchmark workloads: 1,000,000 B
+    # (attack_suite) lies just under the threshold.
+    started = _count_thread_starts(monkeypatch)
+    built = build_scenario(ScenarioConfig(
+        vehicles=1, coverage_pct=0, image_count=2, bundle_bytes=2_000_000))
+    assert started == []
+    assert all(len(item.image.data) == 1_000_000 for item in built.items)
+
+
+def test_a_build_leaves_no_thread_running():
+    before = threading.active_count()
+    built = build_scenario(_two_large_images())
+    assert threading.active_count() == before
+    assert [len(item.image.data) for item in built.items] == [1_200_000] * 2
+
+
+def test_a_failed_build_joins_its_helper_thread(monkeypatch):
+    # The second large image fails while the first may still be hashed; the
+    # error propagates and the helper is joined.
+    made = []
+    image_bytes = scenario._image_bytes
+
+    def failing_image_bytes(key, size):
+        made.append(size)
+        if len(made) == 2:
+            raise RuntimeError("no second image")
+        return image_bytes(key, size)
+
+    monkeypatch.setattr(scenario, "_image_bytes", failing_image_bytes)
+    before = threading.active_count()
+    with _no_hang(), pytest.raises(RuntimeError, match="no second image"):
+        build_scenario(_two_large_images())
+    assert made == [1_200_000] * 2
+    assert threading.active_count() == before
+
+
+def test_a_failed_helper_thread_changes_no_digest(monkeypatch):
+    # Every hash on the helper fails.  The manifests read each image's
+    # digest, and one the helper did not keep is hashed there.
+    digest = messages.digest
+    failed = []
+
+    def failing_off_the_main_thread(data):
+        if threading.current_thread() is not threading.main_thread():
+            failed.append(data)
+            raise MemoryError("helper failed")
+        return digest(data)
+
+    monkeypatch.setattr(messages, "digest", failing_off_the_main_thread)
+    with _no_hang():
+        built = build_scenario(_two_large_images())
+    assert failed == [item.image.data for item in built.items]
+    for item in built.items:
+        assert item.manifest.theta.h == hashlib.sha256(
+            item.image.data).digest()
+        assert built.truth[item.software][1] == item.manifest.theta.h
 
 
 # ---------------------------------------------------------------------------
