@@ -51,7 +51,7 @@ class AttackRule:
 
 
 class Adversary:
-    def __init__(self, rules=(), seed: int = 0):
+    def __init__(self, rules=()):
         self.rules = list(rules)
         self.recorded: dict = {}       # message kind -> list of envelopes
         self._keeps_history = any(rule.kind in HISTORY_KINDS
@@ -97,7 +97,7 @@ class Adversary:
         for rule in self.rules:
             if not rule.matches(world, env):
                 continue
-            act = self._apply(world, rule, env)
+            act = self._apply(rule, env)
             if act is None:
                 continue
             self.events.append((world.now, rule.kind, env.kind))
@@ -112,7 +112,8 @@ class Adversary:
         if self._keeps_history:
             self.recorded.setdefault(env.kind, []).append(env)
 
-    def _apply(self, world, rule: AttackRule, env: Envelope):
+    def _apply(self, rule: AttackRule, env: Envelope):
+        """The rule's action on `env`, or None when it cannot act on it."""
         kind = rule.kind
         if kind == "drop":
             return ("drop", None)
@@ -120,39 +121,25 @@ class Adversary:
             return ("delay", rule.delay_ms)
         if kind == "slow_retrieval":
             return ("delay", rule.delay_ms or 60_000.0)
+        payload = size = None
         if kind == "tamper":
-            mutated = _tamper(env.payload, world)
-            if mutated is None:
-                return None
-            return ("modify", replace_env(env, mutated))
-        if kind == "spoof":
-            forged = _spoof(env.payload, self._forge_key(), world)
-            if forged is None:
-                return None
-            return ("modify", replace_env(env, forged))
-        if kind in ("replay", "freeze"):
+            payload = _tamper(env.payload)
+        elif kind == "spoof":
+            payload = _spoof(env.payload, self._forge_key())
+        elif kind in ("replay", "freeze", "rollback"):
             history = self.recorded.get(env.kind, [])
-            if len(history) < 2:
-                return None
-            old = history[0]
-            return ("modify", replace_env(env, old.payload, old.size))
-        if kind == "rollback":
-            history = self.recorded.get(env.kind, [])
-            old = _oldest_version(history, exclude=env)
-            if old is None:
-                return None
-            return ("modify", replace_env(env, old.payload, old.size))
-        if kind == "partial_bundle":
-            stripped = _strip_part(env.payload)
-            if stripped is None:
-                return None
-            return ("modify", replace_env(env, stripped))
-        if kind == "mix_bundles":
-            mixed = _mix_bundles(env.payload, self.recorded.get(env.kind, []))
-            if mixed is None:
-                return None
-            return ("modify", replace_env(env, mixed))
-        return None
+            old = (_oldest_version(history, exclude=env) if kind == "rollback"
+                   else history[0] if len(history) >= 2 else None)
+            if old is not None:
+                payload, size = old.payload, old.size
+        elif kind == "partial_bundle":
+            payload = _strip_part(env.payload)
+        elif kind == "mix_bundles":
+            payload = _mix_bundles(env.payload,
+                                   self.recorded.get(env.kind, []))
+        if payload is None:
+            return None
+        return ("modify", replace_env(env, payload, size))
 
 
 def replace_env(env: Envelope, payload, size: Optional[int] = None) -> Envelope:
@@ -179,7 +166,7 @@ def _flip_first_bucket(buckets) -> list:
     return [(index, _flip(chunk), chunk_digest)] + list(buckets[1:])
 
 
-def _tamper(payload, world):
+def _tamper(payload):
     """Flip payload bytes without fixing any signature."""
     if isinstance(payload, dict):
         if payload.get("buckets"):
@@ -213,7 +200,7 @@ def _tamper_bundle(bundle: msg.Bundle) -> msg.Bundle:
     return replace(bundle, manifests=(forged,) + bundle.manifests[1:])
 
 
-def _spoof(payload, key: Optional[KeyPair], world):
+def _spoof(payload, key: Optional[KeyPair]):
     """Re-sign with a non-authorized (or stolen) key."""
     if key is None:
         return None

@@ -127,30 +127,12 @@ class UpdateEngine(Actor):
         self.reply(env, "authorize_err", {"reason": "unknown"}, 64)
 
     def on_subscribe_model(self, env: Envelope):
+        """Record the requesting station as a subscriber of the model and
+        reply.  The engine itself needs no upstream subscription: the
+        build subscribes it to the director for every vehicle model at
+        onboarding."""
         min_id = env.payload["min"]
-        station = env.src
-        known = min_id in self.subscriptions or any(
-            m == min_id for m, _ in self.bundles)
-        self.subscriptions.setdefault(min_id, {})[station] = env.link
-        if known:
-            self._reply_subscription(env, min_id)
-            return
-        # First sight of this model anywhere: subscribe upstream first.
-        self.request(self.sud, "subscribe", {"min": min_id}, 96,
-                     self.sud_link,
-                     on_reply=lambda r: self._on_sud_subscribed(env, min_id, r),
-                     on_fail=lambda: self.reply(env, "subscribe_model_ok",
-                                                {"min": min_id}, 64))
-
-    def _on_sud_subscribed(self, station_env: Envelope, min_id: str,
-                           reply: Envelope):
-        if reply.kind == "subscribe_ok":
-            for bundle in reply.payload["bundles"]:
-                if self.validate_bundle(bundle, min_id) is None:
-                    self._accept(bundle, min_id)
-        self._reply_subscription(station_env, min_id)
-
-    def _reply_subscription(self, env: Envelope, min_id: str):
+        self.subscriptions.setdefault(min_id, {})[env.src] = env.link
         self.reply(env, "subscribe_model_ok", {"min": min_id}, 64)
 
     def revoke_station(self, station: str):

@@ -219,16 +219,7 @@ class Director(Actor):
             raise DirectorError(f"unknown subscriber {subscriber}")
         return msg.grant_bundle(bundle, subscriber, self.role_keys["publish"])
 
-    # -- subscriptions -----------------------------------------------------
-
-    def on_subscribe(self, env: Envelope):
-        min_id = env.payload["min"]
-        self.subscribers.setdefault(min_id, {})[env.src] = env.link
-        copies = [self.publish_bundle(b, env.src)
-                  for (m, s), b in sorted(self.bundles.items()) if m == min_id]
-        payload = {"min": min_id, "bundles": copies}
-        self.reply(env, "subscribe_ok", payload,
-                   64 + sum(msg.wire_size(c) for c in copies))
+    # -- manifest repair ---------------------------------------------------
 
     def on_manifest_fix(self, env: Envelope):
         key = (env.payload["min"], env.payload["s"])
@@ -300,9 +291,8 @@ class Director(Actor):
     def _newer_bundles(self, record: FleetRecord, entries):
         reported = {e.software: e.tau for e in entries}
         out = []
-        seen = set()
         for (min_id, trigger), bundle in sorted(self.bundles.items()):
-            if min_id != record.min or id(bundle) in seen:
+            if min_id != record.min:
                 continue
             trigger_mu = next(m for m in bundle.manifests
                               if m.theta.s == trigger)
@@ -317,7 +307,6 @@ class Director(Actor):
                 for ecu in ecus:
                     copy = msg.endorse_for_ecu(copy, ecu,
                                                self.role_keys["targets"])
-            seen.add(id(bundle))
             out.append(copy)
         return out
 

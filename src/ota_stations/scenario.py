@@ -90,8 +90,6 @@ class ScenarioConfig:
     first_ignition_ms: float = 100.0
     ignition_stagger_ms: float = 0.0
     publish_at_ms: float = 50.0
-    request_timeout_ms: Optional[float] = None
-    request_retries: int = 3
 
     attacks: tuple = ()
     compromise: tuple = ()         # signer ids handed to the adversary
@@ -124,7 +122,7 @@ class ScenarioConfig:
         need(self.horizon_ms > 0, "horizon_ms must be positive")
         need(self.crypto in PROVIDERS, f"unknown crypto provider {self.crypto}")
         for rule in self.attacks:
-            need(rule.kind in ATTACK_KINDS + ("delay",),
+            need(rule.kind in ATTACK_KINDS,
                  f"unknown attack kind {rule.kind}")
         return self
 
@@ -271,7 +269,6 @@ class Producer(Actor):
         self.sud = sud
         self.sud_link = sud_link
         self.results: list = []
-        self.alert_flag = False
         self.alerts: list = []
 
     def publish(self, mu: msg.UpdateManifest, image: msg.UpdateImage,
@@ -302,7 +299,6 @@ class Producer(Actor):
 
     def _retry(self, mu, image, attempt: int):
         if attempt >= self.RETRY_BUDGET:
-            self.alert_flag = True
             self.alerts.append((self.world.now,
                                 f"publish_failed:{mu.theta.s}"))
             return
@@ -346,6 +342,11 @@ class Scenario:
         self.trust.revoke(signer_id)
         if self.engine is not None:
             self.engine.revoke_station(signer_id)
+
+    def vehicle_alerted(self, vehicle: VehiclePrimary) -> bool:
+        """Whether the vehicle's primary or any of its secondaries alerted."""
+        return bool(vehicle.alerts) or any(
+            s.alerts for s in self.secondaries[vehicle.vin])
 
     def all_alerts(self):
         out = []
@@ -453,8 +454,6 @@ def build_scenario(config: ScenarioConfig) -> Scenario:
     """
     config.validate()
     world = World(seed=config.seed)
-    world.request_timeout_ms = config.request_timeout_ms
-    world.request_retries = config.request_retries
     provider = PROVIDERS[config.crypto]
     registry = KeyRegistry()
     keys: dict = {}
@@ -643,7 +642,7 @@ def build_scenario(config: ScenarioConfig) -> Scenario:
 
     adversary = None
     if config.attacks or config.compromise:
-        adversary = Adversary(config.attacks, seed=config.seed)
+        adversary = Adversary(config.attacks)
         for label in config.compromise:
             if label not in keys:
                 raise ConfigError(f"cannot compromise unknown key {label}")
@@ -773,8 +772,7 @@ def collect_report(scenario: Scenario) -> MetricsReport:
             vehicle.vin, t0,
             manifest - t0 if (manifest is not None and t0 is not None) else None,
             complete - t0 if (complete is not None and t0 is not None) else None,
-            vehicle.alert_flag or any(
-                s.alert_flag for s in scenario.secondaries[vehicle.vin])))
+            scenario.vehicle_alerted(vehicle)))
     return MetricsReport(
         name=scenario.config.name, seed=scenario.config.seed,
         horizon_reached=world.horizon_reached, rows=tuple(rows),
@@ -847,7 +845,7 @@ def liveness_failures(scenario: Scenario) -> list:
                  for _, vin, ecu, software, version, _
                  in scenario.world.install_log}
     out = []
-    producer_alerted = any(p.alert_flag for p in scenario.producers)
+    producer_alerted = any(p.alerts for p in scenario.producers)
     for item in scenario.items:
         published = bool(scenario.director.catalog.get(item.software))
         if not published:
@@ -858,8 +856,7 @@ def liveness_failures(scenario: Scenario) -> list:
                            f"published and no alert")
             continue
         for vehicle in scenario.vehicles:
-            if vehicle.alert_flag or any(
-                    s.alert_flag for s in scenario.secondaries[vehicle.vin]):
+            if scenario.vehicle_alerted(vehicle):
                 continue
             got = installed.get((vehicle.vin, item.ecu, item.software))
             if got is None or got < item.version:

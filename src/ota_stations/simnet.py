@@ -125,15 +125,13 @@ class Link:
 
 
 class Timer:
-    """A scheduled call's handle; `World.run` sets `fired` just before the
-    call, and drops the call unrun, without moving the clock, once its timer
-    is cancelled."""
+    """A scheduled call's handle; `World.run` drops the call unrun, without
+    moving the clock, once its timer is cancelled."""
 
-    __slots__ = ("cancelled", "fired")
+    __slots__ = ("cancelled",)
 
     def __init__(self):
         self.cancelled = False
-        self.fired = False
 
     def cancel(self):
         self.cancelled = True
@@ -169,15 +167,12 @@ class World:
         # Feeds only the vehicles' request nonces; image bytes are a
         # function of (seed, software) and draw nothing from it.
         self.rng = random.Random(seed)
-        self.seed = seed
         self._heap: list = []
         self._seq = 0
         self._req_seq = 0
         self.actors: dict = {}
         self.trace: list = []
         self.adversary = None
-        self.request_timeout_ms: Optional[float] = None
-        self.request_retries: int = 3
         self.horizon_reached = False
         # (time, vin, ecu, software, version, digest of the installed bytes)
         self.install_log: list = []
@@ -218,9 +213,6 @@ class World:
                     return
                 if action == "modify":
                     env = value
-                if action == "inject":
-                    for extra in value:
-                        self._transmit(extra)
         self._transmit(env)
 
     def _transmit(self, env: Envelope):
@@ -264,8 +256,6 @@ class World:
                 self.now = horizon_ms
                 return self.trace
             self.now = at
-            if timer is not None:
-                timer.fired = True
             fn() if arg is None else fn(arg)
         if self._latest_eta > self.now:
             if horizon_ms is not None and self._latest_eta > horizon_ms:
@@ -319,7 +309,7 @@ class _Download:
     on_done: Callable
     on_error: Optional[Callable]
     timeout_ms: Optional[float]
-    retries: Optional[int]
+    retries: int
     received: msg.Received
     cancelled: bool = False
 
@@ -391,14 +381,15 @@ class Actor:
 
     def request(self, dst: str, kind: str, payload, size: int, link: Link,
                 on_reply: Callable, on_fail: Optional[Callable] = None,
-                timeout_ms: Optional[float] = None,
-                retries: Optional[int] = None):
+                timeout_ms: Optional[float] = None, retries: int = 3):
+        """Send request `kind` to `dst` and call `on_reply` with the first
+        reply.  With `timeout_ms` None, the default, the request is sent
+        once and never times out.  Otherwise an unanswered request is sent
+        again after `timeout_ms`, at most `retries` more times, and then
+        `on_fail` is called, if given.  Returns the request id."""
         req_id = self.world.next_req_id()
-        timeout = timeout_ms if timeout_ms is not None \
-            else self.world.request_timeout_ms
-        budget = retries if retries is not None else self.world.request_retries
         self._attempt(req_id, _Pending(dst, kind, payload, size, link,
-                                       on_reply, on_fail, timeout, budget))
+                                       on_reply, on_fail, timeout_ms, retries))
         return req_id
 
     def _attempt(self, req_id: int, pending: _Pending):
@@ -443,8 +434,7 @@ class Actor:
     def fetch_image(self, dst: str, link: Link, kind: str, payload: dict,
                     size: int, mu, on_done: Callable,
                     on_error: Optional[Callable] = None,
-                    timeout_ms: Optional[float] = None,
-                    retries: Optional[int] = None,
+                    timeout_ms: Optional[float] = None, retries: int = 3,
                     received: Optional[msg.Received] = None) -> _Download:
         """Download the image of manifest `mu` from `dst`, a repository
         ("fetch") or a station ("serve"); vehicles, stations and the

@@ -95,7 +95,6 @@ class VehiclePrimary(Actor):
         self._image_timer = None
         self._last_status_t = 0
         self._ignitions = 0
-        self.alert_flag = False
         self.alerts: list = []
         self.records: dict = {"ignitions": [], "manifest_done": None,
                               "complete": None}
@@ -103,7 +102,6 @@ class VehiclePrimary(Actor):
     # -- alerts ------------------------------------------------------------
 
     def alert(self, reason: str):
-        self.alert_flag = True
         self.alerts.append((self.world.now, reason))
 
     # -- status cycle (step 6 onward) --------------------------------------
@@ -412,15 +410,6 @@ class VehiclePrimary(Actor):
             return
         self.alert("image_timeout")
 
-    # -- inspection --------------------------------------------------------
-
-    def dump(self) -> str:
-        lines = [f"vin {self.vin} alert {int(self.alert_flag)}"]
-        for (ecu, s) in sorted(self.inventory):
-            tau = self.inventory[(ecu, s)]
-            lines.append(f"{ecu} {s} v{tau.v} t{tau.t}")
-        return "\n".join(lines) + "\n"
-
 
 class SecondaryEcu(Actor):
     """Secondary ECU; the actor name is '<vin>.<ecu>'."""
@@ -445,11 +434,9 @@ class SecondaryEcu(Actor):
         self.last_reply_tau = msg.TimestampRecord(0, 1)
         self._status_timer = None
         self._image_timer = None
-        self.alert_flag = False
         self.alerts: list = []
 
     def alert(self, reason: str):
-        self.alert_flag = True
         self.alerts.append((self.world.now, reason))
 
     # -- status relay ------------------------------------------------------
@@ -570,10 +557,3 @@ class SecondaryEcu(Actor):
                    {"ecu": self.ecu,
                     "software": tuple(sorted(mu.theta.s for mu, _ in items))},
                    128)
-
-    def dump(self) -> str:
-        lines = [f"ecu {self.vin}.{self.ecu} alert {int(self.alert_flag)}"]
-        for s in sorted(self.installed):
-            tau, _ = self.installed[s]
-            lines.append(f"{s} v{tau.v} t{tau.t}")
-        return "\n".join(lines) + "\n"

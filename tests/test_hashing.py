@@ -78,7 +78,7 @@ def test_tampered_chunk_is_a_new_object_and_fails_its_digest():
     # An install group the primary pushes: the first chunk is flipped and
     # keeps its genuine digest.
     buckets = reply.payload["buckets"]
-    mutated = _tamper({"items": ((mu, buckets),)}, rig.world)
+    mutated = _tamper({"items": ((mu, buckets),)})
     (_, flipped), = mutated["items"]
     assert flipped[0][1] is not buckets[0][1]
     assert flipped[0][2] is buckets[0][2]

@@ -51,6 +51,10 @@ def test_parse_handles_comments_blanks_and_sections():
 def test_parse_rejects_unknown_key_with_line_number():
     with pytest.raises(ConfigError, match="line 2: unknown key warp"):
         parse_config("name = x\nwarp = 9\n")
+    # Request timeouts and retries are each request's own, not config keys.
+    for key, value in (("request_timeout_ms", "5"), ("request_retries", "1")):
+        with pytest.raises(ConfigError, match=f"line 2: unknown key {key}$"):
+            parse_config(f"name = x\n{key} = {value}\n")
     with pytest.raises(ConfigError, match="line 1: expected key = value"):
         parse_config("just words\n")
     with pytest.raises(ConfigError, match="unknown attack key"):

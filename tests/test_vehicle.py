@@ -38,7 +38,7 @@ def test_end_to_end_install_over_cellular():
     assert tau.v == 2
     assert vehicle.inventory[("primary", "sw0")].v == 2
     assert vehicle.records["complete"] is not None
-    assert not vehicle.alert_flag
+    assert not vehicle.alerts
     log = rig.world.install_log
     assert [(vin, ecu, s, v) for _, vin, ecu, s, v, _ in log] == \
         [(VIN, "primary", "sw0", 2)]
@@ -65,7 +65,33 @@ def test_digest_status_used_once_inventory_is_stable():
     # is full again; the third matches the second and ships the digest.
     assert r_kinds == ["full", "full", "digest"]
     assert vehicle.last_r_digest is not None
-    assert not vehicle.alert_flag
+    assert not vehicle.alerts
+
+
+def test_digest_status_the_director_cannot_match_is_resent_full():
+    rig = Rig()
+    _register(rig)
+    vehicle = _primary(rig, {"sw0": ("primary", msg.TimestampRecord(1, 1))},
+                       ignition_period_ms=200_000.0, ignition_limit=3)
+    r_kinds = []
+    original = rig.director.on_status
+
+    def tap(env):
+        if isinstance(env.payload.r, bytes):
+            r_kinds.append("digest")
+            # The director has lost the full report the digest stands for.
+            rig.director.fleet[VIN].last_full_r = None
+        else:
+            r_kinds.append("full")
+        original(env)
+
+    rig.director.on_status = tap
+    rig.world.schedule(10.0, vehicle.ignition)
+    rig.world.run()
+    assert r_kinds == ["full", "full", "digest", "full"]
+    assert [rec.kind for rec in rig.world.trace].count(
+        "status_need_full") == 1
+    assert not vehicle.alerts
 
 
 def test_forged_reply_is_ignored_and_deadline_raises_alert():
@@ -84,7 +110,7 @@ def test_forged_reply_is_ignored_and_deadline_raises_alert():
     rig.director.on_status = forge
     rig.world.schedule(10.0, vehicle.ignition)
     rig.world.run()
-    assert vehicle.alert_flag
+    assert vehicle.alerts
     assert [reason for _, reason in vehicle.alerts] == ["status_timeout"]
     assert vehicle.last_reply_tau.v == 1  # forged timestamp never accepted
 
@@ -185,13 +211,13 @@ def test_image_deadline_reset_keeps_the_station_reply_in_flight():
 # Secondary ECUs
 # ---------------------------------------------------------------------------
 
-def _secondary(rig, untrusted=False, installed_version=1):
+def _secondary(rig, untrusted=False, installed_version=1, **kwargs):
     rig.add_key(f"{VIN}.primary")
     key = rig.add_key(f"{VIN}.sec")
     initial = {"sw0": (msg.TimestampRecord(installed_version,
                                            installed_version), None)}
     return SecondaryEcu(VIN, "sec", rig.world, rig.trust, key, initial,
-                        untrusted=untrusted, flash_latency_ms=1.0)
+                        untrusted=untrusted, flash_latency_ms=1.0, **kwargs)
 
 
 def _install_env(rig, items, bundle=None, signer=None):
@@ -270,6 +296,45 @@ def test_untrusted_secondary_requires_endorsed_bundle():
     rig.world.run()
     assert replies[-1][0] == "install_ok"
     assert sec.installed["sw0"][0].v == 2
+
+
+def test_untrusted_secondary_rejects_bad_relays_and_times_out():
+    rig = Rig()
+    sec = _secondary(rig, untrusted=True, status_deadline_ms=1_000.0,
+                     image_deadline_ms=5_000.0)
+    link = rig.link("iv")
+    sec.on_report_tau(Envelope(f"{VIN}.primary", sec.name, "report_tau", {},
+                               64, link, req_id=rig.world.next_req_id()))
+    mu, _ = rig.seed_update("sw0", ecu="sec")  # an update the ECU wants
+    bundle = msg.Bundle((mu,), msg.TimestampRecord(5, 1))
+
+    def relay(report):
+        sec.on_relay_reply(Envelope(f"{VIN}.primary", sec.name, "relay_reply",
+                                    {"report": report}, 256, link))
+
+    def report(tau, role):
+        gamma = msg.StatusReport((), tau, bytes(msg.NONCE_LEN),
+                                 bundles=(bundle,))
+        return msg.sign_message(gamma, rig.keys[msg.ROLE_IDS[role]])
+
+    # Each bad relay fails exactly one guard: the bundle is fresh and
+    # timestamp-signed, but is not a status report.
+    not_a_report = msg.sign_message(
+        bundle, rig.keys[msg.ROLE_IDS["timestamp"]])
+    before = sec.last_reply_tau
+    for bad in (not_a_report,
+                report(msg.TimestampRecord(10, 2), "snapshot"),   # wrong role
+                report(msg.TimestampRecord(0, 2), "timestamp")):  # not fresh
+        relay(bad)
+        assert sec.last_reply_tau == before
+        assert sec._image_timer is None
+    rig.world.run()
+    assert [reason for _, reason in sec.alerts] == ["status_relay_timeout"]
+    # The same bundle in a fresh, timestamp-signed report is accepted.
+    good = report(msg.TimestampRecord(10, 2), "timestamp")
+    relay(good)
+    assert sec.last_reply_tau == good.tau
+    assert sec._image_timer is not None
 
 
 # ---------------------------------------------------------------------------
