@@ -68,7 +68,9 @@ class UpdateEngine(Actor):
                 return f"manifest:{mu.theta.s}"
         return None
 
-    def _accept(self, bundle: msg.Bundle, min_id: str):
+    def record(self, bundle: msg.Bundle, min_id: str):
+        """Keep `bundle` as the model's latest for its trigger, and its
+        bundle and manifest timestamps as the freshness floor."""
         trigger = bundle.manifests[0].theta.s
         self.bundles[(min_id, trigger)] = bundle
         self.last_bundle_tau[(min_id, trigger)] = bundle.tau
@@ -76,17 +78,14 @@ class UpdateEngine(Actor):
             prev = self.last_manifest_tau.get(mu.theta.s)
             if prev is None or mu.tau.v > prev.v:
                 self.last_manifest_tau[mu.theta.s] = mu.tau
+
+    def _accept(self, bundle: msg.Bundle, min_id: str):
+        self.record(bundle, min_id)
         for station, link in sorted(
                 self.subscriptions.get(min_id, {}).items()):
-            self._push_to_station(bundle, min_id, station, link)
-
-    def _push_to_station(self, bundle, min_id, station, link):
-        copy = msg.grant_bundle(bundle, station, self.key)
-        self.send(station, "prefetch", {"bundle": copy, "min": min_id},
-                  msg.wire_size(copy), link)
-
-    def delegate(self, bundle: msg.Bundle, station: str) -> msg.Bundle:
-        return msg.grant_bundle(bundle, station, self.key)
+            copy = msg.grant_bundle(bundle, station, self.key)
+            self.send(station, "prefetch", {"bundle": copy, "min": min_id},
+                      msg.wire_size(copy), link)
 
     # -- handlers ----------------------------------------------------------
 
@@ -120,8 +119,8 @@ class UpdateEngine(Actor):
             if m != min_id:
                 continue
             if any(mu.theta.s == software for mu in bundle.manifests):
-                self.reply(env, "authorize_ok",
-                           {"bundle": self.delegate(bundle, env.src)},
+                granted = msg.grant_bundle(bundle, env.src, self.key)
+                self.reply(env, "authorize_ok", {"bundle": granted},
                            msg.wire_size(bundle) + 64)
                 return
         self.reply(env, "authorize_err", {"reason": "unknown"}, 64)

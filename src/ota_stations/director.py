@@ -104,10 +104,6 @@ class Director(Actor):
         self.min_config.setdefault(record.min, dict(initial))
         return record
 
-    def quality_assurance(self, manifest: msg.UpdateManifest) -> bool:
-        # Pre-signing QA hook; modeled as always passing.
-        return True
-
     # -- ingestion (publishing steps 2-4) ----------------------------------
 
     def on_producer_manifest(self, env: Envelope):
@@ -137,8 +133,6 @@ class Director(Actor):
         known_ecu = self.software_ecu.get(mu.theta.s)
         if known_ecu is not None and known_ecu != mu.theta.e:
             return "ecu_mismatch"
-        if not self.quality_assurance(mu):
-            return "qa"
         return None
 
     def _last_tau(self, software: str):

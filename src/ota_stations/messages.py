@@ -2,11 +2,15 @@
 reports, update images, canonical byte encoding, the trust context every
 actor verifies signatures through, and freshness rules.
 
-Canonical encoding rules: fields in declaration order, integers as 8-byte
-big-endian, strings UTF-8 with 4-byte big-endian length prefix, byte strings
-with 4-byte length prefix, lists as 4-byte count then elements.  Signature
-entries, download grants, and per-ECU endorsements are appended AFTER the
-signed region, so adding them never changes the digest other parties verify.
+Manifests, bundles and status reports are the wire messages; timestamp
+and metadata records are encoded only as fields of them.  Each wire message
+encodes its own signed region (`_encode_region`) and the sections that
+follow it (`_sections`).  Canonical encoding rules: a one-byte type tag,
+then fields in declaration order, integers as 8-byte big-endian, strings
+UTF-8 with 4-byte big-endian length prefix, byte strings with 4-byte length
+prefix, lists as 4-byte count then elements.  Signature entries, download
+grants, and per-ECU endorsements are appended AFTER the signed region, so
+adding them never changes the digest other parties verify.
 """
 from __future__ import annotations
 
@@ -29,8 +33,6 @@ ROLE_IDS = {role: f"sud.{role}" for role in ROLE_NAMES}
 MANIFEST_ROLES = frozenset(ROLE_IDS[r] for r in ("targets", "timestamp",
                                                  "root"))
 
-TAG_TS = 0x01
-TAG_META = 0x02
 TAG_MANIFEST = 0x03
 TAG_BUNDLE = 0x04
 TAG_STATUS = 0x05
@@ -63,15 +65,30 @@ class MetaRecord:
 
 
 @dataclass(frozen=True)
-class UpdateManifest:
-    l: str                 # location URI: "<repo_id>/<path>"
-    theta: MetaRecord
-    tau: TimestampRecord
-    sigma: tuple = ()      # SignatureEntry list, append-only
+class _WireMessage:
+    """A manifest, bundle or status report.  It keeps its signed region and
+    the region's digest once computed (`signed_region`, `payload_digest`).
+    Its sections after the region are its signatures, unless it adds more."""
+
     _region: Optional[bytes] = field(default=None, init=False, repr=False,
                                      compare=False)
     _payload_digest: Optional[bytes] = field(default=None, init=False,
                                              repr=False, compare=False)
+
+    def _sections(self) -> bytes:
+        return _enc_sigma(self.sigma)
+
+
+@dataclass(frozen=True)
+class UpdateManifest(_WireMessage):
+    l: str                 # location URI: "<repo_id>/<path>"
+    theta: MetaRecord
+    tau: TimestampRecord
+    sigma: tuple = ()      # SignatureEntry list, append-only
+
+    def _encode_region(self) -> bytes:
+        return (bytes([TAG_MANIFEST]) + _s(self.l) + _enc_meta(self.theta)
+                + _enc_ts(self.tau))
 
 
 @dataclass(frozen=True)
@@ -85,16 +102,34 @@ class Grant:
 
 
 @dataclass(frozen=True)
-class Bundle:
+class Bundle(_WireMessage):
     manifests: tuple       # UpdateManifest, ordered, pairwise distinct (s, v)
     tau: TimestampRecord
     sigma: tuple = ()
     grants: tuple = ()     # Grant chain, outside the signed region
     ecu_sigs: tuple = ()   # (ecu_id, SignatureEntry), outside the signed region
-    _region: Optional[bytes] = field(default=None, init=False, repr=False,
-                                     compare=False)
-    _payload_digest: Optional[bytes] = field(default=None, init=False,
-                                             repr=False, compare=False)
+
+    def _encode_region(self) -> bytes:
+        if not self.manifests:
+            raise EncodingError("bundle must enclose at least one manifest")
+        keys = [(m.theta.s, m.tau.v) for m in self.manifests]
+        if len(set(keys)) != len(keys):
+            raise EncodingError("bundle manifests not distinct by (s, v)")
+        out = bytes([TAG_BUNDLE]) + _count(len(self.manifests))
+        for m in self.manifests:
+            body = signed_region(m) + _enc_sigma(m.sigma)
+            out += _blob(body)
+        return out + _enc_ts(self.tau)
+
+    def _sections(self) -> bytes:
+        out = _enc_sigma(self.sigma)
+        out += _count(len(self.grants))
+        for g in self.grants:
+            out += _s(g.subject) + _enc_sig(g.entry)
+        out += _count(len(self.ecu_sigs))
+        for ecu, entry in self.ecu_sigs:
+            out += _s(ecu) + _enc_sig(entry)
+        return out
 
 
 @dataclass(frozen=True)
@@ -106,20 +141,32 @@ class StatusEntry:
 
 
 @dataclass(frozen=True)
-class StatusReport:
+class StatusReport(_WireMessage):
     r: Union[tuple, bytes]  # tuple of StatusEntry, or digest of a prior full R
     tau: TimestampRecord
     nonce: bytes            # 16 bytes, unique per message per sender
     sigma: tuple = ()
     bundles: tuple = ()     # present only in director replies
-    _region: Optional[bytes] = field(default=None, init=False, repr=False,
-                                     compare=False)
-    _payload_digest: Optional[bytes] = field(default=None, init=False,
-                                             repr=False, compare=False)
 
-
-# The messages that keep their signed region and its digest once computed.
-_SIGNED = (UpdateManifest, Bundle, StatusReport)
+    def _encode_region(self) -> bytes:
+        if len(self.nonce) != NONCE_LEN:
+            raise EncodingError("nonce must be 16 bytes")
+        out = bytes([TAG_STATUS])
+        if isinstance(self.r, bytes):
+            out += b"\x01" + _blob(self.r)
+        else:
+            out += b"\x00" + _count(len(self.r))
+            for entry in self.r:
+                out += _s(entry.ecu) + _s(entry.software) + _enc_ts(entry.tau)
+                if entry.sig is None:
+                    out += b"\x00"
+                else:
+                    out += b"\x01" + _enc_sig(entry.sig)
+        out += _enc_ts(self.tau) + _blob(self.nonce)
+        out += _count(len(self.bundles))
+        for b in self.bundles:
+            out += _blob(canonical_encode(b))
+        return out
 
 
 @dataclass(frozen=True)
@@ -282,74 +329,14 @@ def signed_region(msg) -> bytes:
     shares these very bytes; a `replace` of any region field gives an
     instance that encodes afresh.
     """
-    if isinstance(msg, _SIGNED):
-        if msg._region is None:
-            object.__setattr__(msg, "_region", _encode_region(msg))
-        return msg._region
-    return _encode_region(msg)
-
-
-def _encode_region(msg) -> bytes:
-    if isinstance(msg, TimestampRecord):
-        return bytes([TAG_TS]) + _enc_ts(msg)
-    if isinstance(msg, MetaRecord):
-        return bytes([TAG_META]) + _enc_meta(msg)
-    if isinstance(msg, UpdateManifest):
-        return (bytes([TAG_MANIFEST]) + _s(msg.l) + _enc_meta(msg.theta)
-                + _enc_ts(msg.tau))
-    if isinstance(msg, Bundle):
-        if not msg.manifests:
-            raise EncodingError("bundle must enclose at least one manifest")
-        keys = [(m.theta.s, m.tau.v) for m in msg.manifests]
-        if len(set(keys)) != len(keys):
-            raise EncodingError("bundle manifests not distinct by (s, v)")
-        out = bytes([TAG_BUNDLE]) + _count(len(msg.manifests))
-        for m in msg.manifests:
-            body = signed_region(m) + _enc_sigma(m.sigma)
-            out += _blob(body)
-        return out + _enc_ts(msg.tau)
-    if isinstance(msg, StatusReport):
-        if len(msg.nonce) != NONCE_LEN:
-            raise EncodingError("nonce must be 16 bytes")
-        out = bytes([TAG_STATUS])
-        if isinstance(msg.r, bytes):
-            out += b"\x01" + _blob(msg.r)
-        else:
-            out += b"\x00" + _count(len(msg.r))
-            for entry in msg.r:
-                out += _s(entry.ecu) + _s(entry.software) + _enc_ts(entry.tau)
-                if entry.sig is None:
-                    out += b"\x00"
-                else:
-                    out += b"\x01" + _enc_sig(entry.sig)
-        out += _enc_ts(msg.tau) + _blob(msg.nonce)
-        out += _count(len(msg.bundles))
-        for b in msg.bundles:
-            out += _blob(canonical_encode(b))
-        return out
-    raise EncodingError(f"unencodable message {type(msg).__name__}")
-
-
-def _enc_sections(msg) -> bytes:
-    """The sections of a manifest, bundle or status report that follow its
-    signed region: its signatures, then a bundle's grants and endorsements."""
-    out = _enc_sigma(msg.sigma)
-    if isinstance(msg, Bundle):
-        out += _count(len(msg.grants))
-        for g in msg.grants:
-            out += _s(g.subject) + _enc_sig(g.entry)
-        out += _count(len(msg.ecu_sigs))
-        for ecu, entry in msg.ecu_sigs:
-            out += _s(ecu) + _enc_sig(entry)
-    return out
+    if msg._region is None:
+        object.__setattr__(msg, "_region", msg._encode_region())
+    return msg._region
 
 
 def canonical_encode(msg) -> bytes:
-    """Full wire encoding: signed region followed by the signature section."""
-    region = signed_region(msg)
-    if isinstance(msg, _SIGNED):
-        return region + _enc_sections(msg)
-    return region
+    """Full wire encoding: the signed region followed by the sections."""
+    return signed_region(msg) + msg._sections()
 
 
 def decode_message(data: bytes):
@@ -362,10 +349,6 @@ def decode_message(data: bytes):
 
 def _decode(r: _Reader):
     tag = r.byte()
-    if tag == TAG_TS:
-        return _dec_ts(r)
-    if tag == TAG_META:
-        return _dec_meta(r)
     if tag == TAG_MANIFEST:
         l = r.s()
         theta = _dec_meta(r)
@@ -408,21 +391,15 @@ def payload_digest(msg) -> bytes:
     on to each instance that appends a signature, grant or endorsement to
     it (`replace_outside_region`); a `replace` of a region field gives an
     instance that keeps neither."""
-    if isinstance(msg, _SIGNED):
-        if msg._payload_digest is None:
-            object.__setattr__(msg, "_payload_digest",
-                               digest(signed_region(msg)))
-        return msg._payload_digest
-    return digest(signed_region(msg))
+    if msg._payload_digest is None:
+        object.__setattr__(msg, "_payload_digest", digest(signed_region(msg)))
+    return msg._payload_digest
 
 
 def wire_size(msg) -> int:
-    """`len(canonical_encode(msg))`.  A manifest, bundle or status report
-    adds its encoded sections' length to its kept region's, so its region
-    is not copied into a new encoding; others are encoded."""
-    if isinstance(msg, _SIGNED):
-        return len(signed_region(msg)) + len(_enc_sections(msg))
-    return len(canonical_encode(msg))
+    """`len(canonical_encode(msg))`: the kept region's length plus the
+    encoded sections', so the region is not copied into a new encoding."""
+    return len(signed_region(msg)) + len(msg._sections())
 
 
 # ---------------------------------------------------------------------------

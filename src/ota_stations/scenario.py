@@ -672,13 +672,7 @@ def _preseed(repo, director, engine, stations, items, model_mins):
             bundle = director.resolve_and_bundle(item.software, min_id)
             if bundle is None or engine is None:
                 continue
-            granted = director.publish_bundle(bundle, "engine0")
-            engine.bundles[(min_id, item.software)] = granted
-            engine.last_bundle_tau[(min_id, item.software)] = bundle.tau
-            for mu in bundle.manifests:
-                prev = engine.last_manifest_tau.get(mu.theta.s)
-                if prev is None or mu.tau.v > prev.v:
-                    engine.last_manifest_tau[mu.theta.s] = mu.tau
+            engine.record(director.publish_bundle(bundle, "engine0"), min_id)
     for station in stations:
         for min_id in model_mins:
             station.known_models.add(min_id)

@@ -1,10 +1,11 @@
 import dataclasses
 
 from helpers import Rig, VIN
-from ota_stations import messages as msg
+from ota_stations import adversary, messages as msg
 from ota_stations.broker import Station, UpdateEngine
 from ota_stations.scenario import (ScenarioConfig, build_scenario,
                                    collect_report, run_scenario)
+from ota_stations.simnet import Envelope
 
 
 def _station(rig, capacity=1000):
@@ -119,8 +120,33 @@ def test_engine_delegated_grant_reaches_station():
     engine = _engine(rig)
     rig.add_key("station0")
     granted = _granted_bundle(rig)
-    delegated = engine.delegate(granted, "station0")
+    delegated = msg.grant_bundle(granted, "station0", engine.key)
     assert rig.trust.granted(delegated, "station0")
+
+
+def test_engine_repairs_a_tampered_publish_from_the_director():
+    rig = Rig()
+    engine = _engine(rig)
+    station = _station(rig)
+    min_id = VIN[:11]
+    engine.subscriptions[min_id] = {"station0": rig.link("e-st")}
+    granted = _granted_bundle(rig)
+    tampered = adversary._tamper({"bundle": granted, "min": min_id})
+    rig.world.send(Envelope("sud0", "engine0", "publish", tampered,
+                            msg.wire_size(tampered["bundle"]),
+                            rig.link("s-e")))
+    rig.world.run()
+    # The tampered bundle is refused and logged; the engine asks the
+    # director once for a fresh copy, accepts it and pushes it on.
+    assert engine.audit_log == [("publish_rejected", min_id, "auth")]
+    sent = [(r.src, r.dst, r.kind) for r in rig.world.trace]
+    assert sent.count(("engine0", "sud0", "manifest_fix")) == 1
+    assert ("sud0", "engine0", "manifest_fix_ok") in sent
+    repaired = engine.bundles[(min_id, "sw0")]
+    assert msg.payload_digest(repaired) == msg.payload_digest(granted)
+    assert engine.last_bundle_tau[(min_id, "sw0")] == granted.tau
+    assert sent.count(("engine0", "station0", "prefetch")) == 1
+    assert station.cache_get("sw0", 2) is not None
 
 
 def test_engine_revoke_station_removes_subscriptions():

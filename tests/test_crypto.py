@@ -257,14 +257,14 @@ def test_repeated_scenario_does_the_same_crypto_and_codec_work(monkeypatch):
     first."""
     counting = CountingProvider(PROVIDERS["ed25519"])
     monkeypatch.setitem(crypto.PROVIDERS, "ed25519", counting)
-    encode = messages._encode_region
     encodes = Counter()
+    for cls in (messages.UpdateManifest, messages.Bundle,
+                messages.StatusReport):
+        def counted_encode(m, encode=cls._encode_region):
+            encodes["region"] += 1
+            return encode(m)
 
-    def counted_encode(m):
-        encodes["region"] += 1
-        return encode(m)
-
-    monkeypatch.setattr(messages, "_encode_region", counted_encode)
+        monkeypatch.setattr(cls, "_encode_region", counted_encode)
     real_digest = crypto.digest
 
     def counted_digest(data):

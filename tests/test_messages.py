@@ -39,29 +39,25 @@ def _s(text):
     return _blob(text.encode())
 
 
-def test_timestamp_encoding_matches_hand_built_bytes():
-    ts = msg.TimestampRecord(t=123, v=7)
-    expected = bytes([0x01]) + _u64(123) + _u64(7)
-    assert msg.canonical_encode(ts) == expected
-
-
-def test_meta_encoding_matches_hand_built_bytes():
-    h = digest(b"image")
-    theta = msg.MetaRecord(h, "ecu1", "sw0", ("dep0", "dep1"))
-    expected = (bytes([0x02]) + _blob(h) + _s("ecu1") + _s("sw0")
-                + struct.pack(">I", 2) + _s("dep0") + _s("dep1"))
-    assert msg.canonical_encode(theta) == expected
-
-
 def test_manifest_encoding_matches_hand_built_bytes():
     h = digest(b"image")
-    theta = msg.MetaRecord(h, "e", "s")
-    mu = msg.UpdateManifest("repo0/s/2", theta, msg.TimestampRecord(2, 2))
-    expected = (bytes([0x03]) + _s("repo0/s/2")
-                + _blob(h) + _s("e") + _s("s") + struct.pack(">I", 0)
-                + _u64(2) + _u64(2)
+    theta = msg.MetaRecord(h, "ecu1", "sw0", ("dep0", "dep1"))
+    mu = msg.UpdateManifest("repo0/sw0/7", theta,
+                            msg.TimestampRecord(t=123, v=7))
+    expected = (bytes([0x03]) + _s("repo0/sw0/7")
+                + _blob(h) + _s("ecu1") + _s("sw0")
+                + struct.pack(">I", 2) + _s("dep0") + _s("dep1")
+                + _u64(123) + _u64(7)
                 + struct.pack(">I", 0))  # empty signature section
     assert msg.canonical_encode(mu) == expected
+
+
+@pytest.mark.parametrize("tag", (0x01, 0x02), ids=("timestamp", "meta"))
+def test_bare_timestamp_and_meta_tags_do_not_decode(tag):
+    # Timestamp and metadata records are fields of a wire message, never a
+    # message of their own.
+    with pytest.raises(msg.EncodingError, match="unknown tag"):
+        msg.decode_message(bytes([tag]) + _u64(123) + _u64(7))
 
 
 def test_signature_section_outside_signed_region():
@@ -158,8 +154,7 @@ def status_reports(draw, text=names):
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.one_of(timestamps(), metas(), manifests(), bundles(),
-                 status_reports()))
+@given(st.one_of(manifests(), bundles(), status_reports()))
 def test_encoding_round_trip(message):
     encoded = msg.canonical_encode(message)
     assert msg.decode_message(encoded) == message
@@ -179,9 +174,9 @@ def _wide_report():
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.one_of(timestamps(), metas(wide_names), manifests(wide_names),
-                 bundles(wide_names), status_reports(wide_names),
-                 manifests(), bundles(), status_reports()))
+@given(st.one_of(manifests(wide_names), bundles(wide_names),
+                 status_reports(wide_names), manifests(), bundles(),
+                 status_reports()))
 @example(_wide_report())
 def test_wire_size_is_the_encoded_length(message):
     # A signed message adds its sections' length to its kept region's, so
@@ -215,8 +210,7 @@ def _signed_messages():
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.one_of(timestamps(), metas(), manifests(), bundles(),
-                 status_reports()))
+@given(st.one_of(manifests(), bundles(), status_reports()))
 def test_cached_region_equals_fresh_encoding(message):
     first = msg.signed_region(message)
     assert msg.signed_region(message) == first == _fresh_region(message)
@@ -348,19 +342,18 @@ def test_region_memo_leaves_equality_hash_and_repr_alone():
 
 
 def test_encoding_rejects_malformed_values():
-    with pytest.raises(msg.EncodingError):
-        msg.canonical_encode(msg.TimestampRecord(1, 0))   # version < 1
-    with pytest.raises(msg.EncodingError):
-        msg.canonical_encode(msg.MetaRecord(b"short", "e", "s"))
-    with pytest.raises(msg.EncodingError):
-        msg.canonical_encode(msg.MetaRecord(digest(b"x"), "e", "s",
-                                            ("s",)))      # self-dependency
-    with pytest.raises(msg.EncodingError):
-        msg.canonical_encode(msg.MetaRecord(digest(b"x"), "e", "s",
-                                            ("a", "a")))  # duplicate dep
+    mu = _manifest("s")
+    bad_fields = (
+        {"tau": msg.TimestampRecord(1, 0)},                    # version < 1
+        {"theta": msg.MetaRecord(b"short", "e", "s")},
+        {"theta": msg.MetaRecord(digest(b"x"), "e", "s", ("s",))},  # self-dep
+        {"theta": msg.MetaRecord(digest(b"x"), "e", "s", ("a", "a"))},  # dup
+    )
+    for change in bad_fields:
+        with pytest.raises(msg.EncodingError):
+            msg.canonical_encode(dataclasses.replace(mu, **change))
     with pytest.raises(msg.EncodingError):
         msg.canonical_encode(msg.Bundle((), msg.TimestampRecord(1, 1)))
-    mu = _manifest("s")
     with pytest.raises(msg.EncodingError):
         msg.canonical_encode(msg.Bundle((mu, mu), msg.TimestampRecord(1, 1)))
     with pytest.raises(msg.EncodingError):
