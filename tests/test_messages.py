@@ -39,6 +39,34 @@ def _s(text):
     return _blob(text.encode())
 
 
+def test_timestamp_encoding_matches_hand_built_bytes():
+    # A timestamp record is two big-endian u64s, t then v, wherever a signed
+    # message carries one.
+    tau = msg.TimestampRecord(t=123, v=7)
+    ts_bytes = _u64(123) + _u64(7)
+    mu = msg.UpdateManifest("repo0/s/2", msg.MetaRecord(digest(b"image"),
+                                                        "e", "s"), tau)
+    assert msg.signed_region(mu).endswith(ts_bytes)
+    bundle = msg.Bundle((mu,), tau)
+    expected = (bytes([0x04]) + struct.pack(">I", 1)
+                + _blob(msg.canonical_encode(mu)) + ts_bytes)
+    assert msg.signed_region(bundle) == expected
+
+
+def test_meta_encoding_matches_hand_built_bytes():
+    # A metadata record is the image digest, ECU, software id and the
+    # counted dependency list, in that order, inside a manifest's region.
+    h = digest(b"image")
+    for deps in ((), ("dep0", "dep1")):
+        theta = msg.MetaRecord(h, "ecu1", "sw0", deps)
+        mu = msg.UpdateManifest("l", theta, msg.TimestampRecord(1, 1))
+        meta_bytes = (_blob(h) + _s("ecu1") + _s("sw0")
+                      + struct.pack(">I", len(deps))
+                      + b"".join(_s(dep) for dep in deps))
+        expected = bytes([0x03]) + _s("l") + meta_bytes + _u64(1) + _u64(1)
+        assert msg.signed_region(mu) == expected
+
+
 def test_manifest_encoding_matches_hand_built_bytes():
     h = digest(b"image")
     theta = msg.MetaRecord(h, "ecu1", "sw0", ("dep0", "dep1"))
