@@ -12,10 +12,12 @@ before any event runs, and it touches no actor, link or heap.
 
 Events run in (time, seq) order, where seq is the order in which they were
 scheduled: of two events due at the same instant, the one scheduled first
-runs first.  A flow start or finish costs one pass over its link's flows
-plus a `min` and a `max`, and O(1) heap pushes, with results bit-identical
-to an update of each flow on its own (see `Link` for why); a link arms one
-finisher, so the heap holds O(links + timers) entries.
+runs first.  A flow start or finish costs O(log n) for the n flows on its
+link, which keeps a virtual clock and a heap of finish tags (see `Link`),
+and O(1) heap pushes; a link arms one finisher, so the heap holds
+O(links + timers) entries.  A virtual clock rounds differently from an
+update of each flow on its own, so a finish time may differ from one in
+its last bits.
 
 One delivered message costs one `Envelope`, one `TraceRecord` row and at
 most one callable: the `partial` its link calls when the last bit is sent.
@@ -61,67 +63,123 @@ class LinkProfile:
 class Link:
     """A contended channel; concurrent flows share bandwidth equally.
 
-    Each flow start or finish updates every flow, so a link keeps one rate
-    and one last-update time, and its flows' remaining bits and callbacks
-    in start order.  An update is one list pass plus a `min` and a `max`,
-    and O(1) heap pushes.  Correctly rounded `/`, `*` and `+` are monotone,
-    so the fewest and most bits give the first and latest finish times bit
-    for bit as an update of each flow on its own would.
+    Processor sharing by virtual clock, as in fair queueing (Demers, Keshav
+    & Shenker, SIGCOMM 1989; Parekh & Gallager, ToN 1993).  `_v` counts the
+    bits sent to each active flow since the link was last empty.  A flow of
+    `b` bits started at `_v` gets the finish tag `_v + b`, and its remaining
+    bits are its tag minus `_v`.  Flows with equal tags share one group,
+    which holds their callbacks in start order, and `_tags` is a heap of the
+    distinct tags.  A flow start or finish adds the bits sent since the last
+    update to `_v`, pushes a tag or pops or repairs one, and reads the first
+    finish from the heap's top and the latest from the largest tag: O(log n)
+    for n flows.  `_v` and the largest tag go back to 0 when the link
+    empties.
 
     One finisher rule: a link arms one finisher event, for the flow that
-    finishes first; on a tie, the flow that started first.  A generation
-    counter disarms any earlier finisher and keeps an armed one's flow
-    index valid.  A finisher per flow would complete the same flow first,
-    at the same instant, so traces do not depend on the choice.
+    finishes first; of the flows whose finish rounds to that instant, the
+    one that started first.  A finish time is monotone in the tag, so that
+    flow is found by walking down the heap only into tags whose finish
+    rounds to the instant; only such ties cost more than O(log n).  A
+    generation counter disarms any earlier finisher and keeps an armed
+    one's heap index valid.  A finisher per flow would complete the same
+    flow first, at the same instant, so traces do not depend on the choice.
     """
 
     def __init__(self, name: str, profile: LinkProfile):
         self.name = name
         self.profile = profile
-        self._bits: list = []
-        self._done: list = []
+        self._tags: list = []   # heap of the distinct finish tags
+        self._flows: dict = {}  # tag -> [(start number, on_done), ...]
+        self._count = self._started = 0
+        self._v = self._max_tag = 0.0
         self._rate = self._last_t = 0.0
         self._gen = 0
 
     def start_flow(self, world: "World", size_bytes: int, on_done: Callable):
         self._drain(world.now)
-        self._bits.append(float(size_bytes * 8))
-        self._done.append(on_done)
+        tag = self._v + size_bytes * 8
+        self._started += 1
+        group = self._flows.get(tag)
+        if group is None:
+            self._flows[tag] = [(self._started, on_done)]
+            heapq.heappush(self._tags, tag)
+            if tag > self._max_tag:
+                self._max_tag = tag
+        else:
+            group.append((self._started, on_done))
+        self._count += 1
         self._rebalance(world)
 
     def _drain(self, now: float):
-        """Take from every flow the bits it sent since the last update."""
-        if self._bits and now != self._last_t:
-            sent = self._rate * ((now - self._last_t) / 1000.0)
-            self._bits = [b - sent if b > sent else 0.0 for b in self._bits]
+        """Add to `_v` the bits each flow sent since the last update."""
+        if self._count and now != self._last_t:
+            self._v += self._rate * ((now - self._last_t) / 1000.0)
         self._last_t = now
 
     def _rebalance(self, world: "World"):
         self._gen += 1
-        if not self._bits:
+        if not self._count:
+            self._v = self._max_tag = 0.0
             return
-        bits, now = self._bits, world.now
-        rate = self._rate = self.profile.bandwidth_bps / len(bits)
-        low = min(bits)
+        tags, v, now = self._tags, self._v, world.now
+        rate = self._rate = self.profile.bandwidth_bps / self._count
+        low, high = tags[0] - v, self._max_tag - v
+        if low < 0.0:  # sent with a rounding surplus
+            low = 0.0
+            if high < 0.0:
+                high = 0.0
         at = now + low / rate * 1000.0
-        first = bits.index(low)
-        if first:  # an earlier flow, with more bits, may round to `at` too
-            first = next((i for i in range(first)
-                          if now + bits[i] / rate * 1000.0 == at), first)
-        latest = now + max(bits) / rate * 1000.0
+        first = 0
+        if len(tags) > 1:  # an earlier flow may round to `at` too
+            first = self._first_due(now, rate, at)
+        latest = now + high / rate * 1000.0
         if latest > world._latest_eta:
             world._latest_eta = latest
         world._schedule_raw(at, self._finish, (world, first, self._gen))
 
+    def _first_due(self, now: float, rate: float, at: float) -> int:
+        """The heap index of the group holding the earliest-started flow
+        whose finish rounds to `at`, the finish of the heap's top."""
+        tags, flows, v = self._tags, self._flows, self._v
+        first, first_started = 0, flows[tags[0]][0][0]
+        below, n = [1, 2], len(tags)
+        while below:
+            i = below.pop()
+            if i < n:
+                bits = tags[i] - v
+                if now + (bits if bits > 0.0 else 0.0) / rate * 1000.0 == at:
+                    started = flows[tags[i]][0][0]
+                    if started < first_started:
+                        first, first_started = i, started
+                    below += (2 * i + 1, 2 * i + 2)
+        return first
+
     def _finish(self, armed: tuple):
-        """The armed finisher: complete flow `index` unless disarmed."""
+        """The armed finisher: complete the first flow of the group at
+        heap index `index` unless disarmed."""
         world, index, gen = armed
         if gen != self._gen:
             return
-        del self._bits[index]
+        tags = self._tags
+        tag = tags[index]
+        group = self._flows[tag]
+        on_done = group.pop(0)[1]
+        if not group:
+            del self._flows[tag]
+            if not index:
+                heapq.heappop(tags)
+            else:  # a tie below the top: move the last tag into the hole
+                last = tags.pop()
+                if index < len(tags):
+                    tags[index] = last
+                    heapq._siftup(tags, index)
+                    heapq._siftdown(tags, 0, index)
+            if tag == self._max_tag and tags:  # a tie completed it early
+                self._max_tag = max(tags)
+        self._count -= 1
         self._drain(world.now)
         self._rebalance(world)
-        self._done.pop(index)()
+        on_done()
 
 
 class Timer:

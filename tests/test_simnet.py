@@ -1,3 +1,5 @@
+import heapq
+import math
 import random
 
 import pytest
@@ -307,7 +309,7 @@ def test_forged_total_does_not_stall_a_download():
 
 
 # ---------------------------------------------------------------------------
-# Shared-rate flow lists, bit-identical to an update of each flow
+# A virtual clock and a heap of finish tags, against an update of each flow
 # ---------------------------------------------------------------------------
 
 class _ReferenceLink(Link):
@@ -421,13 +423,39 @@ def _run_flows(link_cls, bandwidths, flows):
     return done, world.now, world._latest_eta, world._seq
 
 
-def test_link_matches_reference_model_exactly():
-    # Each seed also draws flows that leave a link one flow at a time.
+def _assert_within_rounding(actual, expected, seed):
+    assert abs(actual - expected) <= 4 * math.ulp(expected), seed
+
+
+def test_link_matches_reference_model_within_rounding():
+    # `Link` adds each update's sent bits to one virtual clock, where the
+    # reference subtracts them from each flow, so a time may differ in its
+    # last bits (at most 3 ulps over these draws).  Which flows complete, in
+    # which order, and the number of events must match exactly.  Each seed
+    # also draws flows that leave a link one flow at a time.
     for seed in range(500):
         for draw in (_random_flows, _one_flow_sets):
             bandwidths, flows = draw(random.Random(seed))
-            expected = _run_flows(_ReferenceLink, bandwidths, flows)
-            assert _run_flows(Link, bandwidths, flows) == expected, seed
+            done, now, latest, events = _run_flows(Link, bandwidths, flows)
+            want, want_now, want_latest, want_events = _run_flows(
+                _ReferenceLink, bandwidths, flows)
+            assert [n for _, n in done] == [n for _, n in want], seed
+            assert events == want_events, seed
+            for (at, _), (want_at, _) in zip(done, want):
+                _assert_within_rounding(at, want_at, seed)
+            _assert_within_rounding(now, want_now, seed)
+            _assert_within_rounding(latest, want_latest, seed)
+
+
+def _bits_left(link):
+    """Each flow's remaining bits, in start order."""
+    flows = sorted((started, tag) for tag, group in link._flows.items()
+                   for started, _ in group)
+    return [max(tag - link._v, 0.0) for _, tag in flows]
+
+
+def _link_is_empty(link):
+    return link._count == 0 and link._tags == [] and link._flows == {}
 
 
 def test_flow_started_as_another_drains():
@@ -442,7 +470,7 @@ def test_flow_started_as_another_drains():
 
     def start_second():
         link.start_flow(world, 3000, lambda: done.append((world.now, 2)))
-        bits.extend(link._bits)
+        bits.extend(_bits_left(link))
 
     world.schedule(due, start_second)
     link.start_flow(world, 1020, lambda: done.append((world.now, 1)))
@@ -471,7 +499,40 @@ def test_smaller_later_flow_finishes_first():
     assert [name for name, _ in done] == ["1 Mb", "10 Mb", "20 Mb"]
     assert [at for _, at in done] == pytest.approx([800.0, 2100.0, 3100.0],
                                                    rel=1e-12)
-    assert link._bits == [] and link._done == []
+    assert _link_is_empty(link) and link._v == link._max_tag == 0.0
+
+
+def _changed_slots(before, after):
+    """Heap slots whose entry differs, counting slots added or removed."""
+    return (sum(a != b for a, b in zip(before, after))
+            + abs(len(before) - len(after)))
+
+
+@pytest.mark.parametrize("n", [20, 1280])
+def test_flow_event_changes_logarithmically_many_heap_slots(n):
+    # n flows of distinct sizes share a link.  A flow smaller than all of
+    # them climbs to the heap's top, and the first finish moves the last tag
+    # there and down again: each changes at most 2 * ceil(log2 n) + 2 slots
+    # of the tag heap.
+    world = World(seed=1)
+    link = _link(10.0, 0.0)
+    done = []
+    for size in random.Random(n).sample(range(2, 100 * n), n):
+        link.start_flow(world, size, lambda: done.append(world.now))
+    bound = 2 * math.ceil(math.log2(n)) + 2
+
+    before = list(link._tags)
+    link.start_flow(world, 1, lambda: done.append(world.now))
+    assert _changed_slots(before, link._tags) <= bound
+    assert link._tags[0] == 8.0 and len(link._tags) == n + 1
+
+    before = list(link._tags)
+    while not done:  # run one live finisher; disarmed ones change nothing
+        at, _, fn, arg, _ = heapq.heappop(world._heap)
+        world.now = at
+        fn(arg)
+    assert 0 < _changed_slots(before, link._tags) <= bound
+    assert len(link._tags) == n and link._count == n
 
 
 def test_rounded_tie_goes_to_first_started_flow():
@@ -489,3 +550,76 @@ def test_rounded_tie_goes_to_first_started_flow():
     world.schedule(1e9, start)
     world.run()
     assert done == ["2 bytes", "1 byte"] and world.now == 1e9
+
+
+def test_rounded_tie_below_the_tops_children_goes_to_first_started_flow():
+    # At 1e10 ms on a 1 Tbps link, 5 to 1 bytes shared seven ways take at
+    # most 2.8e-7 ms, below half a step of the clock (9.5e-7 ms), so all
+    # seven flows are due at 1e10 ms and complete in start order.  The
+    # 5-byte flow's tag sits below the top's children, and the three 3-byte
+    # flows share one tag.  (At 1e9 ms half a step is 6e-8 ms, and the
+    # larger flows would round to later instants.)
+    world = World(seed=1)
+    link = Link("l", LinkProfile(1e12, 0.0))
+    sizes = (5, 4, 3, 2, 1, 3, 3)
+    done, tags = [], []
+
+    def start():
+        for n, size in enumerate(sizes):
+            link.start_flow(world, size, lambda n=n: done.append(n))
+        tags.extend(link._tags)
+
+    world.schedule(1e10, start)
+    world.run()
+    assert len(tags) == 5 and tags.index(40.0) > 2
+    assert done == list(range(len(sizes))) and world.now == 1e10
+    assert _link_is_empty(link)
+
+
+def test_ties_anywhere_in_the_heap_complete_in_start_order():
+    # At 1e12 ms half a step of the clock is 6.1e-5 ms, and 40 flows of at
+    # most 150 bytes shared on 1 Tbps take at most 4.8e-5 ms: all are due at
+    # 1e12 ms and complete in start order.  So each completion takes a tag
+    # from anywhere in the heap, and the heap must stay one.
+    world = World(seed=1)
+    link = Link("l", LinkProfile(1e12, 0.0))
+    sizes = random.Random(3).choices(range(1, 151), k=40)
+    done = []
+
+    def on_done(n):
+        tags = link._tags
+        assert all(tags[(i - 1) // 2] <= tags[i] for i in range(1, len(tags)))
+        done.append(n)
+
+    def start():
+        for n, size in enumerate(sizes):
+            link.start_flow(world, size, lambda n=n: on_done(n))
+
+    world.schedule(1e12, start)
+    world.run()
+    assert done == list(range(len(sizes))) and world.now == 1e12
+
+
+def test_tie_that_completes_the_largest_tag_leaves_no_stale_latest_finish():
+    # At 1e10 ms on a 1 Tbps link, a 35-byte and a 1-byte flow both round
+    # to 1e10 ms, and the 35-byte flow, started first, completes first.  Its
+    # callback starts three 1-byte flows: shared four ways, its 280 bits
+    # would have taken a step of the clock, but only 8-bit flows remain, so
+    # the latest finish, and the run's end, stay at 1e10 ms.
+    world = World(seed=1)
+    link = Link("l", LinkProfile(1e12, 0.0))
+    done = []
+
+    def more():
+        done.append("35 bytes")
+        for n in range(3):
+            link.start_flow(world, 1, lambda n=n: done.append(n))
+
+    def start():
+        link.start_flow(world, 35, more)
+        link.start_flow(world, 1, lambda: done.append("1 byte"))
+
+    world.schedule(1e10, start)
+    world.run()
+    assert done == ["35 bytes", "1 byte", 0, 1, 2]
+    assert world.now == world._latest_eta == 1e10
