@@ -15,9 +15,10 @@ scheduled: of two events due at the same instant, the one scheduled first
 runs first.  A flow start or finish costs O(log n) for the n flows on its
 link, which keeps a virtual clock and a heap of finish tags (see `Link`),
 and O(1) heap pushes; a link arms one finisher, so the heap holds
-O(links + timers) entries.  A virtual clock rounds differently from an
-update of each flow on its own, so a finish time may differ from one in
-its last bits.
+O(links + timers) entries.  A link completes its flows in finish-tag
+order, and a run ends at its last event.  A virtual clock rounds
+differently from an update of each flow on its own, so a finish time may
+differ from one in its last bits.
 
 One delivered message costs one `Envelope`, one `TraceRecord` row and at
 most one callable: the `partial` its link calls when the last bit is sent.
@@ -70,43 +71,34 @@ class Link:
     bits are its tag minus `_v`.  Flows with equal tags share one group,
     which holds their callbacks in start order, and `_tags` is a heap of the
     distinct tags.  A flow start or finish adds the bits sent since the last
-    update to `_v`, pushes a tag or pops or repairs one, and reads the first
-    finish from the heap's top and the latest from the largest tag: O(log n)
-    for n flows.  `_v` and the largest tag go back to 0 when the link
+    update to `_v`, pushes or pops a tag, and reads the first finish from
+    the heap's top: O(log n) for n flows.  `_v` goes back to 0 when the link
     empties.
 
-    One finisher rule: a link arms one finisher event, for the flow that
-    finishes first; of the flows whose finish rounds to that instant, the
-    one that started first.  A finish time is monotone in the tag, so that
-    flow is found by walking down the heap only into tags whose finish
-    rounds to the instant; only such ties cost more than O(log n).  A
-    generation counter disarms any earlier finisher and keeps an armed
-    one's heap index valid.  A finisher per flow would complete the same
-    flow first, at the same instant, so traces do not depend on the choice.
+    A link arms one finisher event, for the first-started flow of the
+    smallest tag, and a generation counter disarms any earlier one.  So
+    flows complete in tag order, fewest remaining bits first, as in the
+    fluid model, and flows with equal tags complete in start order.
     """
 
     def __init__(self, name: str, profile: LinkProfile):
         self.name = name
         self.profile = profile
         self._tags: list = []   # heap of the distinct finish tags
-        self._flows: dict = {}  # tag -> [(start number, on_done), ...]
-        self._count = self._started = 0
-        self._v = self._max_tag = 0.0
-        self._rate = self._last_t = 0.0
+        self._flows: dict = {}  # tag -> [on_done, ...] in start order
+        self._count = 0
+        self._v = self._rate = self._last_t = 0.0
         self._gen = 0
 
     def start_flow(self, world: "World", size_bytes: int, on_done: Callable):
         self._drain(world.now)
         tag = self._v + size_bytes * 8
-        self._started += 1
         group = self._flows.get(tag)
         if group is None:
-            self._flows[tag] = [(self._started, on_done)]
+            self._flows[tag] = [on_done]
             heapq.heappush(self._tags, tag)
-            if tag > self._max_tag:
-                self._max_tag = tag
         else:
-            group.append((self._started, on_done))
+            group.append(on_done)
         self._count += 1
         self._rebalance(world)
 
@@ -119,63 +111,26 @@ class Link:
     def _rebalance(self, world: "World"):
         self._gen += 1
         if not self._count:
-            self._v = self._max_tag = 0.0
+            self._v = 0.0
             return
-        tags, v, now = self._tags, self._v, world.now
         rate = self._rate = self.profile.bandwidth_bps / self._count
-        low, high = tags[0] - v, self._max_tag - v
-        if low < 0.0:  # sent with a rounding surplus
-            low = 0.0
-            if high < 0.0:
-                high = 0.0
-        at = now + low / rate * 1000.0
-        first = 0
-        if len(tags) > 1:  # an earlier flow may round to `at` too
-            first = self._first_due(now, rate, at)
-        latest = now + high / rate * 1000.0
-        if latest > world._latest_eta:
-            world._latest_eta = latest
-        world._schedule_raw(at, self._finish, (world, first, self._gen))
-
-    def _first_due(self, now: float, rate: float, at: float) -> int:
-        """The heap index of the group holding the earliest-started flow
-        whose finish rounds to `at`, the finish of the heap's top."""
-        tags, flows, v = self._tags, self._flows, self._v
-        first, first_started = 0, flows[tags[0]][0][0]
-        below, n = [1, 2], len(tags)
-        while below:
-            i = below.pop()
-            if i < n:
-                bits = tags[i] - v
-                if now + (bits if bits > 0.0 else 0.0) / rate * 1000.0 == at:
-                    started = flows[tags[i]][0][0]
-                    if started < first_started:
-                        first, first_started = i, started
-                    below += (2 * i + 1, 2 * i + 2)
-        return first
+        bits = self._tags[0] - self._v
+        if bits < 0.0:  # sent with a rounding surplus
+            bits = 0.0
+        world._schedule_raw(world.now + bits / rate * 1000.0, self._finish,
+                            (world, self._gen))
 
     def _finish(self, armed: tuple):
-        """The armed finisher: complete the first flow of the group at
-        heap index `index` unless disarmed."""
-        world, index, gen = armed
+        """The armed finisher: complete the first-started flow of the
+        smallest tag unless disarmed."""
+        world, gen = armed
         if gen != self._gen:
             return
         tags = self._tags
-        tag = tags[index]
-        group = self._flows[tag]
-        on_done = group.pop(0)[1]
+        group = self._flows[tags[0]]
+        on_done = group.pop(0)
         if not group:
-            del self._flows[tag]
-            if not index:
-                heapq.heappop(tags)
-            else:  # a tie below the top: move the last tag into the hole
-                last = tags.pop()
-                if index < len(tags):
-                    tags[index] = last
-                    heapq._siftup(tags, index)
-                    heapq._siftdown(tags, 0, index)
-            if tag == self._max_tag and tags:  # a tie completed it early
-                self._max_tag = max(tags)
+            del self._flows[heapq.heappop(tags)]
         self._count -= 1
         self._drain(world.now)
         self._rebalance(world)
@@ -234,8 +189,6 @@ class World:
         self.horizon_reached = False
         # (time, vin, ecu, software, version, digest of the installed bytes)
         self.install_log: list = []
-        # Latest finish time any link has computed, armed or not (see run).
-        self._latest_eta = 0.0
 
     # -- scheduling --------------------------------------------------------
 
@@ -300,10 +253,11 @@ class World:
         not an exception.  A cancelled timer is dropped when it comes due:
         it neither moves the clock nor counts against the horizon.
 
-        The run ends at the latest finish time a link has computed, even when
-        a rebalance moved that flow's finish earlier: the clock and the
-        horizon flag come out as under a finisher per flow, whose superseded
-        events stayed queued until their time.
+        A run ends at its last event, and `horizon_reached` means that a
+        live event was due after the horizon.  A link's disarmed finisher
+        still comes due, but never extends the clock: it was armed for the
+        first finish on its link, so every flow then on the link, its own
+        included, finishes no earlier.
         """
         while self._heap:
             at, _, fn, arg, timer = heapq.heappop(self._heap)
@@ -315,12 +269,6 @@ class World:
                 return self.trace
             self.now = at
             fn() if arg is None else fn(arg)
-        if self._latest_eta > self.now:
-            if horizon_ms is not None and self._latest_eta > horizon_ms:
-                self.horizon_reached = True
-                self.now = horizon_ms
-            else:
-                self.now = self._latest_eta
         return self.trace
 
     def trace_csv_rows(self):

@@ -236,11 +236,10 @@ def test_same_instant_ties_run_in_schedule_order():
                      (2000.0, "flow 1")]
 
 
-def test_run_ends_at_latest_finish_estimate():
-    # Sharing 10 Mbps, a 10 Mb and a 20 Mb flow are first due at 2 s and
-    # 4 s; when the first finishes the second speeds up and finishes at 3 s.
-    # The clock still ends at the superseded 4 s estimate, and a horizon
-    # before it counts as reached, as under a finisher per flow.
+def test_run_ends_at_its_last_event():
+    # Sharing 10 Mbps, a 10 Mb and a 20 Mb flow finish at 2 s and, once the
+    # first is done and the second speeds up, at 3 s.  The clock ends at the
+    # last completion, and only a horizon before it counts as reached.
     def run(horizon_ms=None):
         world = World(seed=1)
         sink = Recorder("b", world)
@@ -250,12 +249,13 @@ def test_run_ends_at_latest_finish_estimate():
         world.run(horizon_ms)
         return world, [round(t) for t, _ in sink.got]
 
-    world, times = run()
-    assert times == [2000, 3000]
-    assert world.now == 4000.0 and not world.horizon_reached
-    world, times = run(horizon_ms=3500.0)
-    assert times == [2000, 3000]
-    assert world.now == 3500.0 and world.horizon_reached
+    for horizon_ms in (None, 3500.0):
+        world, times = run(horizon_ms)
+        assert times == [2000, 3000]
+        assert world.now == 3000.0 and not world.horizon_reached
+    world, times = run(horizon_ms=2500.0)
+    assert times == [2000]
+    assert world.now == 2500.0 and world.horizon_reached
 
 
 def test_forged_total_does_not_stall_a_download():
@@ -338,7 +338,6 @@ class _ReferenceLink(Link):
             return
         now = world.now
         rate = self.profile.bandwidth_bps / len(self.flows)
-        first = None
         for flow in self.flows:
             elapsed_s = (now - flow.last_t) / 1000.0
             flow.remaining_bits = max(
@@ -346,9 +345,10 @@ class _ReferenceLink(Link):
             flow.last_t = now
             flow.rate_bps = rate
             flow.at = now + flow.remaining_bits / rate * 1000.0
-            if first is None or flow.at < first.at:
-                first = flow
-            world._latest_eta = max(world._latest_eta, flow.at)
+        # Of the flows due first, the one with the fewest bits left; `min`
+        # keeps start order among equals.
+        first = min(self.flows,
+                    key=lambda flow: (flow.at, flow.remaining_bits))
         world._schedule_raw(first.at, self._finisher(world, first, self._gen))
 
     def _finisher(self, world, flow, gen):
@@ -403,7 +403,7 @@ def _run_flows(link_cls, bandwidths, flows):
     """Run `flows` on links of `link_cls`; a flow's follow-ups start on the
     same link one after another, each from the last one's completion
     callback.  Returns every completion as (time, flow), the clock after
-    `run`, the latest finish time computed and the number of events."""
+    `run` and the number of events."""
     world = World(seed=1)
     links = [link_cls(f"l{i}", LinkProfile(bps, 0.0))
              for i, bps in enumerate(bandwidths)]
@@ -420,7 +420,7 @@ def _run_flows(link_cls, bandwidths, flows):
         world.schedule(at, lambda n=n, i=i, size=size, follow=follow:
                        start(n, links[i], size, follow))
     world.run()
-    return done, world.now, world._latest_eta, world._seq
+    return done, world.now, world._seq
 
 
 def _assert_within_rounding(actual, expected, seed):
@@ -436,22 +436,21 @@ def test_link_matches_reference_model_within_rounding():
     for seed in range(500):
         for draw in (_random_flows, _one_flow_sets):
             bandwidths, flows = draw(random.Random(seed))
-            done, now, latest, events = _run_flows(Link, bandwidths, flows)
-            want, want_now, want_latest, want_events = _run_flows(
+            done, now, events = _run_flows(Link, bandwidths, flows)
+            want, want_now, want_events = _run_flows(
                 _ReferenceLink, bandwidths, flows)
             assert [n for _, n in done] == [n for _, n in want], seed
             assert events == want_events, seed
             for (at, _), (want_at, _) in zip(done, want):
                 _assert_within_rounding(at, want_at, seed)
             _assert_within_rounding(now, want_now, seed)
-            _assert_within_rounding(latest, want_latest, seed)
+            assert now == done[-1][0], seed
 
 
 def _bits_left(link):
-    """Each flow's remaining bits, in start order."""
-    flows = sorted((started, tag) for tag, group in link._flows.items()
-                   for started, _ in group)
-    return [max(tag - link._v, 0.0) for _, tag in flows]
+    """Each flow's remaining bits, in tag order."""
+    return [max(tag - link._v, 0.0) for tag in sorted(link._flows)
+            for _ in link._flows[tag]]
 
 
 def _link_is_empty(link):
@@ -499,7 +498,7 @@ def test_smaller_later_flow_finishes_first():
     assert [name for name, _ in done] == ["1 Mb", "10 Mb", "20 Mb"]
     assert [at for _, at in done] == pytest.approx([800.0, 2100.0, 3100.0],
                                                    rel=1e-12)
-    assert _link_is_empty(link) and link._v == link._max_tag == 0.0
+    assert _link_is_empty(link) and link._v == 0.0
 
 
 def _changed_slots(before, after):
@@ -535,10 +534,10 @@ def test_flow_event_changes_logarithmically_many_heap_slots(n):
     assert len(link._tags) == n and link._count == n
 
 
-def test_rounded_tie_goes_to_first_started_flow():
+def test_rounded_tie_goes_to_fewest_bits():
     # At 1e9 ms on a 1 Tbps link, 16 and 8 bits take 3.2e-8 and 1.6e-8 ms,
     # below half a step of the clock: both flows are due at 1e9 ms, and the
-    # one started first completes first although it has more bits.
+    # one with fewer bits completes first although it started second.
     world = World(seed=1)
     link = Link("l", LinkProfile(1e12, 0.0))
     done = []
@@ -549,16 +548,16 @@ def test_rounded_tie_goes_to_first_started_flow():
 
     world.schedule(1e9, start)
     world.run()
-    assert done == ["2 bytes", "1 byte"] and world.now == 1e9
+    assert done == ["1 byte", "2 bytes"] and world.now == 1e9
 
 
-def test_rounded_tie_below_the_tops_children_goes_to_first_started_flow():
+def test_rounded_tie_completes_in_tag_order_then_start_order():
     # At 1e10 ms on a 1 Tbps link, 5 to 1 bytes shared seven ways take at
     # most 2.8e-7 ms, below half a step of the clock (9.5e-7 ms), so all
-    # seven flows are due at 1e10 ms and complete in start order.  The
-    # 5-byte flow's tag sits below the top's children, and the three 3-byte
-    # flows share one tag.  (At 1e9 ms half a step is 6e-8 ms, and the
-    # larger flows would round to later instants.)
+    # seven flows are due at 1e10 ms.  They complete fewest bytes first, and
+    # the three 3-byte flows, which share one tag, in start order.  (At
+    # 1e9 ms half a step is 6e-8 ms, and the larger flows would round to
+    # later instants.)
     world = World(seed=1)
     link = Link("l", LinkProfile(1e12, 0.0))
     sizes = (5, 4, 3, 2, 1, 3, 3)
@@ -566,21 +565,22 @@ def test_rounded_tie_below_the_tops_children_goes_to_first_started_flow():
 
     def start():
         for n, size in enumerate(sizes):
-            link.start_flow(world, size, lambda n=n: done.append(n))
+            link.start_flow(world, size,
+                            lambda n=n: done.append((n, world.now)))
         tags.extend(link._tags)
 
     world.schedule(1e10, start)
     world.run()
-    assert len(tags) == 5 and tags.index(40.0) > 2
-    assert done == list(range(len(sizes))) and world.now == 1e10
-    assert _link_is_empty(link)
+    assert len(tags) == 5
+    assert done == [(n, 1e10) for n in (4, 3, 2, 5, 6, 1, 0)]
+    assert world.now == 1e10 and _link_is_empty(link)
 
 
-def test_ties_anywhere_in_the_heap_complete_in_start_order():
+def test_ties_anywhere_in_the_heap_complete_in_size_then_start_order():
     # At 1e12 ms half a step of the clock is 6.1e-5 ms, and 40 flows of at
     # most 150 bytes shared on 1 Tbps take at most 4.8e-5 ms: all are due at
-    # 1e12 ms and complete in start order.  So each completion takes a tag
-    # from anywhere in the heap, and the heap must stay one.
+    # 1e12 ms and complete by size, equal sizes in start order.  Each
+    # completion pops the heap's top, and the heap must stay one.
     world = World(seed=1)
     link = Link("l", LinkProfile(1e12, 0.0))
     sizes = random.Random(3).choices(range(1, 151), k=40)
@@ -597,15 +597,15 @@ def test_ties_anywhere_in_the_heap_complete_in_start_order():
 
     world.schedule(1e12, start)
     world.run()
-    assert done == list(range(len(sizes))) and world.now == 1e12
+    assert done == sorted(range(len(sizes)), key=lambda n: (sizes[n], n))
+    assert world.now == 1e12
 
 
-def test_tie_that_completes_the_largest_tag_leaves_no_stale_latest_finish():
+def test_run_ends_at_the_instant_of_its_tied_completions():
     # At 1e10 ms on a 1 Tbps link, a 35-byte and a 1-byte flow both round
-    # to 1e10 ms, and the 35-byte flow, started first, completes first.  Its
-    # callback starts three 1-byte flows: shared four ways, its 280 bits
-    # would have taken a step of the clock, but only 8-bit flows remain, so
-    # the latest finish, and the run's end, stay at 1e10 ms.
+    # to 1e10 ms; the 1-byte flow completes first, then the 35-byte flow,
+    # whose callback starts three 1-byte flows.  They too round to 1e10 ms,
+    # and the run ends at its last event, so at 1e10 ms.
     world = World(seed=1)
     link = Link("l", LinkProfile(1e12, 0.0))
     done = []
@@ -621,5 +621,5 @@ def test_tie_that_completes_the_largest_tag_leaves_no_stale_latest_finish():
 
     world.schedule(1e10, start)
     world.run()
-    assert done == ["35 bytes", "1 byte", 0, 1, 2]
-    assert world.now == world._latest_eta == 1e10
+    assert done == ["1 byte", "35 bytes", 0, 1, 2]
+    assert world.now == 1e10
