@@ -2,6 +2,10 @@
 bundle validation, download authorization) and the update stations
 (LRU-cached image serving with hit/miss/unknown outcomes).
 
+A station holds each image as its verified (index, chunk, chunk digest)
+bucket tuple, whose chunks are views of the repository's bytes: the tuple
+it downloaded, or the repository's own split for an image cached at build.
+
 Non-hit downloads flow station <- image repository over the station cable
 after the engine issues a delegated download grant; the engine itself is
 control-plane only.
@@ -9,32 +13,10 @@ control-plane only.
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass, field
-from typing import Union
 
 from . import messages as msg
 from .crypto import KeyPair, digest, sign
 from .simnet import Actor, Envelope, Link, World
-
-
-@dataclass
-class CacheEntry:
-    """One image a station holds: the `UpdateImage` inserted whole, split on
-    its first serve, or the verified bucket tuple of its download, whose
-    chunks are views of the repository's bytes."""
-
-    image: Union[msg.UpdateImage, tuple]
-    size: int = field(init=False)
-
-    def __post_init__(self):
-        if isinstance(self.image, tuple):
-            self.size = sum(len(chunk) for _, chunk, _ in self.image)
-        else:
-            self.size = len(self.image.data)
-
-    def buckets(self) -> tuple:
-        image = self.image
-        return image if isinstance(image, tuple) else image.buckets()
 
 
 class UpdateEngine(Actor):
@@ -155,7 +137,7 @@ class Station(Actor):
         self.repo = repo
         self.repo_link = repo_link
         self.capacity = capacity_bytes
-        self.cache: OrderedDict = OrderedDict()  # (s, v) -> CacheEntry
+        self.cache: OrderedDict = OrderedDict()  # (s, v) -> (buckets, bytes)
         self.occupancy = 0
         self.known_models: set = set()
         self.unknown_updates: set = set()  # software ids treated as first-seen
@@ -163,37 +145,35 @@ class Station(Actor):
 
     # -- cache -------------------------------------------------------------
 
-    def cache_insert(self, software: str, version: int,
-                     image: Union[msg.UpdateImage, tuple]):
-        """LRU insert of an image, or of the verified bucket tuple of its
-        download; returns the list of evicted software ids.  Images
-        larger than the whole cache are served pass-through, uncached.  An
-        insert of a cached (software, version) replaces its entry, so its
-        bytes count once, and makes it the most recently used."""
-        entry = CacheEntry(image)
-        size = entry.size
+    def cache_insert(self, software: str, version: int, buckets: tuple):
+        """LRU insert of an image's verified bucket tuple; returns the list
+        of evicted software ids.  Images larger than the whole cache are
+        served pass-through, uncached.  An insert of a cached (software,
+        version) replaces its entry, so its bytes count once, and makes it
+        the most recently used."""
+        size = msg.bucket_bytes(buckets)
         if size > self.capacity:
             return None
         replaced = self.cache.pop((software, version), None)
         if replaced is not None:
-            self.occupancy -= replaced.size
+            self.occupancy -= replaced[1]
         evicted = []
         while self.occupancy + size > self.capacity and self.cache:
-            (old_s, old_v), old = self.cache.popitem(last=False)
-            self.occupancy -= old.size
+            (old_s, old_v), (_, old_size) = self.cache.popitem(last=False)
+            self.occupancy -= old_size
             evicted.append(old_s)
-        self.cache[(software, version)] = entry
+        self.cache[(software, version)] = (buckets, size)
         self.occupancy += size
         return evicted
 
     def cache_get(self, software: str, version: int):
-        entry = self.cache.get((software, version))
-        if entry is not None:
+        buckets, _ = self.cache.get((software, version), (None, 0))
+        if buckets is not None:
             self.cache.move_to_end((software, version))
-        return entry
+        return buckets
 
     def cache_dump(self):
-        return sorted((s, v, e.size) for (s, v), e in self.cache.items())
+        return sorted((s, v, size) for (s, v), (_, size) in self.cache.items())
 
     # -- prefetch (publishing step 5 tail) ---------------------------------
 
@@ -237,7 +217,7 @@ class Station(Actor):
             return
         cached = self.cache_get(mu.theta.s, mu.tau.v)
         if cached is not None:
-            self._serve_bytes(env, mu, cached.buckets(), "hit")
+            self._serve_bytes(env, mu, cached, "hit")
             return
         if min_id in self.known_models and mu.theta.s not in self.unknown_updates:
             self._miss_path(env, mu, min_id, "miss")

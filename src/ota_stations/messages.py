@@ -42,10 +42,6 @@ class EncodingError(Exception):
     pass
 
 
-class IntegrityError(Exception):
-    pass
-
-
 # ---------------------------------------------------------------------------
 # Value types
 # ---------------------------------------------------------------------------
@@ -630,6 +626,15 @@ class ChunkDigest:
         return self.value
 
 
+_chunk_of = operator.itemgetter(1)  # the chunk of a bucket
+
+
+def bucket_bytes(buckets) -> int:
+    """The chunk bytes of (index, chunk, chunk digest) `buckets`, summed in
+    C, with no interpreted step per bucket."""
+    return sum(map(len, map(_chunk_of, buckets)))
+
+
 def image_digest(buckets) -> bytes:
     """The digest of the concatenated chunks of (index, chunk, digest)
     `buckets`: the split's digest, unhashed, when the chunks are in order
@@ -646,17 +651,12 @@ def image_digest(buckets) -> bytes:
 
 @dataclass(frozen=True)
 class Complete:
-    """A verified download: its in-order buckets, which are the sender's
-    chunk objects (read-only views, never a joined copy), and the digest of
-    their concatenation."""
+    """A verified download, as `assemble_buckets` returns it: its in-order
+    buckets, which are the sender's chunk objects (read-only views, never a
+    joined copy), and the digest of their concatenation."""
 
     buckets: tuple         # (index, chunk, chunk digest), in index order
     data_digest: bytes
-
-
-@dataclass(frozen=True)
-class Resume:
-    next_index: int
 
 
 class Received:
@@ -668,8 +668,9 @@ class Received:
     the digest it claims (once, on that bucket's `ChunkDigest`).  A bucket
     whose chunk does not match its digest is not kept, and a later bucket
     for an index replaces the earlier one.  A kept bucket is the sender's own (index, chunk, digest)
-    tuple, so its chunk stays a view of the sender's image.  `complete`
-    turns true once `absorb` has produced a `Complete`.
+    tuple, so its chunk stays a view of the sender's image.
+    `assemble_buckets` sets `complete` once the image completes, and
+    empties `buckets` when all are present but the image is wrong.
     """
 
     __slots__ = ("buckets", "complete")
@@ -698,54 +699,34 @@ class Received:
             i += 1
         return i
 
-    def absorb(self, mu: UpdateManifest, reply: dict):
-        """Add the buckets of a fetch or serve `reply` and assemble.
-
-        Returns Complete or Resume like `assemble_buckets`.  On an integrity
-        failure every kept bucket is dropped and the download restarts at
-        bucket 0.
-        """
+    def absorb(self, mu: UpdateManifest, reply: dict) -> Optional[Complete]:
+        """Add the buckets of a fetch or serve `reply` and assemble them
+        (see `assemble_buckets`)."""
         self.add(reply["buckets"])
-        try:
-            result = assemble_buckets(self, mu, total=reply["total"])
-        except IntegrityError:
-            self.buckets = {}
-            return Resume(0)
-        if isinstance(result, Complete):
-            self.complete = True
-        return result
+        return assemble_buckets(self, mu, reply["total"])
 
 
-def assemble_buckets(buckets_received, mu: UpdateManifest,
-                     total: Optional[int] = None):
-    """Check that in-order buckets make up the image of `mu`.
+def assemble_buckets(received: Received, mu: UpdateManifest,
+                     total: int) -> Optional[Complete]:
+    """Check that the in-order buckets of `received`, whose chunks were
+    verified on arrival, make up the image of `mu`, of `total` buckets.
 
-    `buckets_received` is a `Received`, whose chunks were verified on
-    arrival, or an iterable of (index, chunk, chunk digest) buckets, whose
-    chunks are verified here.
-
-    Returns Complete, holding the verified buckets themselves, once every
-    bucket is present and the full-package digest matches the manifest.
-    For a sender's whole split that digest is the split's own
-    (`image_digest`), and the chunks are never joined; any other set of
-    chunks is joined and hashed.  Otherwise returns Resume with the first
-    missing index.  Raises IntegrityError when a listed chunk does not
-    match its digest, or when all buckets are present but the full-package
-    digest does not match (restart from bucket 0).
+    Returns Complete, holding the verified buckets themselves, and marks
+    `received` complete once every bucket is present and the full-package
+    digest matches the manifest.  For a sender's whole split that digest is
+    the split's own (`image_digest`), and the chunks are never joined; any
+    other set of chunks is joined and hashed.  Otherwise returns None: with
+    a bucket missing, the download resumes at `received.next_missing()`;
+    with all present but the digest wrong, `received` is emptied, and the
+    download restarts at bucket 0.
     """
-    received = buckets_received
-    if not isinstance(received, Received):
-        received = Received()
-        bad = received.add(buckets_received)
-        if bad:
-            raise IntegrityError(f"bucket {bad[0]} digest mismatch")
     next_missing = received.next_missing()
-    if total is not None and next_missing < total:
-        return Resume(next_missing)
+    if next_missing < total:
+        return None
     buckets = tuple(received.buckets[i] for i in range(next_missing))
     data_digest = image_digest(buckets)
-    if data_digest == mu.theta.h:
-        return Complete(buckets, data_digest)
-    if total is not None:
-        raise IntegrityError("full-package digest mismatch")
-    return Resume(next_missing)
+    if data_digest != mu.theta.h:
+        received.buckets = {}
+        return None
+    received.complete = True
+    return Complete(buckets, data_digest)

@@ -680,7 +680,8 @@ def _preseed(repo, director, engine, stations, items, model_mins):
             if not item.station_served:
                 continue
             if item.mix_label == "hit":
-                station.cache_insert(item.software, item.version, item.image)
+                station.cache_insert(item.software, item.version,
+                                     item.image.buckets())
             elif item.mix_label == "unknown":
                 station.unknown_updates.add(item.software)
 
@@ -825,7 +826,7 @@ def safety_violations(scenario: Scenario) -> list:
             out.append(f"{time:.1f} {vin}.{ecu} {software} version "
                        f"{version} != published {true_version}")
         prev = latest.get((vin, ecu, software), 1)
-        if version <= prev - 1 or version < prev:
+        if version < prev:
             out.append(f"{time:.1f} {vin}.{ecu} {software} regressed "
                        f"{prev} -> {version}")
         latest[(vin, ecu, software)] = max(prev, version)

@@ -32,7 +32,6 @@ import heapq
 import random
 from dataclasses import dataclass
 from functools import partial
-from operator import itemgetter
 from typing import Callable, NamedTuple, Optional
 
 from . import messages as msg
@@ -44,8 +43,6 @@ IN_VEHICLE = "in_vehicle"
 
 # Re-requests one `Actor.fetch_image` download may make after its first.
 FETCH_RETRIES = 8
-
-_chunk_of = itemgetter(1)  # the chunk of an (index, chunk, digest) bucket
 
 
 @dataclass(frozen=True)
@@ -339,7 +336,7 @@ class _Download:
         if self.received.complete:
             return  # another download into `received` completed it
         result = self.received.absorb(self.mu, reply.payload)
-        if isinstance(result, msg.Complete):
+        if result is not None:
             self.on_done(result)
         elif attempts >= FETCH_RETRIES:
             self.fail("integrity")
@@ -429,11 +426,10 @@ class Actor:
     def reply_buckets(self, env: Envelope, kind: str, buckets: tuple, **extra):
         """Answer a download request `env` with `buckets` from its
         `from_index` on and the count of all of them, plus the `extra`
-        payload keys; the reply's size is its chunk bytes plus 64, summed
-        in C, with no interpreted step per bucket."""
+        payload keys; the reply's size is its chunk bytes plus 64."""
         out = buckets[env.payload.get("from_index", 0):]
         self.reply(env, kind, dict(extra, buckets=out, total=len(buckets)),
-                   sum(map(len, map(_chunk_of, out))) + 64)
+                   msg.bucket_bytes(out) + 64)
 
     # -- resumable image download ------------------------------------------
 
@@ -447,9 +443,9 @@ class Actor:
         director all download this way.  Each request of `kind` is `size`
         bytes: `payload` plus the first bucket index missing from `received`
         (default: a fresh `Received`).  Each `<kind>_ok` reply's buckets are
-        verified and kept there; a corrupt image restarts at bucket 0.  A
-        download makes at most FETCH_RETRIES re-requests, none once
-        cancelled.
+        verified and kept there; a corrupt image (all buckets present, the
+        digest not `mu`'s) restarts at bucket 0.  A download makes at most
+        FETCH_RETRIES re-requests, none once cancelled.
 
         Calls `on_done` with the `Complete` verified image, or `on_error`
         with "download_failed" (request timed out), "download" (refused) or

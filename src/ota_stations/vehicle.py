@@ -363,8 +363,7 @@ class VehiclePrimary(Actor):
         items = tuple((p.mu, p.buckets) for p in ordered)
         entry = sign(group_digest(items, [p.data_digest for p in ordered]),
                      self.key)
-        size = sum(len(chunk) for _, buckets in items
-                   for _, chunk, _ in buckets) + 256
+        size = sum(msg.bucket_bytes(p.buckets) for p in ordered) + 256
         self.request(name, "install_group",
                      {"bundle": bundle, "items": items, "group_sig": entry},
                      size, link,

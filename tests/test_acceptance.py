@@ -201,8 +201,11 @@ def _check_bucket_cases(count=1000, seed=77):
         buckets = msg.split_buckets(data, bucket_size)
         shuffled = list(buckets) + [rng.choice(buckets)]  # duplicate one
         rng.shuffle(shuffled)
-        result = msg.assemble_buckets(shuffled, mu, total=len(buckets))
-        if not isinstance(result, msg.Complete) or b"".join(
+        received = msg.Received()
+        if received.add(shuffled):
+            return False
+        result = msg.assemble_buckets(received, mu, len(buckets))
+        if result is None or b"".join(
                 chunk for _, chunk, _ in result.buckets) != data:
             return False
     return True

@@ -15,8 +15,9 @@ def _station(rig, capacity=1000):
                    capacity_bytes=capacity)
 
 
-def _image(data):
-    return msg.UpdateImage("x", data)
+def _buckets(data):
+    """The bucket tuple a repository serves for an image of `data`."""
+    return msg.UpdateImage("x", data).buckets()
 
 
 def _engine(rig):
@@ -32,10 +33,10 @@ def _engine(rig):
 def test_lru_evicts_least_recently_used():
     rig = Rig()
     station = _station(rig, capacity=1000)
-    station.cache_insert("a", 1, _image(b"1" * 400))
-    station.cache_insert("b", 1, _image(b"2" * 400))
+    station.cache_insert("a", 1, _buckets(b"1" * 400))
+    station.cache_insert("b", 1, _buckets(b"2" * 400))
     station.cache_get("a", 1)                      # refresh a
-    evicted = station.cache_insert("c", 1, _image(b"3" * 400))
+    evicted = station.cache_insert("c", 1, _buckets(b"3" * 400))
     assert evicted == ["b"]
     assert station.cache_get("b", 1) is None
     assert station.cache_get("a", 1) is not None
@@ -45,7 +46,7 @@ def test_lru_evicts_least_recently_used():
 def test_oversized_image_is_pass_through():
     rig = Rig()
     station = _station(rig, capacity=100)
-    assert station.cache_insert("big", 1, _image(b"x" * 500)) is None
+    assert station.cache_insert("big", 1, _buckets(b"x" * 500)) is None
     assert station.occupancy == 0
     assert station.cache_get("big", 1) is None
 
@@ -53,22 +54,23 @@ def test_oversized_image_is_pass_through():
 def test_reinsert_counts_an_entry_once():
     rig = Rig()
     station = _station(rig, capacity=1000)
-    station.cache_insert("a", 1, _image(b"1" * 400))
-    station.cache_insert("b", 1, _image(b"2" * 400))
+    station.cache_insert("a", 1, _buckets(b"1" * 400))
+    station.cache_insert("b", 1, _buckets(b"2" * 400))
     # The cache holds 800 bytes, so inserting b again must evict nothing.
-    assert station.cache_insert("b", 1, _image(b"3" * 400)) == []
-    station.cache_insert("b", 1, _image(b"4" * 300))
-    assert station.occupancy == sum(e.size for e in station.cache.values())
+    assert station.cache_insert("b", 1, _buckets(b"3" * 400)) == []
+    station.cache_insert("b", 1, _buckets(b"4" * 300))
+    assert station.occupancy == sum(size for _, size in station.cache.values())
     assert station.occupancy == 700
     assert station.cache_get("a", 1) is not None
-    assert station.cache_get("b", 1).image.data == b"4" * 300
+    assert b"".join(chunk for _, chunk, _ in station.cache_get("b", 1)) \
+        == b"4" * 300
 
 
 def test_cache_dump_is_sorted():
     rig = Rig()
     station = _station(rig, capacity=10_000)
-    station.cache_insert("b", 1, _image(b"x" * 10))
-    station.cache_insert("a", 2, _image(b"y" * 20))
+    station.cache_insert("b", 1, _buckets(b"x" * 10))
+    station.cache_insert("a", 2, _buckets(b"y" * 20))
     assert station.cache_dump() == [("a", 2, 20), ("b", 1, 10)]
 
 
@@ -212,3 +214,15 @@ def test_image_larger_than_the_cache_is_served_pass_through():
     assert report.install_count == 4 and report.alert_count == 0
     assert built.stations[0].cache_dump() == []
     assert report.bytes_by_class.get("cellular", 0) < 100_000
+
+
+def test_hit_preseed_caches_the_buckets_the_repository_serves():
+    config = ScenarioConfig(
+        name="preseed", bundle_bytes=1_000_000, image_count=2,
+        coverage_pct=100, mix_hit=100, mix_miss=0, mix_unknown=0,
+        horizon_ms=600_000)
+    built = build_scenario(config)
+    station = built.stations[0]
+    for item in built.items:
+        cached = station.cache_get(item.software, item.version)
+        assert cached is built.repo.entries[item.manifest.l].image.buckets()

@@ -127,8 +127,8 @@ def test_image_bytes_are_shared_by_every_holder():
 
     images = {id(item.image.data) for item in built.items}
     cached = [chunk for station in built.stations
-              for entry in station.cache.values()
-              for _, chunk, _ in entry.buckets()]
+              for buckets, _ in station.cache.values()
+              for _, chunk, _ in buckets]
     kept = [chunk for primary in built.vehicles
             for item in primary.pending.values()
             for _, chunk, _ in item.buckets]

@@ -488,18 +488,27 @@ def test_split_buckets_concatenation_identity():
     assert [i for i, _, _ in buckets] == list(range(len(buckets)))
 
 
+def _received(buckets):
+    received = msg.Received()
+    assert received.add(buckets) == []
+    return received
+
+
 def test_assemble_resume_and_complete():
     data = b"x" * 250
     theta = msg.MetaRecord(digest(data), "e", "s")
     mu = msg.UpdateManifest("l", theta, msg.TimestampRecord(2, 2))
     buckets = msg.split_buckets(data, 100)
 
-    partial = msg.assemble_buckets(buckets[:2], mu, total=3)
-    assert partial == msg.Resume(2)
-    hole = msg.assemble_buckets([buckets[0], buckets[2]], mu, total=3)
-    assert hole == msg.Resume(1)
-    done = msg.assemble_buckets(buckets, mu, total=3)
-    assert isinstance(done, msg.Complete)
+    partial = _received(buckets[:2])
+    assert msg.assemble_buckets(partial, mu, 3) is None
+    assert partial.next_missing() == 2 and not partial.complete
+    hole = _received([buckets[0], buckets[2]])
+    assert msg.assemble_buckets(hole, mu, 3) is None
+    assert hole.next_missing() == 1 and not hole.complete
+    received = _received(buckets)
+    done = msg.assemble_buckets(received, mu, 3)
+    assert isinstance(done, msg.Complete) and received.complete
     assert b"".join(chunk for _, chunk, _ in done.buckets) == data
 
 
@@ -509,14 +518,16 @@ def test_assemble_detects_corruption():
     mu = msg.UpdateManifest("l", theta, msg.TimestampRecord(2, 2))
     buckets = msg.split_buckets(data, 100)
     index, chunk, chunk_digest = buckets[1]
-    with pytest.raises(msg.IntegrityError):
-        msg.assemble_buckets([buckets[0], (index, b"EVIL" + chunk[4:],
-                                           chunk_digest)], mu,
-                             total=3)
-    # All buckets present but the whole-image digest disagrees.
-    other = msg.split_buckets(b"y" * 250, 100)
-    with pytest.raises(msg.IntegrityError):
-        msg.assemble_buckets(other, mu, total=3)
+    received = msg.Received()
+    assert received.add([buckets[0], (index, b"EVIL" + chunk[4:],
+                                       chunk_digest)]) == [index]
+    assert msg.assemble_buckets(received, mu, 3) is None
+    assert received.next_missing() == 1 and not received.complete
+    # All buckets present but the whole-image digest disagrees: the
+    # download restarts from nothing.
+    other = _received(msg.split_buckets(b"y" * 250, 100))
+    assert msg.assemble_buckets(other, mu, 3) is None
+    assert other.buckets == {} and not other.complete
 
 
 def test_status_entry_signing():
