@@ -30,8 +30,6 @@ class FleetRecord:
     last_tau: msg.TimestampRecord = msg.TimestampRecord(0, 1)
     last_r_digest: Optional[bytes] = None
     last_full_r: Optional[tuple] = None
-    seen_nonces: set = field(default_factory=set)
-    reported: dict = field(default_factory=dict)  # (ecu, s) -> TimestampRecord
 
 
 def resolve_update_set(trigger: str, deps: dict, installed: set,
@@ -97,9 +95,7 @@ class Director(Actor):
         if vin in self.fleet:
             raise DirectorError(f"duplicate VIN {vin}")
         record = FleetRecord(vin, vin[:msg.MIN_LEN])
-        for s, (ecu, tau) in initial.items():
-            record.l_e.setdefault(ecu, [])
-            record.reported[(ecu, s)] = tau
+        record.l_e = {ecu: [] for ecu, _ in initial.values()}
         self.fleet[vin] = record
         self.min_config.setdefault(record.min, dict(initial))
         return record
@@ -237,9 +233,7 @@ class Director(Actor):
                                     msg.payload_digest(gamma)):
             return  # silent discard
         if not msg.assert_status_fresh_at_sud(gamma.tau, record.last_tau):
-            return
-        if gamma.nonce in record.seen_nonces:
-            return
+            return  # also refuses a replayed report: last_tau.t is its t
         entries = gamma.r
         if isinstance(entries, bytes):
             if record.last_r_digest != entries or record.last_full_r is None:
@@ -247,18 +241,11 @@ class Director(Actor):
                 self.reply(env, "status_need_full", {}, 64)
                 return
             entries = record.last_full_r
-        else:
-            if self.untrusted_secondaries and not self._entries_verified(
-                    vin, entries):
-                return
-        record.seen_nonces.add(gamma.nonce)
+        elif self.untrusted_secondaries and not self._entries_verified(
+                vin, entries):
+            return
 
         reply_bundles = self._newer_bundles(record, entries)
-        for ecu, s, tau in ((e.ecu, e.software, e.tau) for e in entries):
-            prev = record.reported.get((ecu, s))
-            if prev is None or tau.v >= prev.v:
-                record.reported[(ecu, s)] = tau
-
         reply_tau = msg.TimestampRecord(int(self.world.now) + 1,
                                         gamma.tau.v + 1)
         # Echo nonce: binds the reply to this exact report so a replayed

@@ -268,7 +268,6 @@ class Producer(Actor):
         self.repo_link = repo_link
         self.sud = sud
         self.sud_link = sud_link
-        self.results: list = []
         self.alerts: list = []
 
     def publish(self, mu: msg.UpdateManifest, image: msg.UpdateImage,
@@ -290,7 +289,6 @@ class Producer(Actor):
                      timeout_ms=self.REPLY_TIMEOUT_MS, retries=0)
 
     def _settle(self, mu, image, attempt: int, reply):
-        self.results.append((mu.theta.s, reply.kind))
         if reply.kind == "manifest_accepted":
             return
         if reply.payload.get("reason") == "stale":

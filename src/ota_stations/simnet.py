@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import heapq
 import random
+from collections import deque
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable, NamedTuple, Optional
@@ -184,6 +185,10 @@ class World:
         self.trace: list = []
         self.adversary = None
         self.horizon_reached = False
+        # How long a served reply is kept for a retransmission to replay:
+        # the largest `timeout_ms * (retries + 1)` of a request made with
+        # `retries > 0`; 0, and no reply kept, until one is made.
+        self.replay_window_ms = 0.0
         # (time, vin, ecu, software, version, digest of the installed bytes)
         self.install_log: list = []
 
@@ -355,7 +360,8 @@ class Actor:
         self.name = name
         self.world = world
         self._pending: dict = {}
-        self._served: dict = {}
+        self._served: dict = {}     # req_id -> the reply sent to it
+        self._served_fifo = deque()  # (time, req_id) in reply order
         world.add_actor(self)
 
     # -- dispatch ----------------------------------------------------------
@@ -370,7 +376,7 @@ class Actor:
             pending.on_reply(env)
             return
         if env.req_id is not None and env.req_id in self._served:
-            # Retransmitted request: replay the stored reply verbatim.
+            # A retransmission inside the replay window: resend the reply.
             self.world.send(self._served[env.req_id])
             return
         handler = getattr(self, "on_" + env.kind, None)
@@ -390,6 +396,10 @@ class Actor:
         once and never times out.  Otherwise an unanswered request is sent
         again after `timeout_ms`, at most `retries` more times, and then
         `on_fail` is called, if given.  Returns the request id."""
+        if timeout_ms is not None and retries > 0:
+            window = timeout_ms * (retries + 1)
+            if window > self.world.replay_window_ms:
+                self.world.replay_window_ms = window
         req_id = self.world.next_req_id()
         self._attempt(req_id, _Pending(dst, kind, payload, size, link,
                                        on_reply, on_fail, timeout_ms, retries))
@@ -417,10 +427,17 @@ class Actor:
 
     def reply(self, env: Envelope, kind: str, payload, size: int,
               link: Optional[Link] = None):
+        """Answer request `env`.  While the replay window is positive, keep
+        the reply until a later reply here finds it older than the window."""
         out = Envelope(self.name, env.src, kind, payload, size,
                        link or env.link, reply_to=env.req_id)
-        if env.req_id is not None:
+        window = self.world.replay_window_ms
+        if env.req_id is not None and window > 0:
+            now, fifo = self.world.now, self._served_fifo
+            while fifo and now - fifo[0][0] > window:
+                self._served.pop(fifo.popleft()[1], None)
             self._served[env.req_id] = out
+            fifo.append((now, env.req_id))
         self.world.send(out)
 
     def reply_buckets(self, env: Envelope, kind: str, buckets: tuple, **extra):

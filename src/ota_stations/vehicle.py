@@ -38,7 +38,7 @@ class PendingItem:
     buckets: Optional[tuple] = None
     data_digest: Optional[bytes] = None    # digest of the buckets' bytes
     installed: bool = False
-    download: Optional[object] = None      # this item's latest download
+    download: Optional[object] = None      # the download under way, if any
 
 
 class VehiclePrimary(Actor):
@@ -83,7 +83,6 @@ class VehiclePrimary(Actor):
             self.inventory[(ecu, s)] = tau
 
         self.last_reply_tau = msg.TimestampRecord(0, 1)
-        self.seen_reply_nonces: set = set()
         self.last_full_entries: Optional[tuple] = None
         self.last_r_digest: Optional[bytes] = None
         self.bundle_tau: dict = {}             # trigger s -> TimestampRecord
@@ -190,13 +189,9 @@ class VehiclePrimary(Actor):
         if not self.trust.signed_by(gamma.sigma, (msg.ROLE_IDS["timestamp"],),
                                     msg.payload_digest(gamma)):
             return  # leave the deadline armed
-        if not msg.assert_status_fresh_at_primary(gamma.tau,
-                                                  self.last_reply_tau):
+        if not msg.assert_status_fresh_at_primary(
+                gamma.tau, self.last_reply_tau) or gamma.nonce != expect_nonce:
             return
-        if gamma.nonce != expect_nonce \
-                or gamma.nonce in self.seen_reply_nonces:
-            return
-        self.seen_reply_nonces.add(gamma.nonce)
         self.last_reply_tau = gamma.tau
         if self._status_timer is not None:
             self._status_timer.cancel()
@@ -259,7 +254,8 @@ class VehiclePrimary(Actor):
         idle = not self._station_queue   # else the station is downloading
         for key in sorted(self.pending):
             item = self.pending[key]
-            if item.download is not None or item in self._station_queue:
+            if item.buckets is not None or item.download is not None \
+                    or item in self._station_queue:
                 continue
             if self.station is None or key[0] in self.cellular_updates:
                 self._cellular(item)
@@ -336,6 +332,7 @@ class VehiclePrimary(Actor):
             return  # already completed by another download
         item.buckets = result.buckets
         item.data_digest = result.data_digest
+        item.download = None  # frees the finished download
         ecu = item.mu.theta.e
         group = [p for p in self.pending.values()
                  if p.bundle is item.bundle and p.mu.theta.e == ecu]

@@ -253,7 +253,7 @@ def test_status_invalid_or_replayed_is_silently_discarded():
 
     gamma = _gamma(rig, key, entries, t=6, v=1)
     assert len(_status(rig, gamma)) == 1
-    assert _status(rig, gamma) == []  # replayed nonce
+    assert _status(rig, gamma) == []  # replayed: refused as not fresh
 
     ahead = _gamma(rig, key, entries, t=7, v=99)  # version ahead of director
     assert _status(rig, ahead) == []

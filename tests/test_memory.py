@@ -1,10 +1,14 @@
 """Memory stays bounded: an image's bytes exist once per world, every holder
 keeps read-only views of them, and a finished request leaves nothing
-behind for the cycle collector."""
+behind for the cycle collector.  What a run keeps does not grow with how
+long it lasts."""
 import gc
 import tracemalloc
 import types
 import weakref
+from collections import Counter, deque
+
+import pytest
 
 from ota_stations import messages, simnet
 from ota_stations.scenario import ScenarioConfig, _image_bytes, build_scenario
@@ -202,3 +206,49 @@ def test_an_image_and_its_split_form_no_reference_cycle():
         gc.enable()
     buckets = tuple(received.buckets[i] for i in range(4))
     assert messages.image_digest(buckets) == data_digest
+
+
+def _kept_state(ignitions: int, live_publish: bool) -> Counter:
+    """Entries in every container an actor, or a director's fleet record,
+    holds after a run of `ignitions` per vehicle, by (class, attribute).
+    A vehicle's `records` are output, and are left out."""
+    config = ScenarioConfig(
+        vehicles=20, stations=1, coverage_pct=50, bundle_bytes=1_000_000,
+        image_count=5, ignition_period_ms=10_000, ignition_limit=ignitions,
+        live_publish=live_publish)
+    built = build_scenario(config)
+    built.world.run(config.horizon_ms)
+    assert not built.world.horizon_reached
+    sizes = Counter()
+    for actor in built.world.actors.values():
+        for holder in (actor, *getattr(actor, "fleet", {}).values()):
+            for name, value in vars(holder).items():
+                if isinstance(value, (dict, list, set, deque)) \
+                        and name != "records":
+                    sizes[type(holder).__name__, name] += len(value)
+    return sizes
+
+
+@pytest.mark.parametrize("live_publish", [False, True])
+def test_kept_state_does_not_grow_with_run_length(live_publish):
+    # Served replies are kept only while a retransmission can arrive, and no
+    # record of past status exchanges is kept.  The trace and each vehicle's
+    # ignition times are output; the crypto memos are not actor state.
+    short, long = _kept_state(10, live_publish), _kept_state(40, live_publish)
+    served = [sum(n for (_, name), n in sizes.items() if name == "_served")
+              for sizes in (short, long)]
+    assert served[1] <= served[0], served
+    grown = {key: (short[key], n) for key, n in long.items()
+             if n > short[key]}
+    assert grown == {}
+
+
+def test_a_finished_download_is_dropped():
+    # Once an item's image is complete, its `_Download`, and the closure
+    # cycle through the item, are freed.
+    built = build_scenario(_mixed_config())
+    built.world.run(built.config.horizon_ms)
+    items = [item for primary in built.vehicles
+             for item in primary.pending.values()]
+    assert items and all(item.buckets is not None for item in items)
+    assert [item for item in items if item.download is not None] == []

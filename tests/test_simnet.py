@@ -139,32 +139,87 @@ def test_cancelled_timeout_neither_moves_the_clock_nor_reaches_the_horizon():
     assert world.now == 3.0
 
 
+class _Asker(Actor):
+    def __init__(self, world):
+        super().__init__("a", world)
+        self.replies = []
+
+
 def test_request_reply_and_idempotent_retransmission():
     world = World(seed=1)
     responder = Recorder("b", world)
-
-    class Asker(Actor):
-        def __init__(self):
-            super().__init__("a", world)
-            self.replies = []
-            self.failures = 0
-
-    asker = Asker()
+    asker = _Asker(world)
     link = _link(10.0, 1.0)
-    asker.request("b", "ask", "q", 64, link,
-                  on_reply=lambda env: asker.replies.append(env.payload),
-                  on_fail=lambda: None)
+    req_id = asker.request("b", "ask", "q", 64, link,
+                           on_reply=lambda env: asker.replies.append(
+                               env.payload),
+                           on_fail=lambda: None, timeout_ms=100.0, retries=2)
     world.run()
     assert asker.replies == ["q"]
+    assert world.replay_window_ms == 300.0
 
-    # A duplicated request envelope is answered from the reply memo, not
-    # re-dispatched to the handler.
-    first_req = next(e for e in world.trace if e.kind == "ask")
+    # A duplicated request envelope inside the replay window is answered
+    # from the kept reply, not re-dispatched to the handler.
     handler_calls = []
     responder.on_ask = lambda env: handler_calls.append(env)
-    responder.receive(Envelope("a", "b", "ask", "q", 64, link, req_id=1))
+    responder.receive(Envelope("a", "b", "ask", "q", 64, link, req_id=req_id))
     world.run()
     assert not handler_calls
+    assert [rec.kind for rec in world.trace].count("answer") == 2
+
+
+def test_a_reply_older_than_the_replay_window_is_dropped():
+    world = World(seed=1)
+    responder = Recorder("b", world)
+    asker = _Asker(world)
+    link = _link(10.0, 1.0)
+
+    def ask():
+        return asker.request("b", "ask", "q", 64, link,
+                             on_reply=lambda env: None, timeout_ms=100.0,
+                             retries=1)
+
+    first = ask()
+    world.run()
+    assert set(responder._served) == {first}
+    # The responder's next reply, more than the 200 ms window later, drops
+    # the first, and a retransmission of it would reach the handler again.
+    later = []
+    world.schedule(500.0, lambda: later.append(ask()))
+    world.run()
+    assert set(responder._served) == set(later)
+    assert len(responder._served_fifo) == 1
+
+
+def test_no_reply_is_kept_when_no_request_is_retried():
+    world = World(seed=1)
+    responder = Recorder("b", world)
+    asker = _Asker(world)
+    link = _link(10.0, 1.0)
+    asker.request("b", "ask", "q", 64, link,
+                  on_reply=lambda env: asker.replies.append(env.payload))
+    asker.request("b", "ask", "r", 64, link,
+                  on_reply=lambda env: asker.replies.append(env.payload),
+                  timeout_ms=100.0, retries=0)
+    world.run()
+    assert sorted(asker.replies) == ["q", "r"]
+    assert world.replay_window_ms == 0.0
+    assert responder._served == {}
+
+
+def test_a_second_copy_of_an_answered_reply_is_dropped():
+    world = World(seed=1)
+    Recorder("b", world)
+    asker = _Asker(world)
+    link = _link(10.0, 1.0)
+    req_id = asker.request("b", "ask", "q", 64, link,
+                           on_reply=lambda env: asker.replies.append(
+                               env.payload))
+    world.run()
+    assert asker.replies == ["q"]
+    world.send(Envelope("b", "a", "answer", "q", 64, link, reply_to=req_id))
+    world.run()
+    assert asker.replies == ["q"]
 
 
 def test_request_timeout_retries_then_fails():
