@@ -189,6 +189,10 @@ def test_a_reply_older_than_the_replay_window_is_dropped():
     world.run()
     assert set(responder._served) == set(later)
     assert len(responder._served_fifo) == 1
+    handler_calls = []
+    responder.on_ask = lambda env: handler_calls.append(env)
+    responder.receive(Envelope("a", "b", "ask", "q", 64, link, req_id=first))
+    assert len(handler_calls) == 1
 
 
 def test_no_reply_is_kept_when_no_request_is_retried():
