@@ -146,7 +146,7 @@ def replace_env(env: Envelope, payload, size: Optional[int] = None) -> Envelope:
     return Envelope(env.src, env.dst, env.kind, payload,
                     env.size if size is None else size, env.link,
                     req_id=env.req_id, reply_to=env.reply_to,
-                    attempt=env.attempt)
+                    attempt=env.attempt, replay_ms=env.replay_ms)
 
 
 # ---------------------------------------------------------------------------

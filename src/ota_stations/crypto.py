@@ -14,11 +14,17 @@ the provider's pure check is memoised, on the `KeyRegistry`, keyed by the
 exact bytes it depends on: the registered (public key, scheme), the payload
 digest and the signature.  Signing is memoised on each `KeyPair`, keyed by
 the payload digest: HMAC and Ed25519 (RFC 8032) are deterministic, so a
-repeated sign would give the same bytes.  A signed message keeps its
-region bytes and payload digest (`messages.payload_digest`); signatures,
-grants and endorsements lie outside the region, so appending one gives an
-instance that shares both, and each region is hashed once per world.  An
-image's digest is kept on the object that owns its bytes:
+repeated sign would give the same bytes.  Each key is prepared once: a
+`KeyPair` keeps its signing state (`_signer`) and the `KeyRegistry` keeps
+each registered key's verifying state (`_loaded`), which for HMAC are the
+SHA-256 states of the key's inner and outer pads (RFC 2104).  A signed
+message keeps its region bytes and payload digest
+(`messages.payload_digest`); signatures, grants and endorsements lie
+outside the region, so appending one gives an instance that shares both,
+and each region is hashed once per world.  So is each grant and
+endorsement digest of a bundle, per subject, and the digest of each status
+entry, which the entry keeps.  An image's digest is kept on the object
+that owns its bytes:
 `messages.UpdateImage.data_digest`, which the build computes for the
 manifest, and the image's split, which carries it
 (`messages.split_buckets`).  So each image buffer is hashed once per
@@ -40,6 +46,7 @@ import hmac
 from dataclasses import dataclass, field
 
 DIGEST_LEN = 32
+_BLOCK = 64                 # SHA-256 block size, bytes
 
 
 def digest(data: bytes) -> bytes:
@@ -59,8 +66,8 @@ class KeyPair:
     public_key: bytes
     private_key: bytes
     scheme: str = "hmac"
-    # The provider's private-key object, built by its first `sign`; None for
-    # HMAC keys and for keys that have not signed yet.
+    # The provider's signing state, built by its first `sign`: the HMAC pads
+    # or the Ed25519 private-key object; None until the key signs.
     _signer: object = field(default=None, init=False, repr=False,
                             compare=False)
     # payload digest -> the SignatureEntry this key made over it
@@ -78,6 +85,10 @@ class HmacProvider:
     Key material doubles as the "public" key, so anyone holding the registry
     could forge signatures; forgery in the simulator is modeled explicitly by
     the adversary instead.  Not for production use.
+
+    A key's HMAC-SHA256 (RFC 2104) starts from its inner and outer SHA-256
+    states, prepared once per key (`_hmac_pads`): on the `KeyPair` for
+    signing, and by `KeyRegistry` for verifying (`load_public`).
     """
 
     scheme = "hmac"
@@ -86,13 +97,37 @@ class HmacProvider:
         secret = hashlib.sha256(b"key:" + seed + signer_id.encode()).digest()
         return KeyPair(signer_id, secret, secret, self.scheme)
 
-    def sign(self, payload_digest: bytes, key: KeyPair) -> SignatureEntry:
-        sig = hmac.digest(key.private_key, payload_digest, "sha256")
-        return SignatureEntry(key.signer_id, sig)
+    def load_public(self, public_key: bytes) -> tuple:
+        return _hmac_pads(public_key)
 
-    def verify(self, payload_digest: bytes, public_key: bytes, sig: bytes) -> bool:
-        want = hmac.digest(public_key, payload_digest, "sha256")
-        return hmac.compare_digest(want, sig)
+    def sign(self, payload_digest: bytes, key: KeyPair) -> SignatureEntry:
+        if key._signer is None:
+            object.__setattr__(key, "_signer", _hmac_pads(key.private_key))
+        return SignatureEntry(key.signer_id, _hmac(key._signer, payload_digest))
+
+    def verify(self, payload_digest: bytes, public, sig: bytes) -> bool:
+        """`public` is `load_public` of the registered key."""
+        return hmac.compare_digest(_hmac(public, payload_digest), sig)
+
+
+def _hmac_pads(key: bytes) -> tuple:
+    """The SHA-256 states of `key`'s inner and outer pads (RFC 2104), as
+    the `hmac` module's own fallback builds them."""
+    if len(key) > _BLOCK:
+        key = hashlib.sha256(key).digest()
+    key = key.ljust(_BLOCK, b"\0")
+    return (hashlib.sha256(key.translate(hmac.trans_36)),
+            hashlib.sha256(key.translate(hmac.trans_5C)))
+
+
+def _hmac(pads: tuple, data: bytes) -> bytes:
+    """HMAC-SHA256 of `data` from the prepared `pads` of its key."""
+    inner, outer = pads
+    inner = inner.copy()
+    inner.update(data)
+    outer = outer.copy()
+    outer.update(inner.digest())
+    return outer.digest()
 
 
 class Ed25519Provider:
@@ -108,6 +143,11 @@ class Ed25519Provider:
         pub = priv.public_key().public_bytes_raw()
         return KeyPair(signer_id, pub, raw, self.scheme)
 
+    def load_public(self, public_key: bytes):
+        from cryptography.hazmat.primitives.asymmetric import ed25519
+
+        return ed25519.Ed25519PublicKey.from_public_bytes(public_key)
+
     def sign(self, payload_digest: bytes, key: KeyPair) -> SignatureEntry:
         from cryptography.hazmat.primitives.asymmetric import ed25519
 
@@ -117,13 +157,12 @@ class Ed25519Provider:
                                    key.private_key))
         return SignatureEntry(key.signer_id, key._signer.sign(payload_digest))
 
-    def verify(self, payload_digest: bytes, public_key: bytes, sig: bytes) -> bool:
+    def verify(self, payload_digest: bytes, public, sig: bytes) -> bool:
+        """`public` is `load_public` of the registered key."""
         from cryptography.exceptions import InvalidSignature
-        from cryptography.hazmat.primitives.asymmetric import ed25519
 
-        pub = ed25519.Ed25519PublicKey.from_public_bytes(public_key)
         try:
-            pub.verify(sig, payload_digest)
+            public.verify(sig, payload_digest)
             return True
         except InvalidSignature:
             return False
@@ -164,6 +203,9 @@ class KeyRegistry:
     # ((public_key, scheme), payload digest, sig) -> the provider's verdict
     _checked: dict = field(default_factory=dict, init=False, repr=False,
                            compare=False)
+    # (public_key, scheme) -> the provider's `load_public` of that key
+    _loaded: dict = field(default_factory=dict, init=False, repr=False,
+                          compare=False)
 
     def add(self, key: KeyPair) -> None:
         if key.signer_id in self.keys:
@@ -187,7 +229,10 @@ def verify(payload_digest: bytes, entry: SignatureEntry,
     memo_key = (rec, payload_digest, entry.sig)
     ok = registry._checked.get(memo_key)
     if ok is None:
-        public_key, scheme = rec
-        ok = registry._checked[memo_key] = PROVIDERS[scheme].verify(
-            payload_digest, public_key, entry.sig)
+        provider = PROVIDERS[rec[1]]
+        public = registry._loaded.get(rec)
+        if public is None:
+            public = registry._loaded[rec] = provider.load_public(rec[0])
+        ok = registry._checked[memo_key] = provider.verify(
+            payload_digest, public, entry.sig)
     return ok

@@ -83,6 +83,9 @@ class Director(Actor):
         self.min_config: dict = {}            # min -> {s: (ecu, TimestampRecord)}
         self.subscribers: dict = {}           # min -> {subscriber: Link}
         self.bundles: dict = {}               # (min, s) -> snapshot-signed Bundle
+        # (min, s) -> (that bundle, {vin: the vehicle's granted, and with
+        # untrusted secondaries endorsed, copy}); see `_newer_bundles`
+        self._copies: dict = {}
         self._bundle_versions: dict = {}      # (min, s) -> last bundle version
         self.audit_log: list = []
 
@@ -270,24 +273,35 @@ class Director(Actor):
             msg.status_entry_digest(entry)) for entry in entries)
 
     def _newer_bundles(self, record: FleetRecord, entries):
+        """The vehicle's copies of its model's bundles whose trigger is newer
+        than it reports, in trigger order.  A vehicle's copy of a bundle is
+        granted (and endorsed) once, and kept until the director bundles
+        that trigger anew."""
         reported = {e.software: e.tau for e in entries}
+        config = self.min_config[record.min]
         out = []
-        for (min_id, trigger), bundle in sorted(self.bundles.items()):
-            if min_id != record.min:
+        for trigger in sorted(config):
+            key = (record.min, trigger)
+            bundle = self.bundles.get(key)
+            if bundle is None:
                 continue
             trigger_mu = next(m for m in bundle.manifests
                               if m.theta.s == trigger)
-            have = reported.get(trigger)
-            if have is None:
-                have = self.min_config[min_id].get(trigger, (None, None))[1]
-            if have is not None and trigger_mu.tau.v <= have.v:
+            have = reported.get(trigger, config[trigger][1])
+            if trigger_mu.tau.v <= have.v:
                 continue
-            copy = self.publish_bundle(bundle, record.vin)
-            if self.untrusted_secondaries:
-                ecus = sorted({m.theta.e for m in bundle.manifests})
-                for ecu in ecus:
-                    copy = msg.endorse_for_ecu(copy, ecu,
-                                               self.role_keys["targets"])
+            kept = self._copies.get(key)
+            if kept is None or kept[0] is not bundle:
+                kept = self._copies[key] = (bundle, {})
+            copy = kept[1].get(record.vin)
+            if copy is None:
+                copy = self.publish_bundle(bundle, record.vin)
+                if self.untrusted_secondaries:
+                    ecus = sorted({m.theta.e for m in bundle.manifests})
+                    for ecu in ecus:
+                        copy = msg.endorse_for_ecu(copy, ecu,
+                                                   self.role_keys["targets"])
+                kept[1][record.vin] = copy
             out.append(copy)
         return out
 

@@ -11,6 +11,13 @@ UTF-8 with 4-byte big-endian length prefix, byte strings with 4-byte length
 prefix, lists as 4-byte count then elements.  Signature entries, download
 grants, and per-ECU endorsements are appended AFTER the signed region, so
 adding them never changes the digest other parties verify.
+
+Every encoding is kept beside what it encodes, so a status round encodes
+only what changed: a wire message keeps its region and its full wire
+bytes, and a status entry its own bytes, which each report or reply that
+carries the entry joins.  A reply's region joins its bundles' kept wire
+bytes.  An instance that appends a signature, grant or endorsement
+shares its source's region but encodes its own wire bytes.
 """
 from __future__ import annotations
 
@@ -62,14 +69,17 @@ class MetaRecord:
 
 @dataclass(frozen=True)
 class _WireMessage:
-    """A manifest, bundle or status report.  It keeps its signed region and
-    the region's digest once computed (`signed_region`, `payload_digest`).
-    Its sections after the region are its signatures, unless it adds more."""
+    """A manifest, bundle or status report.  It keeps its signed region, the
+    region's digest and its full wire bytes once computed (`signed_region`,
+    `payload_digest`, `canonical_encode`).  Its sections after the region
+    are its signatures, unless it adds more."""
 
     _region: Optional[bytes] = field(default=None, init=False, repr=False,
                                      compare=False)
     _payload_digest: Optional[bytes] = field(default=None, init=False,
                                              repr=False, compare=False)
+    _wire: Optional[bytes] = field(default=None, init=False, repr=False,
+                                   compare=False)
 
     def _sections(self) -> bytes:
         return _enc_sigma(self.sigma)
@@ -104,6 +114,10 @@ class Bundle(_WireMessage):
     sigma: tuple = ()
     grants: tuple = ()     # Grant chain, outside the signed region
     ecu_sigs: tuple = ()   # (ecu_id, SignatureEntry), outside the signed region
+    # tag + subject -> the grant or endorsement digest of the region bound
+    # to that subject; copies outside the region share this very dict.
+    _subject_digests: dict = field(default_factory=dict, init=False,
+                                   repr=False, compare=False)
 
     def _encode_region(self) -> bytes:
         if not self.manifests:
@@ -113,8 +127,7 @@ class Bundle(_WireMessage):
             raise EncodingError("bundle manifests not distinct by (s, v)")
         out = bytes([TAG_BUNDLE]) + _count(len(self.manifests))
         for m in self.manifests:
-            body = signed_region(m) + _enc_sigma(m.sigma)
-            out += _blob(body)
+            out += _blob(canonical_encode(m))
         return out + _enc_ts(self.tau)
 
     def _sections(self) -> bytes:
@@ -130,10 +143,18 @@ class Bundle(_WireMessage):
 
 @dataclass(frozen=True)
 class StatusEntry:
+    """One ECU's report of one installed software version.  It keeps its
+    canonical bytes (`_entry_bytes`) and the digest its signature covers
+    (`status_entry_digest`), each once computed."""
+
     ecu: str
     software: str
     tau: TimestampRecord
     sig: Optional[SignatureEntry] = None  # present when secondaries are untrusted
+    _bytes: Optional[bytes] = field(default=None, init=False, repr=False,
+                                    compare=False)
+    _digest: Optional[bytes] = field(default=None, init=False, repr=False,
+                                     compare=False)
 
 
 @dataclass(frozen=True)
@@ -147,22 +168,14 @@ class StatusReport(_WireMessage):
     def _encode_region(self) -> bytes:
         if len(self.nonce) != NONCE_LEN:
             raise EncodingError("nonce must be 16 bytes")
-        out = bytes([TAG_STATUS])
         if isinstance(self.r, bytes):
-            out += b"\x01" + _blob(self.r)
+            r = b"\x01" + _blob(self.r)
         else:
-            out += b"\x00" + _count(len(self.r))
-            for entry in self.r:
-                out += _s(entry.ecu) + _s(entry.software) + _enc_ts(entry.tau)
-                if entry.sig is None:
-                    out += b"\x00"
-                else:
-                    out += b"\x01" + _enc_sig(entry.sig)
-        out += _enc_ts(self.tau) + _blob(self.nonce)
-        out += _count(len(self.bundles))
-        for b in self.bundles:
-            out += _blob(canonical_encode(b))
-        return out
+            r = b"\x00" + _count(len(self.r)) + b"".join(
+                map(_entry_bytes, self.r))
+        return b"".join((bytes([TAG_STATUS]), r, _enc_ts(self.tau),
+                         _blob(self.nonce), _count(len(self.bundles)),
+                         *map(_blob, map(canonical_encode, self.bundles))))
 
 
 @dataclass(frozen=True)
@@ -315,6 +328,19 @@ def _dec_sigma(r: _Reader) -> tuple:
     return tuple(_dec_sig(r) for _ in range(r.u32()))
 
 
+def _entry_bytes(entry: StatusEntry) -> bytes:
+    """The canonical bytes of a status entry, encoded on first use and kept
+    on the entry, so each report or reply that carries it joins them."""
+    if entry._bytes is None:
+        out = _s(entry.ecu) + _s(entry.software) + _enc_ts(entry.tau)
+        if entry.sig is None:
+            out += b"\x00"
+        else:
+            out += b"\x01" + _enc_sig(entry.sig)
+        object.__setattr__(entry, "_bytes", out)
+    return entry._bytes
+
+
 def signed_region(msg) -> bytes:
     """Canonical bytes of the signature-covered part of a message.
 
@@ -331,8 +357,13 @@ def signed_region(msg) -> bytes:
 
 
 def canonical_encode(msg) -> bytes:
-    """Full wire encoding: the signed region followed by the sections."""
-    return signed_region(msg) + msg._sections()
+    """Full wire encoding: the signed region followed by the sections.
+    It is encoded on first use and kept beside the region; an instance that
+    appends a signature, grant or endorsement (`replace_outside_region`)
+    encodes its own."""
+    if msg._wire is None:
+        object.__setattr__(msg, "_wire", signed_region(msg) + msg._sections())
+    return msg._wire
 
 
 def decode_message(data: bytes):
@@ -393,9 +424,8 @@ def payload_digest(msg) -> bytes:
 
 
 def wire_size(msg) -> int:
-    """`len(canonical_encode(msg))`: the kept region's length plus the
-    encoded sections', so the region is not copied into a new encoding."""
-    return len(signed_region(msg)) + len(msg._sections())
+    """`len(canonical_encode(msg))`, read from the kept wire bytes."""
+    return len(canonical_encode(msg))
 
 
 # ---------------------------------------------------------------------------
@@ -411,18 +441,19 @@ def replace_outside_region(msg, **outside):
 
     Those fields lie outside the signed region, as TUF and Uptane keep
     signatures outside the "signed" part of their metadata, so the new
-    instance shares `msg`'s region bytes and payload digest.  Any other
-    field raises ValueError: changing it would change the region.  The copy
-    skips `__init__`, which validates nothing: its dict is `msg`'s plus the
-    replaced fields and the kept digest, as `dataclasses.replace` would give
-    with the memo."""
+    instance shares `msg`'s region bytes, payload digest and, for a bundle,
+    its kept grant and endorsement digests.  Any other field raises
+    ValueError: changing it would change the region.  The copy skips
+    `__init__`, which validates nothing: its dict is `msg`'s plus the
+    replaced fields and the kept digest, without `msg`'s wire bytes, whose
+    sections differ."""
     if not _OUTSIDE_REGION.issuperset(outside):
         raise ValueError(f"not outside the signed region: {sorted(outside)}")
     # A kept digest implies a kept region; computing one keeps both.
     region_digest = msg._payload_digest or payload_digest(msg)
     copy = object.__new__(type(msg))
     copy.__dict__.update(msg.__dict__, _payload_digest=region_digest,
-                         **outside)
+                         _wire=None, **outside)
     return copy
 
 
@@ -432,8 +463,19 @@ def sign_message(msg, key: KeyPair):
     return replace_outside_region(msg, sigma=msg.sigma + (entry,))
 
 
+def _subject_digest(bundle: Bundle, tag: bytes, subject: str) -> bytes:
+    """The digest of the bundle region bound to `subject` under `tag`,
+    hashed on first use and kept beside the region."""
+    bound = tag + subject.encode()
+    kept = bundle._subject_digests.get(bound)
+    if kept is None:
+        kept = bundle._subject_digests[bound] = digest(
+            signed_region(bundle) + bound)
+    return kept
+
+
 def _grant_digest(bundle: Bundle, subject: str) -> bytes:
-    return digest(signed_region(bundle) + b"\x00sub" + subject.encode())
+    return _subject_digest(bundle, b"\x00sub", subject)
 
 
 def grant_bundle(bundle: Bundle, subject: str, key: KeyPair) -> Bundle:
@@ -444,7 +486,7 @@ def grant_bundle(bundle: Bundle, subject: str, key: KeyPair) -> Bundle:
 
 
 def _ecu_digest(bundle: Bundle, ecu: str) -> bytes:
-    return digest(signed_region(bundle) + b"\x00ecu" + ecu.encode())
+    return _subject_digest(bundle, b"\x00ecu", ecu)
 
 
 def endorse_for_ecu(bundle: Bundle, ecu: str, key: KeyPair) -> Bundle:
@@ -454,13 +496,22 @@ def endorse_for_ecu(bundle: Bundle, ecu: str, key: KeyPair) -> Bundle:
 
 
 def status_entry_digest(entry: StatusEntry) -> bytes:
-    return digest(b"\x00tau" + _s(entry.ecu) + _s(entry.software)
-                  + _enc_ts(entry.tau))
+    """The digest an entry's signature covers, hashed on first use and kept
+    on the entry, and handed on to the entry that `sign_status_entry`
+    gives."""
+    if entry._digest is None:
+        object.__setattr__(entry, "_digest", digest(
+            b"\x00tau" + _s(entry.ecu) + _s(entry.software)
+            + _enc_ts(entry.tau)))
+    return entry._digest
 
 
 def sign_status_entry(entry: StatusEntry, key: KeyPair) -> StatusEntry:
-    return StatusEntry(entry.ecu, entry.software, entry.tau,
-                       sign(status_entry_digest(entry), key))
+    entry_digest = status_entry_digest(entry)
+    signed = StatusEntry(entry.ecu, entry.software, entry.tau,
+                         sign(entry_digest, key))
+    object.__setattr__(signed, "_digest", entry_digest)
+    return signed
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import heapq
 import random
-from collections import deque
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable, NamedTuple, Optional
@@ -159,6 +158,10 @@ class Envelope:
     req_id: Optional[int] = None
     reply_to: Optional[int] = None
     attempt: int = 0
+    # How long the reply to this request is kept for a retransmission to
+    # replay: `timeout_ms * (retries + 1)` of a request that can be sent
+    # again, else 0, and the reply is not kept.
+    replay_ms: float = 0.0
 
 
 class TraceRecord(NamedTuple):
@@ -185,10 +188,6 @@ class World:
         self.trace: list = []
         self.adversary = None
         self.horizon_reached = False
-        # How long a served reply is kept for a retransmission to replay:
-        # the largest `timeout_ms * (retries + 1)` of a request made with
-        # `retries > 0`; 0, and no reply kept, until one is made.
-        self.replay_window_ms = 0.0
         # (time, vin, ecu, software, version, digest of the installed bytes)
         self.install_log: list = []
 
@@ -297,6 +296,7 @@ class _Pending:
     on_fail: Optional[Callable]
     timeout: Optional[float]
     retries_left: int
+    replay_ms: float
     attempt: int = 0
     timer: Optional[Timer] = None
 
@@ -361,7 +361,7 @@ class Actor:
         self.world = world
         self._pending: dict = {}
         self._served: dict = {}     # req_id -> the reply sent to it
-        self._served_fifo = deque()  # (time, req_id) in reply order
+        self._served_due: list = []  # heap of (expiry time, req_id)
         world.add_actor(self)
 
     # -- dispatch ----------------------------------------------------------
@@ -376,7 +376,7 @@ class Actor:
             pending.on_reply(env)
             return
         if env.req_id is not None and env.req_id in self._served:
-            # A retransmission inside the replay window: resend the reply.
+            # A retransmission inside its replay window: resend the reply.
             self.world.send(self._served[env.req_id])
             return
         handler = getattr(self, "on_" + env.kind, None)
@@ -396,13 +396,12 @@ class Actor:
         once and never times out.  Otherwise an unanswered request is sent
         again after `timeout_ms`, at most `retries` more times, and then
         `on_fail` is called, if given.  Returns the request id."""
-        if timeout_ms is not None and retries > 0:
-            window = timeout_ms * (retries + 1)
-            if window > self.world.replay_window_ms:
-                self.world.replay_window_ms = window
+        replay_ms = (timeout_ms * (retries + 1)
+                     if timeout_ms is not None and retries > 0 else 0.0)
         req_id = self.world.next_req_id()
         self._attempt(req_id, _Pending(dst, kind, payload, size, link,
-                                       on_reply, on_fail, timeout_ms, retries))
+                                       on_reply, on_fail, timeout_ms, retries,
+                                       replay_ms))
         return req_id
 
     def _attempt(self, req_id: int, pending: _Pending):
@@ -412,7 +411,8 @@ class Actor:
         self._pending[req_id] = pending
         self.world.send(Envelope(self.name, pending.dst, pending.kind,
                                  pending.payload, pending.size, pending.link,
-                                 req_id=req_id, attempt=pending.attempt))
+                                 req_id=req_id, attempt=pending.attempt,
+                                 replay_ms=pending.replay_ms))
         pending.attempt += 1
 
     def _timed_out(self, req_id: int):
@@ -427,17 +427,17 @@ class Actor:
 
     def reply(self, env: Envelope, kind: str, payload, size: int,
               link: Optional[Link] = None):
-        """Answer request `env`.  While the replay window is positive, keep
-        the reply until a later reply here finds it older than the window."""
+        """Answer request `env`.  A request that can be retransmitted
+        carries its replay window: its reply is kept until a later reply
+        here finds it older than that window."""
         out = Envelope(self.name, env.src, kind, payload, size,
                        link or env.link, reply_to=env.req_id)
-        window = self.world.replay_window_ms
-        if env.req_id is not None and window > 0:
-            now, fifo = self.world.now, self._served_fifo
-            while fifo and now - fifo[0][0] > window:
-                self._served.pop(fifo.popleft()[1], None)
+        now, due = self.world.now, self._served_due
+        while due and now > due[0][0]:
+            self._served.pop(heapq.heappop(due)[1], None)
+        if env.replay_ms > 0 and env.req_id is not None:
             self._served[env.req_id] = out
-            fifo.append((now, env.req_id))
+            heapq.heappush(due, (now + env.replay_ms, env.req_id))
         self.world.send(out)
 
     def reply_buckets(self, env: Envelope, kind: str, buckets: tuple, **extra):

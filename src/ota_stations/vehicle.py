@@ -28,6 +28,21 @@ def group_digest(items, data_digests) -> bytes:
     return digest(acc)
 
 
+def kept_entry(kept: dict, ecu: str, software: str, tau: msg.TimestampRecord,
+               key: Optional[KeyPair]) -> msg.StatusEntry:
+    """The status entry of `software` at `tau` on `ecu`, signed with `key`
+    unless it is None.  `kept` belongs to one ECU, which passes the same
+    `key` on every call; it holds one entry per (ecu, software), which is
+    made, and signed, again only once `tau` changes."""
+    entry = kept.get((ecu, software))
+    if entry is None or entry.tau != tau:
+        entry = msg.StatusEntry(ecu, software, tau)
+        if key is not None:
+            entry = msg.sign_status_entry(entry, key)
+        kept[ecu, software] = entry
+    return entry
+
+
 @dataclass
 class PendingItem:
     mu: msg.UpdateManifest
@@ -85,6 +100,7 @@ class VehiclePrimary(Actor):
         self.last_reply_tau = msg.TimestampRecord(0, 1)
         self.last_full_entries: Optional[tuple] = None
         self.last_r_digest: Optional[bytes] = None
+        self._entries: dict = {}               # see `kept_entry`
         self.bundle_tau: dict = {}             # trigger s -> TimestampRecord
         self.pending: dict = {}                # (s, v) -> PendingItem
         self._station_queue: list = []
@@ -119,17 +135,12 @@ class VehiclePrimary(Actor):
             self._send_status(self._own_entries())
 
     def _own_entries(self) -> tuple:
-        entries = []
-        for (ecu, s), tau in self.inventory.items():
-            entry = msg.StatusEntry(ecu, s, tau)
-            if self.untrusted:
-                entry = msg.sign_status_entry(entry, self.key)
-            entries.append(entry)
-        return tuple(sorted(entries, key=lambda e: (e.ecu, e.software)))
+        key = self.key if self.untrusted else None
+        return tuple(kept_entry(self._entries, ecu, s, self.inventory[ecu, s],
+                                key) for ecu, s in sorted(self.inventory))
 
     def _gather_secondary_entries(self):
-        collected = [msg.sign_status_entry(msg.StatusEntry(PRIMARY_ECU, s, tau),
-                                           self.key)
+        collected = [kept_entry(self._entries, PRIMARY_ECU, s, tau, self.key)
                      for (ecu, s), tau in self.inventory.items()
                      if ecu == PRIMARY_ECU]
         waiting = {"n": len(self.secondaries)}
@@ -428,6 +439,7 @@ class SecondaryEcu(Actor):
         self.installed: dict = dict(initial)   # s -> (tau, digest or None)
         self.primary_id = f"{vin}.primary"
         self.last_reply_tau = msg.TimestampRecord(0, 1)
+        self._entries: dict = {}               # see `kept_entry`
         self._status_timer = None
         self._image_timer = None
         self.alerts: list = []
@@ -438,13 +450,9 @@ class SecondaryEcu(Actor):
     # -- status relay ------------------------------------------------------
 
     def on_report_tau(self, env: Envelope):
-        entries = []
-        for s in sorted(self.installed):
-            tau, _ = self.installed[s]
-            entry = msg.StatusEntry(self.ecu, s, tau)
-            if self.untrusted:
-                entry = msg.sign_status_entry(entry, self.key)
-            entries.append(entry)
+        key = self.key if self.untrusted else None
+        entries = [kept_entry(self._entries, self.ecu, s, self.installed[s][0],
+                              key) for s in sorted(self.installed)]
         if self.untrusted and self.status_deadline_ms is not None:
             if self._status_timer is not None:
                 self._status_timer.cancel()

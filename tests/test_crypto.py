@@ -1,5 +1,6 @@
 import hashlib
 import hmac
+import random
 from collections import Counter
 
 import pytest
@@ -47,9 +48,59 @@ def test_hmac_one_shot_matches_the_hmac_object():
                         hashlib.sha256).digest()
         assert hmac.digest(key.private_key, payload_digest, "sha256") == want
         assert provider.sign(payload_digest, key).sig == want
-        assert provider.verify(payload_digest, key.public_key, want)
-        assert not provider.verify(payload_digest, key.public_key,
+        public = provider.load_public(key.public_key)
+        assert provider.verify(payload_digest, public, want)
+        assert not provider.verify(payload_digest, public,
                                    bytes([want[0] ^ 1]) + want[1:])
+
+
+# RFC 4231 section 4 HMAC-SHA-256 test cases 1-7 (key, data, MAC); case 5
+# gives the MAC truncated to 128 bits.
+RFC_4231 = (
+    (b"\x0b" * 20, b"Hi There",
+     "b0344c61d8db38535ca8afceaf0bf12b881dc200c9833da726e9376c2e32cff7"),
+    (b"Jefe", b"what do ya want for nothing?",
+     "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843"),
+    (b"\xaa" * 20, b"\xdd" * 50,
+     "773ea91e36800e46854db8ebd09181a72959098b3ef8c122d9635514ced565fe"),
+    (bytes(range(1, 26)), b"\xcd" * 50,
+     "82558a389a443c0ea4cc819899f2083a85f0faa3e578f8077a2e3ff46729665b"),
+    (b"\x0c" * 20, b"Test With Truncation",
+     "a3b6167473100ee06e0c796c2955552b"),
+    (b"\xaa" * 131, b"Test Using Larger Than Block-Size Key - Hash Key First",
+     "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54"),
+    (b"\xaa" * 131, b"This is a test using a larger than block-size key and a "
+     b"larger than block-size data. The key needs to be hashed before being "
+     b"used by the HMAC algorithm.",
+     "9b09ffa71b942fcb27635fbcd5b0e944bfdc63644f0713938a7f51535c3a35e2"),
+)
+
+
+def test_prepared_hmac_matches_rfc_4231():
+    for key, data, want in RFC_4231:
+        mac = crypto._hmac(crypto._hmac_pads(key), data)
+        assert len(mac) == 32 and mac.hex().startswith(want)
+
+
+def test_prepared_hmac_matches_hmac_digest():
+    # Keys shorter than, equal to and longer than the 64-byte block; the
+    # pads are reused across payloads and left as they were.
+    provider = PROVIDERS["hmac"]
+    rng = random.Random(4231)
+    for size in (0, 32, 64, 65, 200):
+        key = rng.randbytes(size)
+        pads = crypto._hmac_pads(key)
+        pair = KeyPair("k", key, key, "hmac")
+        public = provider.load_public(key)
+        for n in (0, 1, 32, 55, 64, 65, 1000):
+            data = rng.randbytes(n)
+            want = hmac.digest(key, data, "sha256")
+            assert crypto._hmac(pads, data) == want
+            assert crypto._hmac(pads, data) == want
+            assert provider.sign(data, pair).sig == want
+            assert provider.verify(data, public, want)
+            assert not provider.verify(data, public, bytes([want[0] ^ 1])
+                                       + want[1:])
 
 
 def test_unknown_signer_verifies_false():
@@ -239,7 +290,8 @@ def test_provider_signs_each_digest_once_per_key(provider, counting):
     # A signature from the memo equals one computed afresh.
     fresh = provider.generate("alice", b"seed")
     assert provider.sign(digest(b"x"), fresh) == first
-    assert provider.verify(digest(b"x"), key.public_key, first.sig)
+    assert provider.verify(digest(b"x"), provider.load_public(key.public_key),
+                           first.sig)
     # The memo takes no part in equality, hashing or repr.
     assert by_hand == key and hash(by_hand) == hash(key)
     assert repr(key) == before == repr(fresh)

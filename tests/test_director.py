@@ -307,6 +307,36 @@ def test_untrusted_reply_bundles_carry_ecu_endorsements():
     assert rig.trust.endorsed(bundle, "ecu1")
 
 
+def test_status_reply_carries_the_new_copy_after_a_rebundle():
+    rig = Rig(untrusted=True)
+    key = _vehicle_key(rig)
+    ecu_key = rig.add_key(f"{VIN}.ecu1")
+    rig.director.register_vehicle(VIN, _initial("sw0", ecu="ecu1"))
+    rig.seed_update("sw0", ecu="ecu1")
+    first = rig.director.resolve_and_bundle("sw0", VIN[:11])
+    entries = (msg.sign_status_entry(
+        msg.StatusEntry("ecu1", "sw0", msg.TimestampRecord(1, 1)), ecu_key),)
+
+    def reply_bundle(t):
+        kind, reply = _status(rig, _gamma(rig, key, entries, t=t, v=1))[0]
+        assert kind == "status_reply" and len(reply.bundles) == 1
+        return reply.bundles[0]
+
+    copy = reply_bundle(5)
+    assert reply_bundle(6) is copy  # granted and endorsed once
+    # Bundled anew, the trigger's reply carries a copy of the new bundle.
+    second = rig.director.resolve_and_bundle("sw0", VIN[:11])
+    fresh = reply_bundle(7)
+    assert fresh is not copy
+    assert msg.signed_region(fresh) == msg.signed_region(second)
+    assert msg.signed_region(fresh) != msg.signed_region(first)
+    assert fresh.tau == second.tau
+    assert rig.trust.verify_bundle(fresh, VIN)
+    assert rig.trust.endorsed(fresh, "ecu1")
+    assert msg.canonical_encode(fresh) == (fresh._encode_region()
+                                           + fresh._sections())
+
+
 def test_inventory_export_is_deterministic():
     rig = Rig()
     rig.director.register_vehicle(VIN, _initial("sw0"))

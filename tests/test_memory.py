@@ -243,6 +243,23 @@ def test_kept_state_does_not_grow_with_run_length(live_publish):
     assert grown == {}
 
 
+def test_only_replies_to_the_directors_retried_fetches_are_kept():
+    # The director's repository `fetch` is the one request made with a
+    # retry budget, so in a world that ingests live the repository keeps
+    # only its replies to the director, and no other actor keeps any.
+    config = ScenarioConfig(
+        vehicles=20, stations=1, coverage_pct=50, bundle_bytes=1_000_000,
+        image_count=5, ignition_period_ms=10_000, ignition_limit=10,
+        live_publish=True)
+    built = build_scenario(config)
+    built.world.run(config.horizon_ms)
+    kept = [(name, env.dst, env.kind)
+            for name, actor in built.world.actors.items()
+            for env in actor._served.values()]
+    assert kept
+    assert set(kept) == {("repo0", built.director.name, "fetch_ok")}
+
+
 def test_a_finished_download_is_dropped():
     # Once an item's image is complete, its `_Download`, and the closure
     # cycle through the item, are freed.

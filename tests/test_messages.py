@@ -307,6 +307,53 @@ def test_appending_keeps_the_region_and_digest_memo(message, name, append):
         assert msg.payload_digest(changed) == digest(_fresh_region(changed))
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(manifests(), bundles(), status_reports()), names,
+       st.sampled_from(("sign", "grant", "endorse")))
+def test_kept_wire_bytes_equal_a_fresh_encoding(message, name, append):
+    # A signed, granted or endorsed copy encodes its own wire bytes: the
+    # kept bytes of its source lack the section it appends.
+    assert msg.canonical_encode(message) == (message._encode_region()
+                                             + message._sections())
+    if append == "sign" or not isinstance(message, msg.Bundle):
+        result = msg.sign_message(message, _key(name))
+    elif append == "grant":
+        result = msg.grant_bundle(message, name, _key("sud.publish"))
+    else:
+        result = msg.endorse_for_ecu(message, name, _key("sud.targets"))
+    wire = msg.canonical_encode(result)
+    assert wire == result._encode_region() + result._sections()
+    assert msg.canonical_encode(result) is wire
+    assert msg.wire_size(result) == len(wire)
+    assert msg.decode_message(wire) == result
+    # A reply joins the kept bytes of the very copy it carries.
+    if isinstance(result, msg.Bundle):
+        reply = msg.StatusReport((), msg.TimestampRecord(7, 1), b"n" * 16,
+                                 bundles=(result,))
+        assert msg.decode_message(msg.canonical_encode(reply)).bundles == \
+            (result,)
+
+
+def test_grant_and_endorsement_digests_are_kept_per_subject():
+    bundle = msg.Bundle((_manifest("s"),), msg.TimestampRecord(5, 1))
+    copy = msg.endorse_for_ecu(msg.grant_bundle(msg.sign_message(
+        bundle, _key("sud.snapshot")), "VIN", _key("sud.publish")),
+        "ecu1", _key("sud.targets"))
+    region = msg.signed_region(bundle)
+    # Outside-region copies share the kept digests with their source.
+    assert copy._subject_digests is bundle._subject_digests
+    assert bundle._subject_digests == {
+        b"\x00subVIN": digest(region + b"\x00subVIN"),
+        b"\x00ecuecu1": digest(region + b"\x00ecuecu1")}
+    trust = _trust(_key("sud.publish"), _key("sud.targets"))
+    assert trust.granted(copy, "VIN") and trust.endorsed(copy, "ecu1")
+    # A changed region keeps none, and the old grant fails over it.
+    changed = dataclasses.replace(copy, tau=msg.TimestampRecord(6, 1))
+    assert changed._subject_digests == {}
+    assert not trust.granted(changed, "VIN")
+    assert not trust.endorsed(changed, "ecu1")
+
+
 def test_only_fields_outside_the_region_are_replaced_with_the_memo():
     mu = msg.sign_message(_manifest("s"), _key("producer0"))
     with pytest.raises(ValueError, match="outside the signed region"):
@@ -538,3 +585,13 @@ def test_status_entry_signing():
     from ota_stations.crypto import verify
     assert verify(msg.status_entry_digest(entry), entry.sig, registry,
                   RevocationList())
+    # The signed entry keeps the digest of a fresh entry of the same tau,
+    # and its kept bytes equal a fresh encoding.
+    fresh = msg.StatusEntry("ecu1", "sw0", msg.TimestampRecord(1, 1))
+    assert entry._digest == msg.status_entry_digest(fresh)
+    report = msg.StatusReport((entry, fresh), msg.TimestampRecord(2, 1),
+                              b"n" * 16)
+    assert msg.decode_message(msg.canonical_encode(report)).r == (entry, fresh)
+    assert msg._entry_bytes(entry) == (_s("ecu1") + _s("sw0") + _u64(1)
+                                       + _u64(1) + b"\x01"
+                                       + _s("VIN.ecu1") + _blob(entry.sig.sig))

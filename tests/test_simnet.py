@@ -156,7 +156,9 @@ def test_request_reply_and_idempotent_retransmission():
                            on_fail=lambda: None, timeout_ms=100.0, retries=2)
     world.run()
     assert asker.replies == ["q"]
-    assert world.replay_window_ms == 300.0
+    # The request carries its 300 ms window, and the reply is kept for it.
+    asked_at = next(rec.time for rec in world.trace if rec.kind == "ask")
+    assert responder._served_due == [(asked_at + 300.0, req_id)]
 
     # A duplicated request envelope inside the replay window is answered
     # from the kept reply, not re-dispatched to the handler.
@@ -188,7 +190,7 @@ def test_a_reply_older_than_the_replay_window_is_dropped():
     world.schedule(500.0, lambda: later.append(ask()))
     world.run()
     assert set(responder._served) == set(later)
-    assert len(responder._served_fifo) == 1
+    assert len(responder._served_due) == 1
     handler_calls = []
     responder.on_ask = lambda env: handler_calls.append(env)
     responder.receive(Envelope("a", "b", "ask", "q", 64, link, req_id=first))
@@ -207,8 +209,29 @@ def test_no_reply_is_kept_when_no_request_is_retried():
                   timeout_ms=100.0, retries=0)
     world.run()
     assert sorted(asker.replies) == ["q", "r"]
-    assert world.replay_window_ms == 0.0
     assert responder._served == {}
+    assert responder._served_due == []
+
+
+def test_only_the_reply_to_a_retried_request_is_kept():
+    # A retried request elsewhere in the world keeps no other reply.
+    world = World(seed=1)
+    responder = Recorder("b", world)
+    asker = _Asker(world)
+    link = _link(10.0, 1.0)
+    retried = asker.request("b", "ask", "q", 64, link,
+                            on_reply=lambda env: asker.replies.append(
+                                env.payload),
+                            timeout_ms=100.0, retries=1)
+    asker.request("b", "ask", "r", 64, link,
+                  on_reply=lambda env: asker.replies.append(env.payload))
+    asker.request("b", "ask", "s", 64, link,
+                  on_reply=lambda env: asker.replies.append(env.payload),
+                  timeout_ms=100.0, retries=0)
+    world.run()
+    assert sorted(asker.replies) == ["q", "r", "s"]
+    assert list(responder._served) == [retried]
+    assert [req_id for _, req_id in responder._served_due] == [retried]
 
 
 def test_a_second_copy_of_an_answered_reply_is_dropped():

@@ -350,3 +350,32 @@ def test_scenario_installs_across_ecus_trusted_and_untrusted():
         rep = run_scenario(config)
         assert rep.install_count == 3, untrusted
         assert rep.alert_count == 0, untrusted
+
+
+def test_an_ecu_re_signs_an_entry_only_when_its_tau_changes(monkeypatch):
+    signed = []
+    original = msg.sign_status_entry
+
+    def counting(entry, key):
+        signed.append((key.signer_id, entry.ecu, entry.software, entry.tau))
+        return original(entry, key)
+
+    monkeypatch.setattr(msg, "sign_status_entry", counting)
+    config = ScenarioConfig(
+        name="ecus", bundle_bytes=600_000, image_count=3,
+        secondaries_per_vehicle=2, coverage_pct=100,
+        untrusted_secondaries=True, ignition_period_ms=20_000,
+        ignition_limit=4, horizon_ms=600_000)
+    built = build_scenario(config)
+    built.world.run(config.horizon_ms)
+    primary = built.vehicles[0]
+    assert primary._ignitions == 4
+    assert len(built.world.install_log) == 3
+    # Every ignition reports every entry, but each (ECU, software, tau) is
+    # signed once: again after its install, and never otherwise.
+    assert len(signed) == len(set(signed))
+    installed = {(ecu, s, v) for _, _, ecu, s, v, _ in built.world.install_log}
+    assert {(ecu, s, tau.v) for _, ecu, s, tau in signed
+            if tau.v > 1} == installed
+    reported = built.director.fleet[primary.vin].last_full_r
+    assert {(e.ecu, e.software, e.tau.v) for e in reported} >= installed
