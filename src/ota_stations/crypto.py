@@ -9,16 +9,18 @@ directly, so it offers no real asymmetry) and an Ed25519 one backed by the
 not depend on which provider is plugged in.
 
 `verify` is the one verification policy for both providers.  The revocation
-check and the signer lookup run on every call and are never cached.  Only
-the provider's pure check is memoised, on the `KeyRegistry`, keyed by the
-exact bytes it depends on: the registered (public key, scheme), the payload
-digest and the signature.  Signing is memoised on each `KeyPair`, keyed by
-the payload digest: HMAC and Ed25519 (RFC 8032) are deterministic, so a
-repeated sign would give the same bytes.  Each key is prepared once: a
-`KeyPair` keeps its signing state (`_signer`) and the `KeyRegistry` keeps
-each registered key's verifying state (`_loaded`), which for HMAC are the
-SHA-256 states of the key's inner and outer pads (RFC 2104).  A signed
-message keeps its region bytes and payload digest
+check and the signer lookup run on every call.  Signing is memoised on each
+`KeyPair`, keyed by the payload digest, and the `KeyRegistry` refers to
+each registered pair's memo.  HMAC (RFC 2104) and Ed25519 (RFC 8032
+section 5.1.6) are deterministic, and a pair whose public half is not its
+private half's refuses to sign, so a signature equal to the one the
+registered pair issued over the same digest is one the provider would
+accept, and it verifies as it is.  Only a foreign signature reaches the
+provider, on every check; the registry keeps no verdict.  Each key is
+prepared once: a `KeyPair` keeps its signing state (`_signer`) and the
+`KeyRegistry` keeps each registered key's verifying state (`_loaded`),
+which for HMAC are the SHA-256 states of the key's inner and outer pads
+(RFC 2104).  A signed message keeps its region bytes and payload digest
 (`messages.payload_digest`); signatures, grants and endorsements lie
 outside the region, so appending one gives an instance that shares both,
 and each region is hashed once per world.  So is each grant and
@@ -31,8 +33,9 @@ manifest, and the image's split, which carries it
 world; a sender's own chunk and whole image are recognised by identity,
 and a bucket digest is computed only to check a foreign chunk.  `digest`
 itself keeps no state.  A failed check or a refused input is never turned
-into a pass: a verdict is memoised with the exact bytes it judged, and an
-image digest only with the immutable bytes it was computed from.
+into a pass: a signature passes without the provider only when it is the
+exact bytes its registered key issued, and an image digest is kept only
+with the immutable bytes it was computed from.
 
 Registries, key pairs and images each belong to one world, so every memo
 lives and dies with it; none lives at module level.  Simulated time
@@ -66,8 +69,9 @@ class KeyPair:
     public_key: bytes
     private_key: bytes
     scheme: str = "hmac"
-    # The provider's signing state, built by its first `sign`: the HMAC pads
-    # or the Ed25519 private-key object; None until the key signs.
+    # The provider's signing state: the HMAC pads, built by the key's first
+    # `sign`, or the Ed25519 private-key object, kept by `generate` (or
+    # built by the first `sign` of a pair made by hand).
     _signer: object = field(default=None, init=False, repr=False,
                             compare=False)
     # payload digest -> the SignatureEntry this key made over it
@@ -102,6 +106,9 @@ class HmacProvider:
 
     def sign(self, payload_digest: bytes, key: KeyPair) -> SignatureEntry:
         if key._signer is None:
+            if key.public_key != key.private_key:
+                raise CryptoError(f"{key.signer_id}: public key is not its "
+                                  f"private key")
             object.__setattr__(key, "_signer", _hmac_pads(key.private_key))
         return SignatureEntry(key.signer_id, _hmac(key._signer, payload_digest))
 
@@ -140,8 +147,10 @@ class Ed25519Provider:
 
         raw = hashlib.sha256(b"key:" + seed + signer_id.encode()).digest()
         priv = ed25519.Ed25519PrivateKey.from_private_bytes(raw)
-        pub = priv.public_key().public_bytes_raw()
-        return KeyPair(signer_id, pub, raw, self.scheme)
+        key = KeyPair(signer_id, priv.public_key().public_bytes_raw(), raw,
+                      self.scheme)
+        object.__setattr__(key, "_signer", priv)
+        return key
 
     def load_public(self, public_key: bytes):
         from cryptography.hazmat.primitives.asymmetric import ed25519
@@ -152,9 +161,12 @@ class Ed25519Provider:
         from cryptography.hazmat.primitives.asymmetric import ed25519
 
         if key._signer is None:
-            object.__setattr__(key, "_signer",
-                               ed25519.Ed25519PrivateKey.from_private_bytes(
-                                   key.private_key))
+            priv = ed25519.Ed25519PrivateKey.from_private_bytes(
+                key.private_key)
+            if priv.public_key().public_bytes_raw() != key.public_key:
+                raise CryptoError(f"{key.signer_id}: public key is not its "
+                                  f"private key's")
+            object.__setattr__(key, "_signer", priv)
         return SignatureEntry(key.signer_id, key._signer.sign(payload_digest))
 
     def verify(self, payload_digest: bytes, public, sig: bytes) -> bool:
@@ -197,12 +209,20 @@ def revoke(crl: RevocationList, signer_id: str) -> RevocationList:
 
 @dataclass
 class KeyRegistry:
-    """Public keys by signer id; private halves stay with the owning actor."""
+    """Public keys by signer id; private halves stay with the owning actor.
 
-    keys: dict = field(default_factory=dict)  # signer_id -> (public_key, scheme)
-    # ((public_key, scheme), payload digest, sig) -> the provider's verdict
-    _checked: dict = field(default_factory=dict, init=False, repr=False,
-                           compare=False)
+    A key is registered only by `add`, which also keeps a reference to the
+    pair's signing memo, so `verify` recognises the signatures that pair
+    issued.  The registry keeps nothing per signature: each of its
+    containers holds one entry per registered key.
+    """
+
+    # signer_id -> (public_key, scheme)
+    keys: dict = field(default_factory=dict, init=False)
+    # signer_id -> the registered pair's `_signed` memo (payload digest ->
+    # the SignatureEntry the pair issued over it)
+    _issued: dict = field(default_factory=dict, init=False, repr=False,
+                          compare=False)
     # (public_key, scheme) -> the provider's `load_public` of that key
     _loaded: dict = field(default_factory=dict, init=False, repr=False,
                           compare=False)
@@ -211,6 +231,7 @@ class KeyRegistry:
         if key.signer_id in self.keys:
             raise CryptoError(f"duplicate signer_id {key.signer_id}")
         self.keys[key.signer_id] = (key.public_key, key.scheme)
+        self._issued[key.signer_id] = key._signed
 
 
 def verify(payload_digest: bytes, entry: SignatureEntry,
@@ -218,21 +239,22 @@ def verify(payload_digest: bytes, entry: SignatureEntry,
     """True iff entry verifies under the registered key and is not revoked.
 
     Unknown signers verify false rather than raising.  Revocation and the
-    signer lookup are checked on every call; the provider's check of the
-    registered key, digest and signature runs once per registry.
+    signer lookup are checked on every call.  A signature the registered
+    pair issued over `payload_digest` then verifies as it is; both schemes
+    are deterministic and a pair signs only with its own public half, so
+    the provider would give the same verdict.  Any other signature goes to
+    the provider, on every call.
     """
     if entry.signer_id in crl.revoked:
         return False
     rec = registry.keys.get(entry.signer_id)
     if rec is None:
         return False
-    memo_key = (rec, payload_digest, entry.sig)
-    ok = registry._checked.get(memo_key)
-    if ok is None:
-        provider = PROVIDERS[rec[1]]
-        public = registry._loaded.get(rec)
-        if public is None:
-            public = registry._loaded[rec] = provider.load_public(rec[0])
-        ok = registry._checked[memo_key] = provider.verify(
-            payload_digest, public, entry.sig)
-    return ok
+    own = registry._issued[entry.signer_id].get(payload_digest)
+    if own is not None and own.sig == entry.sig:
+        return True
+    provider = PROVIDERS[rec[1]]
+    public = registry._loaded.get(rec)
+    if public is None:
+        public = registry._loaded[rec] = provider.load_public(rec[0])
+    return provider.verify(payload_digest, public, entry.sig)

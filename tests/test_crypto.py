@@ -4,6 +4,7 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ota_stations import (broker, crypto, director, image_repo, messages,
                           scenario, vehicle)
@@ -167,7 +168,7 @@ def test_cross_signer_signature_rejected(provider):
 
 
 # ---------------------------------------------------------------------------
-# Verification memo
+# Issued signatures and the signing memo
 # ---------------------------------------------------------------------------
 
 class CountingProvider:
@@ -209,7 +210,7 @@ def test_memoised_entry_fails_once_signer_is_revoked(provider):
     assert verify(digest(b"payload"), entry, registry, RevocationList())
     crl = revoke(RevocationList(), "alice")
     assert not verify(digest(b"payload"), entry, registry, crl)
-    # The memo still holds the pure check for holders of the old list.
+    # Holders of the old list still accept it.
     assert verify(digest(b"payload"), entry, registry, RevocationList())
 
 
@@ -235,43 +236,135 @@ def test_unknown_signer_is_false_even_when_its_triple_is_memoised(provider):
 
 
 def test_fresh_registry_starts_with_empty_memo(provider):
+    # The registry holds no verdict: after own, foreign and failing checks,
+    # each of its containers still holds one entry per registered key.
     key, registry = _alice(provider)
-    verify(digest(b"payload"), sign(digest(b"payload"), key), registry,
-           RevocationList())
-    assert registry._checked
-    assert KeyRegistry()._checked == {}
+    assert all(not held for held in vars(KeyRegistry()).values())
+    entry = sign(digest(b"payload"), key)
+    copy = KeyPair("alice", key.public_key, key.private_key, key.scheme)
+    foreign = sign(digest(b"copy"), copy)
+    for _ in range(2):
+        assert verify(digest(b"payload"), entry, registry, RevocationList())
+        assert not verify(digest(b"other"), entry, registry, RevocationList())
+        assert verify(digest(b"copy"), foreign, registry, RevocationList())
+    assert {name: len(held) for name, held in vars(registry).items()} == {
+        "keys": 1, "_issued": 1, "_loaded": 1}
+    # What the registry refers to is the pair's own signing memo.
+    assert registry._issued["alice"] is key._signed
 
 
 def test_provider_verifies_each_triple_once_per_registry(provider, counting):
+    # The provider sees no signature the registered pair issued, and sees a
+    # foreign one on every check.
     key, registry = _alice(provider)
     entry = sign(digest(b"payload"), key)
     for _ in range(3):
         assert verify(digest(b"payload"), entry, registry, RevocationList())
-    assert counting.calls["verify"] == 1
-    assert not verify(digest(b"other"), entry, registry, RevocationList())
-    assert not verify(digest(b"other"), entry, registry, RevocationList())
-    assert counting.calls["verify"] == 2
-    # Revocation is decided before the memo and costs no provider call.
+    assert counting.calls["verify"] == 0
+    for calls in (1, 2):
+        assert not verify(digest(b"other"), entry, registry, RevocationList())
+        assert counting.calls["verify"] == calls
+    # Revocation is decided first and costs no provider call.
     assert not verify(digest(b"payload"), entry, registry,
                       revoke(RevocationList(), "alice"))
     assert counting.calls["verify"] == 2
+    # An unregistered copy of the pair signs the same bytes, but a digest
+    # the registered pair never signed is foreign, whoever signed it.
+    copy = KeyPair("alice", key.public_key, key.private_key, key.scheme)
+    assert sign(digest(b"payload"), copy) == entry
+    foreign = sign(digest(b"copy"), copy)
+    for calls in (3, 4):
+        assert verify(digest(b"copy"), foreign, registry, RevocationList())
+        assert counting.calls["verify"] == calls
+    # Every registry of the pair recognises what the pair issued.
     other = KeyRegistry()
     other.add(key)
     assert verify(digest(b"payload"), entry, other, RevocationList())
-    assert counting.calls["verify"] == 3
+    assert counting.calls["verify"] == 4
+
+
+def _provider_verdict(payload_digest, entry, registry, crl):
+    """The revocation and lookup rules, then the provider's own check."""
+    if entry.signer_id in crl.revoked or entry.signer_id not in registry.keys:
+        return False
+    public_key, scheme = registry.keys[entry.signer_id]
+    provider = PROVIDERS[scheme]
+    return provider.verify(payload_digest, provider.load_public(public_key),
+                           entry.sig)
+
+
+@settings(max_examples=60, deadline=None)
+@given(scheme=st.sampled_from(sorted(PROVIDERS)), seed=st.binary(max_size=8),
+       payload=st.binary(max_size=40), other=st.binary(max_size=40),
+       bit=st.integers(min_value=0), revoked=st.sets(
+           st.sampled_from(["alice", "bob", "carol"])))
+def test_recognised_signatures_get_the_providers_verdict(
+        scheme, seed, payload, other, bit, revoked):
+    provider = PROVIDERS[scheme]
+    alice = provider.generate("alice", seed)
+    bob = provider.generate("bob", seed)
+    registry = KeyRegistry()
+    registry.add(alice)
+    registry.add(bob)
+    own = sign(digest(payload), alice)
+    bit %= 8 * len(own.sig)
+    flipped = bytearray(own.sig)
+    flipped[bit // 8] ^= 1 << bit % 8
+    # An unregistered copy of alice's pair, signing a digest that alice's
+    # registered pair may never have signed.
+    copy = KeyPair("alice", alice.public_key, alice.private_key, scheme)
+    cases = [
+        (digest(payload), own),
+        (digest(other), own),
+        (digest(payload), SignatureEntry("alice", bytes(flipped))),
+        (digest(payload), SignatureEntry("alice",
+                                         sign(digest(payload), bob).sig)),
+        (digest(payload), sign(digest(payload), bob)),
+        (digest(other), sign(digest(other), copy)),
+        (digest(payload), SignatureEntry("carol", own.sig)),
+    ]
+    for crl in (RevocationList(), RevocationList(frozenset(revoked), 1)):
+        for payload_digest, entry in cases:
+            assert verify(payload_digest, entry, registry, crl) \
+                == _provider_verdict(payload_digest, entry, registry, crl)
+    # Both paths are taken: an own signature, and a foreign genuine one.
+    assert verify(digest(payload), own, registry, RevocationList())
+    assert verify(digest(other), sign(digest(other), copy), registry,
+                  RevocationList())
+
+
+def test_a_pair_whose_halves_do_not_match_refuses_to_sign(provider):
+    alice = provider.generate("alice", b"seed")
+    bob = provider.generate("bob", b"seed")
+    mismatched = KeyPair("alice", bob.public_key, alice.private_key,
+                         provider.scheme)
+    registry = KeyRegistry()
+    registry.add(mismatched)
+    with pytest.raises(CryptoError):
+        sign(digest(b"payload"), mismatched)
+    assert mismatched._signed == {}
+    # So no signature of alice's private half is recognised under bob's
+    # public half.
+    entry = sign(digest(b"payload"), alice)
+    assert not verify(digest(b"payload"), entry, registry, RevocationList())
 
 
 def test_ed25519_key_object_is_kept_and_ignored_by_equality():
     provider = PROVIDERS["ed25519"]
     key = provider.generate("alice", b"seed")
     by_hand = KeyPair("alice", key.public_key, key.private_key, key.scheme)
-    assert key._signer is None
+    # `generate` keeps the private-key object it built the public key from;
+    # a pair made by hand builds its own at its first sign.
+    kept = key._signer
+    assert kept.public_key().public_bytes_raw() == key.public_key
+    assert by_hand._signer is None
     first = sign(digest(b"x"), key)
-    assert key._signer is not None
+    assert key._signer is kept
     assert by_hand == key and hash(by_hand) == hash(key)
     assert "_signer" not in repr(key)
     # The kept object signs the same bytes as a key that builds its own.
     assert sign(digest(b"x"), key) == first == sign(digest(b"x"), by_hand)
+    assert by_hand._signer is not None and by_hand._signer is not kept
 
 
 def test_provider_signs_each_digest_once_per_key(provider, counting):
@@ -305,7 +398,7 @@ def test_registry_memo_is_not_a_constructor_argument():
 
 def test_repeated_scenario_does_the_same_crypto_and_codec_work(monkeypatch):
     """Every memo belongs to one world: a second run of the same scenario
-    in this process verifies, signs, encodes and hashes as much as the
+    in this process checks, signs, encodes and hashes as much as the
     first."""
     counting = CountingProvider(PROVIDERS["ed25519"])
     monkeypatch.setitem(crypto.PROVIDERS, "ed25519", counting)
@@ -325,6 +418,12 @@ def test_repeated_scenario_does_the_same_crypto_and_codec_work(monkeypatch):
 
     for module in DIGEST_SITES:
         monkeypatch.setattr(module, "digest", counted_digest)
+
+    def counted_verify(*args):
+        encodes["policy_verify"] += 1
+        return crypto.verify(*args)
+
+    monkeypatch.setattr(messages, "verify", counted_verify)
     config = ScenarioConfig(
         name="memo", vehicles=2, stations=1, models=1, coverage_pct=100,
         mix_hit=100, bundle_bytes=40_000, image_count=3,
@@ -337,8 +436,9 @@ def test_repeated_scenario_does_the_same_crypto_and_codec_work(monkeypatch):
         built = build_scenario(config)
         built.world.run(config.horizon_ms)
         report = collect_report(built)
-        work.append((report.install_count, dict(counting.calls),
-                     encodes["region"], encodes["sha256_bytes"]))
+        work.append((report.install_count, encodes["policy_verify"],
+                     dict(counting.calls), encodes["region"],
+                     encodes["sha256_bytes"]))
         # Each image keeps its own digest, and every split this world made
         # holds only views of this world's images.
         images = {id(item.image.data) for item in built.items}
@@ -351,6 +451,9 @@ def test_repeated_scenario_does_the_same_crypto_and_codec_work(monkeypatch):
                               for chunks, split_digest in splits
                               for chunk in chunks)
     assert work[0] == work[1]
-    installs, calls, regions, hashed = work[0]
-    assert installs > 0 and calls["verify"] > 0 and calls["sign"] > 0
+    installs, policy_verifies, calls, regions, hashed = work[0]
+    assert installs > 0 and policy_verifies > 0 and calls["sign"] > 0
+    # No adversary acts, so every signature checked is one its registered
+    # key issued, and none reaches the provider.
+    assert "verify" not in calls
     assert regions > 0 and hashed > config.bundle_bytes

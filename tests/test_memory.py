@@ -209,9 +209,10 @@ def test_an_image_and_its_split_form_no_reference_cycle():
 
 
 def _kept_state(ignitions: int, live_publish: bool) -> Counter:
-    """Entries in every container an actor, or a director's fleet record,
-    holds after a run of `ignitions` per vehicle, by (class, attribute).
-    A vehicle's `records` are output, and are left out."""
+    """Entries in every container an actor, a director's fleet record, or
+    the world's key registry holds after a run of `ignitions` per vehicle,
+    by (class, attribute).  A vehicle's `records` are output, and are left
+    out."""
     config = ScenarioConfig(
         vehicles=20, stations=1, coverage_pct=50, bundle_bytes=1_000_000,
         image_count=5, ignition_period_ms=10_000, ignition_limit=ignitions,
@@ -219,13 +220,15 @@ def _kept_state(ignitions: int, live_publish: bool) -> Counter:
     built = build_scenario(config)
     built.world.run(config.horizon_ms)
     assert not built.world.horizon_reached
-    sizes = Counter()
+    holders = [built.trust.registry]
     for actor in built.world.actors.values():
-        for holder in (actor, *getattr(actor, "fleet", {}).values()):
-            for name, value in vars(holder).items():
-                if isinstance(value, (dict, list, set, deque)) \
-                        and name != "records":
-                    sizes[type(holder).__name__, name] += len(value)
+        holders += (actor, *getattr(actor, "fleet", {}).values())
+    sizes = Counter()
+    for holder in holders:
+        for name, value in vars(holder).items():
+            if isinstance(value, (dict, list, set, deque)) \
+                    and name != "records":
+                sizes[type(holder).__name__, name] += len(value)
     return sizes
 
 
@@ -233,11 +236,16 @@ def _kept_state(ignitions: int, live_publish: bool) -> Counter:
 def test_kept_state_does_not_grow_with_run_length(live_publish):
     # Served replies are kept only while a retransmission can arrive, and no
     # record of past status exchanges is kept.  The trace and each vehicle's
-    # ignition times are output; the crypto memos are not actor state.
+    # ignition times are output.  The key registry keeps one entry per key
+    # and no verdict; each key pair's signing memo (`KeyPair._signed`) is
+    # also the registry's record of what that key issued, and still grows.
     short, long = _kept_state(10, live_publish), _kept_state(40, live_publish)
     served = [sum(n for (_, name), n in sizes.items() if name == "_served")
               for sizes in (short, long)]
     assert served[1] <= served[0], served
+    registry = [{name: n for (cls, name), n in sizes.items()
+                 if cls == "KeyRegistry"} for sizes in (short, long)]
+    assert registry[0]["keys"] > 0 and registry[1] == registry[0], registry
     grown = {key: (short[key], n) for key, n in long.items()
              if n > short[key]}
     assert grown == {}
