@@ -92,7 +92,8 @@ class Adversary:
 
     def intercept(self, world: World, env: Envelope):
         """Yield (action, value) pairs; the transport applies them in order."""
-        self._record(env)
+        if self._keeps_history:
+            self.recorded.setdefault(env.kind, []).append(env)
         actions = []
         for rule in self.rules:
             if not rule.matches(world, env):
@@ -107,10 +108,6 @@ class Adversary:
             if act[0] == "modify":
                 env = act[1]
         return actions
-
-    def _record(self, env: Envelope):
-        if self._keeps_history:
-            self.recorded.setdefault(env.kind, []).append(env)
 
     def _apply(self, rule: AttackRule, env: Envelope):
         """The rule's action on `env`, or None when it cannot act on it."""

@@ -57,7 +57,7 @@ def digest(data: bytes) -> bytes:
     return hashlib.sha256(data).digest()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SignatureEntry:
     signer_id: str
     sig: bytes

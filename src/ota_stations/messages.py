@@ -53,13 +53,13 @@ class EncodingError(Exception):
 # Value types
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TimestampRecord:
     t: int  # milliseconds since simulation epoch
     v: int  # version counter, >= 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MetaRecord:
     h: bytes               # digest of the update image
     e: str                 # target ECU
@@ -97,7 +97,7 @@ class UpdateManifest(_WireMessage):
                 + _enc_ts(self.tau))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Grant:
     """Download-eligibility link: `entry` signs the bundle region bound to
     `subject`.  The first grant is signed by the publish role; later grants
@@ -700,7 +700,7 @@ def image_digest(buckets) -> bytes:
     return digest(b"".join(chunk for _, chunk, _ in buckets))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Complete:
     """A verified download, as `assemble_buckets` returns it: its in-order
     buckets, which are the sender's chunk objects (read-only views, never a

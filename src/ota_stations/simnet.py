@@ -20,18 +20,20 @@ order, and a run ends at its last event.  A virtual clock rounds
 differently from an update of each flow on its own, so a finish time may
 differ from one in its last bits.
 
-One delivered message costs one `Envelope`, one `TraceRecord` row and at
-most one callable: the `partial` its link calls when the last bit is sent.
-A heap entry carries its event's argument, so the delivery and a link's
-finisher need no closure, and a timer's entry holds the caller's function
-beside its `Timer`, so no timer needs one either.
+One delivered message costs one `Envelope` and one `TraceRecord` row,
+beside its heap entries.  A heap entry carries its event's argument, and so
+does a flow: its link calls the world back with the envelope when the last
+bit is sent.  A link arms its finisher with its generation, an int, and a
+timed request's entry holds its request id beside its `Timer`.  The world,
+each link and each actor bind these callbacks once, so no `partial`,
+closure, method object or tuple is made to carry a flow, arm a finisher or
+time a request.
 """
 from __future__ import annotations
 
 import heapq
 import random
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable, NamedTuple, Optional
 
 from . import messages as msg
@@ -65,37 +67,46 @@ class Link:
     & Shenker, SIGCOMM 1989; Parekh & Gallager, ToN 1993).  `_v` counts the
     bits sent to each active flow since the link was last empty.  A flow of
     `b` bits started at `_v` gets the finish tag `_v + b`, and its remaining
-    bits are its tag minus `_v`.  Flows with equal tags share one group,
-    which holds their callbacks in start order, and `_tags` is a heap of the
-    distinct tags.  A flow start or finish adds the bits sent since the last
-    update to `_v`, pushes or pops a tag, and reads the first finish from
-    the heap's top: O(log n) for n flows.  `_v` goes back to 0 when the link
-    empties.
+    bits are its tag minus `_v`.  Flows with equal tags share one group, a
+    flat list of (callback, argument) pairs in start order, and `_tags` is a
+    heap of the distinct tags.  A flow start or finish adds the bits sent
+    since the last update to `_v`, pushes or pops a tag, and reads the first
+    finish from the heap's top: O(log n) for n flows.  `_v` goes back to 0
+    when the link empties.
 
     A link arms one finisher event, for the first-started flow of the
-    smallest tag, and a generation counter disarms any earlier one.  So
-    flows complete in tag order, fewest remaining bits first, as in the
-    fluid model, and flows with equal tags complete in start order.
+    smallest tag, with the link's generation as its argument; a newer
+    generation disarms any earlier one.  So flows complete in tag order,
+    fewest remaining bits first, as in the fluid model, and flows with equal
+    tags complete in start order.  A link belongs to one world, which it
+    keeps from its flows' starts for its finisher.
     """
 
     def __init__(self, name: str, profile: LinkProfile):
         self.name = name
         self.profile = profile
         self._tags: list = []   # heap of the distinct finish tags
-        self._flows: dict = {}  # tag -> [on_done, ...] in start order
+        self._flows: dict = {}  # tag -> [on_done, arg, on_done, arg, ...]
         self._count = 0
         self._v = self._rate = self._last_t = 0.0
         self._gen = 0
+        self._world: Optional[World] = None
+        # Bound once, so that arming a finisher makes no method object.
+        self._finish_cb = self._finish
 
-    def start_flow(self, world: "World", size_bytes: int, on_done: Callable):
+    def start_flow(self, world: "World", size_bytes: int, on_done: Callable,
+                   arg=None):
+        """Send `size_bytes` on this link, then call `on_done(arg)`, or
+        `on_done()` when `arg` is None."""
+        self._world = world
         self._drain(world.now)
         tag = self._v + size_bytes * 8
         group = self._flows.get(tag)
         if group is None:
-            self._flows[tag] = [on_done]
+            self._flows[tag] = [on_done, arg]
             heapq.heappush(self._tags, tag)
         else:
-            group.append(on_done)
+            group += (on_done, arg)
         self._count += 1
         self._rebalance(world)
 
@@ -114,24 +125,26 @@ class Link:
         bits = self._tags[0] - self._v
         if bits < 0.0:  # sent with a rounding surplus
             bits = 0.0
-        world._schedule_raw(world.now + bits / rate * 1000.0, self._finish,
-                            (world, self._gen))
+        world._schedule_raw(world.now + bits / rate * 1000.0,
+                            self._finish_cb, self._gen)
 
-    def _finish(self, armed: tuple):
-        """The armed finisher: complete the first-started flow of the
-        smallest tag unless disarmed."""
-        world, gen = armed
+    def _finish(self, gen: int):
+        """The finisher armed at generation `gen`: complete the
+        first-started flow of the smallest tag unless disarmed."""
         if gen != self._gen:
             return
         tags = self._tags
         group = self._flows[tags[0]]
-        on_done = group.pop(0)
-        if not group:
+        on_done, arg = group[0], group[1]
+        if len(group) == 2:
             del self._flows[heapq.heappop(tags)]
+        else:
+            del group[:2]
         self._count -= 1
+        world = self._world
         self._drain(world.now)
         self._rebalance(world)
-        on_done()
+        on_done() if arg is None else on_done(arg)
 
 
 class Timer:
@@ -190,6 +203,10 @@ class World:
         self.horizon_reached = False
         # (time, vin, ecu, software, version, digest of the installed bytes)
         self.install_log: list = []
+        # Bound once, so that a message's flow and delivery event make no
+        # method object.
+        self._arrive_cb = self._arrive
+        self._deliver_cb = self._deliver
 
     # -- scheduling --------------------------------------------------------
 
@@ -221,7 +238,7 @@ class World:
                 if action == "drop":
                     return
                 if action == "delay":
-                    self.schedule(value, partial(self._transmit, env))
+                    self._schedule_raw(self.now + value, self._transmit, env)
                     return
                 if action == "modify":
                     env = value
@@ -231,16 +248,19 @@ class World:
         if env.size <= 0:
             self._arrive(env)
         else:
-            env.link.start_flow(self, env.size, partial(self._arrive, env))
+            env.link.start_flow(self, env.size, self._arrive_cb, env)
 
     def _arrive(self, env: Envelope):
         """The last bit of `env` is sent: deliver it one latency later."""
         self._schedule_raw(self.now + env.link.profile.latency_ms,
-                           self._deliver, env)
+                           self._deliver_cb, env)
 
     def _deliver(self, env: Envelope):
-        self.trace.append(TraceRecord(self.now, env.src, env.dst, env.size,
-                                      env.link.profile.cls, env.kind))
+        # What `TraceRecord(...)` does, without its generated `__new__`'s
+        # Python frame.
+        self.trace.append(tuple.__new__(TraceRecord, (
+            self.now, env.src, env.dst, env.size, env.link.profile.cls,
+            env.kind)))
         actor = self.actors.get(env.dst)
         if actor is not None:
             actor.receive(env)
@@ -278,7 +298,7 @@ class World:
                    rec.link_cls, rec.kind)
 
 
-@dataclass
+@dataclass(slots=True)
 class _Pending:
     """One outstanding request: what to resend and whom to call back.
 
@@ -301,11 +321,12 @@ class _Pending:
     timer: Optional[Timer] = None
 
 
-@dataclass
+@dataclass(slots=True)
 class _Download:
     """One resumable image download (see `Actor.fetch_image`).  Its request
-    callbacks refer to it, and it to none of them, so it is freed once its
-    last request is answered."""
+    callbacks are its own bound methods, and it refers to none of its
+    requests, so it is freed once its last request is answered.  It has at
+    most one request in flight."""
 
     actor: "Actor"
     dst: str
@@ -320,21 +341,20 @@ class _Download:
     retries: int
     received: msg.Received
     cancelled: bool = False
+    attempts: int = 0   # re-requests made after the first
 
     def cancel(self):
         """Make no further request; a reply already in flight still counts."""
         self.cancelled = True
 
-    def pull(self, attempts: int):
+    def pull(self):
         self.actor.request(
             self.dst, self.kind,
             dict(self.payload, from_index=self.received.next_missing()),
-            self.size, self.link,
-            on_reply=lambda reply: self.pulled(reply, attempts),
-            on_fail=lambda: self.fail("download_failed"),
-            timeout_ms=self.timeout_ms, retries=self.retries)
+            self.size, self.link, self.pulled, self.timed_out,
+            self.timeout_ms, self.retries)
 
-    def pulled(self, reply: Envelope, attempts: int):
+    def pulled(self, reply: Envelope):
         if reply.kind != self.kind + "_ok":
             self.fail("download")
             return
@@ -343,10 +363,14 @@ class _Download:
         result = self.received.absorb(self.mu, reply.payload)
         if result is not None:
             self.on_done(result)
-        elif attempts >= FETCH_RETRIES:
+        elif self.attempts >= FETCH_RETRIES:
             self.fail("integrity")
         elif not self.cancelled:
-            self.pull(attempts + 1)
+            self.attempts += 1
+            self.pull()
+
+    def timed_out(self):
+        self.fail("download_failed")
 
     def fail(self, reason: str):
         if self.on_error is not None and not self.cancelled:
@@ -362,6 +386,8 @@ class Actor:
         self._pending: dict = {}
         self._served: dict = {}     # req_id -> the reply sent to it
         self._served_due: list = []  # heap of (expiry time, req_id)
+        # Bound once, so that a timed request's timer makes no method object.
+        self._timed_out_cb = self._timed_out
         world.add_actor(self)
 
     # -- dispatch ----------------------------------------------------------
@@ -405,14 +431,15 @@ class Actor:
         return req_id
 
     def _attempt(self, req_id: int, pending: _Pending):
+        world = self.world
         if pending.timeout is not None:
-            pending.timer = self.world.schedule(
-                pending.timeout, lambda: self._timed_out(req_id))
+            pending.timer = timer = Timer()
+            world._schedule_raw(world.now + pending.timeout,
+                                self._timed_out_cb, req_id, timer)
         self._pending[req_id] = pending
-        self.world.send(Envelope(self.name, pending.dst, pending.kind,
-                                 pending.payload, pending.size, pending.link,
-                                 req_id=req_id, attempt=pending.attempt,
-                                 replay_ms=pending.replay_ms))
+        world.send(Envelope(self.name, pending.dst, pending.kind,
+                            pending.payload, pending.size, pending.link,
+                            req_id, None, pending.attempt, pending.replay_ms))
         pending.attempt += 1
 
     def _timed_out(self, req_id: int):
@@ -431,7 +458,7 @@ class Actor:
         carries its replay window: its reply is kept until a later reply
         here finds it older than that window."""
         out = Envelope(self.name, env.src, kind, payload, size,
-                       link or env.link, reply_to=env.req_id)
+                       link or env.link, None, env.req_id)
         now, due = self.world.now, self._served_due
         while due and now > due[0][0]:
             self._served.pop(heapq.heappop(due)[1], None)
@@ -472,5 +499,5 @@ class Actor:
             received = msg.Received()
         download = _Download(self, dst, link, kind, payload, size, mu,
                              on_done, on_error, timeout_ms, retries, received)
-        download.pull(0)
+        download.pull()
         return download

@@ -43,7 +43,7 @@ def kept_entry(kept: dict, ecu: str, software: str, tau: msg.TimestampRecord,
     return entry
 
 
-@dataclass
+@dataclass(slots=True)
 class PendingItem:
     mu: msg.UpdateManifest
     bundle: msg.Bundle

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from ota_stations import messages as msg
+from ota_stations.scenario import ScenarioConfig, build_scenario
 from ota_stations.simnet import (CELLULAR, Actor, Envelope, Link,
                                  LinkProfile, World)
 
@@ -530,9 +531,10 @@ def test_link_matches_reference_model_within_rounding():
 
 
 def _bits_left(link):
-    """Each flow's remaining bits, in tag order."""
+    """Each flow's remaining bits, in tag order.  A tag's group holds a
+    (callback, argument) pair per flow."""
     return [max(tag - link._v, 0.0) for tag in sorted(link._flows)
-            for _ in link._flows[tag]]
+            for _ in link._flows[tag][::2]]
 
 
 def _link_is_empty(link):
@@ -705,3 +707,70 @@ def test_run_ends_at_the_instant_of_its_tied_completions():
     world.run()
     assert done == ["1 byte", "35 bytes", 0, 1, 2]
     assert world.now == 1e10
+
+
+# ---------------------------------------------------------------------------
+# A flow carries its argument
+# ---------------------------------------------------------------------------
+
+def test_flows_with_and_without_an_argument_complete_in_tag_order():
+    # A flow started with an argument completes with `on_done(arg)`, one
+    # started without with `on_done()`; a falsy argument other than None is
+    # still passed.  Mixed on one link, with three flows sharing a tag, they
+    # complete in tag order, equal tags in start order, each callback gets
+    # exactly its own argument, and the finished link holds no flow.
+    world = World(seed=1)
+    link = _link(10.0, 0.0)
+    sizes = (300, 100, 200, 100, 300, 100, 50)
+    args = [object(), None, [], None, object(), None, 0]
+    done = []
+
+    for n, (size, arg) in enumerate(zip(sizes, args)):
+        if arg is None:
+            link.start_flow(world, size, lambda n=n: done.append((n, None)))
+        else:
+            link.start_flow(world, size,
+                            lambda got, n=n: done.append((n, got)), arg)
+    world.run()
+    order = sorted(range(len(sizes)), key=lambda n: (sizes[n], n))
+    assert [n for n, _ in done] == order == [6, 1, 3, 5, 2, 0, 4]
+    assert all(got is args[n] for n, got in done)
+    assert _link_is_empty(link)
+
+
+# ---------------------------------------------------------------------------
+# The benchmark's entry points
+# ---------------------------------------------------------------------------
+
+def test_transport_entry_points_run_once_per_message(monkeypatch):
+    # The benchmark's tracer wraps `World.send`, `Link.start_flow` and
+    # `Actor.receive` on their classes and counts each call as one message
+    # handled.  So in an unattacked run each message is sent through
+    # `World.send` once, each message of nonzero size starts one flow, and
+    # each delivery to a registered actor is one `Actor.receive`.
+    calls = {"send": 0, "start_flow": 0, "receive": 0}
+
+    def counted(owner, name):
+        original = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(owner, name, wrapper)
+
+    counted(World, "send")
+    counted(Link, "start_flow")
+    counted(Actor, "receive")
+    config = ScenarioConfig(
+        name="entry-points", vehicles=3, stations=1, bundle_bytes=300_000,
+        image_count=3, bucket_size=65536, coverage_pct=50,
+        secondaries_per_vehicle=1, ignition_period_ms=60_000.0,
+        ignition_limit=2)
+    built = build_scenario(config)
+    built.world.run(config.horizon_ms)
+    trace = built.world.trace
+    assert not built.world.horizon_reached and built.world.install_log
+    assert calls == {
+        "send": len(trace),
+        "start_flow": sum(rec.size > 0 for rec in trace),
+        "receive": sum(rec.dst in built.world.actors for rec in trace)}
