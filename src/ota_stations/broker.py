@@ -29,7 +29,6 @@ class UpdateEngine(Actor):
         self.sud_link = sud_link
         self.subscriptions: dict = {}     # min -> {station: Link}
         self.bundles: dict = {}           # (min, trigger) -> validated Bundle
-        self.last_bundle_tau: dict = {}   # (min, trigger) -> TimestampRecord
         self.last_manifest_tau: dict = {} # s -> TimestampRecord
         self.audit_log: list = []
 
@@ -39,9 +38,8 @@ class UpdateEngine(Actor):
         """Returns None if valid, else a rejection reason."""
         if not self.trust.verify_bundle(bundle, self.name):
             return "auth"
-        trigger = bundle.manifests[0].theta.s
-        last = self.last_bundle_tau.get((min_id, trigger))
-        if last is not None and not msg.assert_fresh(bundle.tau, last):
+        last = self.bundles.get((min_id, bundle.trigger.theta.s))
+        if last is not None and not msg.assert_fresh(bundle.tau, last.tau):
             return "stale"
         for mu in bundle.manifests:
             prev = self.last_manifest_tau.get(mu.theta.s)
@@ -53,9 +51,7 @@ class UpdateEngine(Actor):
     def record(self, bundle: msg.Bundle, min_id: str):
         """Keep `bundle` as the model's latest for its trigger, and its
         bundle and manifest timestamps as the freshness floor."""
-        trigger = bundle.manifests[0].theta.s
-        self.bundles[(min_id, trigger)] = bundle
-        self.last_bundle_tau[(min_id, trigger)] = bundle.tau
+        self.bundles[(min_id, bundle.trigger.theta.s)] = bundle
         for mu in bundle.manifests:
             prev = self.last_manifest_tau.get(mu.theta.s)
             if prev is None or mu.tau.v > prev.v:
@@ -81,7 +77,7 @@ class UpdateEngine(Actor):
         self.audit_log.append(("publish_rejected", min_id, reason))
         if reason == "stale":
             return  # replayed bundle: discard outright
-        trigger = bundle.manifests[0].theta.s if bundle.manifests else None
+        trigger = bundle.trigger.theta.s if bundle.manifests else None
         self.request(
             self.sud, "manifest_fix", {"min": min_id, "s": trigger}, 96,
             self.sud_link,

@@ -83,10 +83,10 @@ class Director(Actor):
         self.min_config: dict = {}            # min -> {s: (ecu, TimestampRecord)}
         self.subscribers: dict = {}           # min -> {subscriber: Link}
         self.bundles: dict = {}               # (min, s) -> snapshot-signed Bundle
-        # (min, s) -> (that bundle, {vin: the vehicle's granted, and with
-        # untrusted secondaries endorsed, copy}); see `_newer_bundles`
+        # (min, s) -> {vin: the vehicle's granted, and with untrusted
+        # secondaries endorsed, copy of that bundle}; emptied whenever the
+        # trigger is bundled anew (see `_newer_bundles`)
         self._copies: dict = {}
-        self._bundle_versions: dict = {}      # (min, s) -> last bundle version
         self.audit_log: list = []
 
     # -- fleet -------------------------------------------------------------
@@ -178,19 +178,21 @@ class Director(Actor):
         selected = resolve_update_set(trigger, self._dep_graph(), installed,
                                       self.co_update_groups)
         manifests = []
-        for s in selected:
+        for s in [trigger] + [s for s in selected if s != trigger]:
             entries = self.catalog.get(s)
             if not entries:
                 # Missing dependency manifest: defer bundling until ingested.
                 self.audit_log.append(("bundle_deferred", trigger, s))
                 return None
             manifests.append(entries[-1])
-        version = self._bundle_versions.get((min_id, trigger), 0) + 1
-        self._bundle_versions[(min_id, trigger)] = version
-        tau = msg.TimestampRecord(int(self.world.now) + 1, version)
+        key = (min_id, trigger)
+        last = self.bundles.get(key)
+        tau = msg.TimestampRecord(int(self.world.now) + 1,
+                                  last.tau.v + 1 if last is not None else 1)
         bundle = msg.Bundle(tuple(manifests), tau)
         bundle = msg.sign_message(bundle, self.role_keys["snapshot"])
-        self.bundles[(min_id, trigger)] = bundle
+        self.bundles[key] = bundle
+        self._copies[key] = {}
         return bundle
 
     def _bundle_and_publish(self, signed: msg.UpdateManifest):
@@ -260,11 +262,7 @@ class Director(Actor):
         record.last_tau = msg.TimestampRecord(gamma.tau.t, reply_tau.v)
         if not isinstance(gamma.r, bytes):
             record.last_full_r = tuple(gamma.r)
-            # The vehicle keeps the digest of the report it signed, which
-            # carries no bundles; only a report with bundles is rebuilt.
-            record.last_r_digest = msg.payload_digest(
-                gamma if not gamma.bundles
-                else msg.StatusReport(gamma.r, gamma.tau, gamma.nonce))
+            record.last_r_digest = msg.payload_digest(gamma)
         self.reply(env, "status_reply", reply, msg.wire_size(reply))
 
     def _entries_verified(self, vin: str, entries) -> bool:
@@ -273,10 +271,10 @@ class Director(Actor):
             msg.status_entry_digest(entry)) for entry in entries)
 
     def _newer_bundles(self, record: FleetRecord, entries):
-        """The vehicle's copies of its model's bundles whose trigger is newer
-        than it reports, in trigger order.  A vehicle's copy of a bundle is
-        granted (and endorsed) once, and kept until the director bundles
-        that trigger anew."""
+        """The vehicle's copies of its model's bundles whose trigger manifest
+        (`Bundle.trigger`) is newer than the vehicle reports, in trigger
+        order.  A vehicle's copy of a bundle is granted (and endorsed) once,
+        and kept until the director bundles that trigger anew."""
         reported = {e.software: e.tau for e in entries}
         config = self.min_config[record.min]
         out = []
@@ -285,15 +283,11 @@ class Director(Actor):
             bundle = self.bundles.get(key)
             if bundle is None:
                 continue
-            trigger_mu = next(m for m in bundle.manifests
-                              if m.theta.s == trigger)
             have = reported.get(trigger, config[trigger][1])
-            if trigger_mu.tau.v <= have.v:
+            if bundle.trigger.tau.v <= have.v:
                 continue
-            kept = self._copies.get(key)
-            if kept is None or kept[0] is not bundle:
-                kept = self._copies[key] = (bundle, {})
-            copy = kept[1].get(record.vin)
+            copies = self._copies[key]
+            copy = copies.get(record.vin)
             if copy is None:
                 copy = self.publish_bundle(bundle, record.vin)
                 if self.untrusted_secondaries:
@@ -301,7 +295,7 @@ class Director(Actor):
                     for ecu in ecus:
                         copy = msg.endorse_for_ecu(copy, ecu,
                                                    self.role_keys["targets"])
-                kept[1][record.vin] = copy
+                copies[record.vin] = copy
             out.append(copy)
         return out
 

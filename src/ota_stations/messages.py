@@ -109,7 +109,9 @@ class Grant:
 
 @dataclass(frozen=True)
 class Bundle(_WireMessage):
-    manifests: tuple       # UpdateManifest, ordered, pairwise distinct (s, v)
+    # UpdateManifest, pairwise distinct (s, v): the trigger first, then its
+    # dependencies and co-update members, dependencies first.
+    manifests: tuple
     tau: TimestampRecord
     sigma: tuple = ()
     grants: tuple = ()     # Grant chain, outside the signed region
@@ -118,6 +120,13 @@ class Bundle(_WireMessage):
     # to that subject; copies outside the region share this very dict.
     _subject_digests: dict = field(default_factory=dict, init=False,
                                    repr=False, compare=False)
+
+    @property
+    def trigger(self) -> UpdateManifest:
+        """The manifest whose new version the bundle ships.  The director
+        lists it first (`Director.resolve_and_bundle`), and every receiver
+        keys and checks the bundle's freshness by its software id."""
+        return self.manifests[0]
 
     def _encode_region(self) -> bytes:
         if not self.manifests:

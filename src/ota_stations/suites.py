@@ -195,10 +195,9 @@ def run_attacks_suite(seeds=range(50)) -> SuiteResult:
 
 
 def run_property_suite(name: str, seeds=None) -> SuiteResult:
-    if name == "safety":
-        return run_safety_suite(seeds if seeds is not None else range(200))
-    if name == "liveness":
-        return run_liveness_suite(seeds if seeds is not None else range(50))
-    if name == "attacks":
-        return run_attacks_suite(seeds if seeds is not None else range(50))
-    raise ValueError(f"unknown suite {name}; choose from {SUITE_NAMES}")
+    """Run suite `name` over `seeds`, or over the suite's own default."""
+    run = {"safety": run_safety_suite, "liveness": run_liveness_suite,
+           "attacks": run_attacks_suite}.get(name)
+    if run is None:
+        raise ValueError(f"unknown suite {name}; choose from {SUITE_NAMES}")
+    return run() if seeds is None else run(seeds)

@@ -90,10 +90,9 @@ class VehiclePrimary(Actor):
         self.ignition_limit = ignition_limit
         self.cellular_updates = set(cellular_updates)
 
-        # inventory: (ecu, software) -> TimestampRecord; installed images of
-        # the primary itself additionally keep their digest.
+        # inventory: (ecu, software) -> TimestampRecord; the world's
+        # install log keeps each installed image's digest.
         self.inventory: dict = {}
-        self.installed: dict = {}              # s -> (tau, digest), primary ECU
         for s, (ecu, tau) in initial.items():
             self.inventory[(ecu, s)] = tau
 
@@ -215,8 +214,7 @@ class VehiclePrimary(Actor):
         for bundle in gamma.bundles:
             if not self._validate_bundle(bundle):
                 continue
-            trigger = bundle.manifests[0].theta.s
-            self.bundle_tau[trigger] = bundle.tau
+            self.bundle_tau[bundle.trigger.theta.s] = bundle.tau
             for mu in bundle.manifests:
                 if self._wanted(mu):
                     fresh.append((mu, bundle))
@@ -240,8 +238,7 @@ class VehiclePrimary(Actor):
     def _validate_bundle(self, bundle: msg.Bundle) -> bool:
         if not self.trust.verify_bundle(bundle, self.vin):
             return False
-        trigger = bundle.manifests[0].theta.s
-        last = self.bundle_tau.get(trigger)
+        last = self.bundle_tau.get(bundle.trigger.theta.s)
         if last is not None and bundle.tau.v <= last.v:
             return False
         for mu in bundle.manifests:
@@ -357,7 +354,6 @@ class VehiclePrimary(Actor):
 
     def _install_local(self, group):
         for p in group:
-            self.installed[p.mu.theta.s] = (p.mu.tau, p.data_digest)
             self.inventory[(PRIMARY_ECU, p.mu.theta.s)] = p.mu.tau
             self.world.install_log.append(
                 (self.world.now, self.vin, PRIMARY_ECU, p.mu.theta.s,

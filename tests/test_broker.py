@@ -146,7 +146,7 @@ def test_engine_repairs_a_tampered_publish_from_the_director():
     assert ("sud0", "engine0", "manifest_fix_ok") in sent
     repaired = engine.bundles[(min_id, "sw0")]
     assert msg.payload_digest(repaired) == msg.payload_digest(granted)
-    assert engine.last_bundle_tau[(min_id, "sw0")] == granted.tau
+    assert repaired.tau == granted.tau
     assert sent.count(("engine0", "station0", "prefetch")) == 1
     assert station.cache_get("sw0", 2) is not None
 
@@ -157,6 +157,68 @@ def test_engine_revoke_station_removes_subscriptions():
     engine.subscriptions["MODEL000"] = {"station0": rig.link("x")}
     engine.revoke_station("station0")
     assert engine.subscriptions["MODEL000"] == {}
+
+
+# ---------------------------------------------------------------------------
+# A bundle with a dependency, keyed by its trigger
+# ---------------------------------------------------------------------------
+
+def _lib_then_app(rig, tamper_app=False):
+    """The model has `lib` and `app` at v1.  `lib` v2 is bundled and
+    published alone, then `app` v2, which depends on `lib`; the app bundle
+    is tampered in transit if `tamper_app`.  Returns the director's app
+    bundle."""
+    min_id = VIN[:11]
+    rig.director.register_vehicle(VIN, {
+        s: ("primary", msg.TimestampRecord(1, 1)) for s in ("lib", "app")})
+
+    def publish(bundle, tamper):
+        payload = {"bundle": rig.director.publish_bundle(bundle, "engine0"),
+                   "min": min_id}
+        if tamper:
+            payload = adversary._tamper(payload)
+        rig.world.send(Envelope("sud0", "engine0", "publish", payload,
+                                msg.wire_size(payload["bundle"]),
+                                rig.link("s-e")))
+        rig.world.run()
+
+    rig.seed_update("lib")
+    publish(rig.director.resolve_and_bundle("lib", min_id), False)
+    rig.seed_update("app", deps=("lib",))
+    app = rig.director.resolve_and_bundle("app", min_id)
+    publish(app, tamper_app)
+    return app
+
+
+def test_engine_accepts_a_dependency_bundle_after_its_dependency():
+    rig = Rig()
+    engine = _engine(rig)
+    app = _lib_then_app(rig)
+    min_id = VIN[:11]
+    assert engine.audit_log == []
+    assert sorted(engine.bundles) == [(min_id, "app"), (min_id, "lib")]
+    assert msg.payload_digest(engine.bundles[(min_id, "app")]) \
+        == msg.payload_digest(app)
+
+
+def test_engine_repairs_a_tampered_dependency_bundle_by_its_trigger():
+    rig = Rig()
+    engine = _engine(rig)
+    fixes = []
+    original = engine.request
+
+    def request(dst, kind, payload, *args, **kwargs):
+        if kind == "manifest_fix":
+            fixes.append(payload["s"])
+        return original(dst, kind, payload, *args, **kwargs)
+
+    engine.request = request
+    app = _lib_then_app(rig, tamper_app=True)
+    min_id = VIN[:11]
+    assert engine.audit_log == [("publish_rejected", min_id, "auth")]
+    assert fixes == ["app"]
+    assert msg.payload_digest(engine.bundles[(min_id, "app")]) \
+        == msg.payload_digest(app)
 
 
 # ---------------------------------------------------------------------------

@@ -160,7 +160,9 @@ def test_bundle_contains_closure_and_snapshot_signature():
     rig.seed_update("lib")
     rig.seed_update("app", deps=("lib",))
     bundle = rig.director.resolve_and_bundle("app", VIN[:11])
-    assert [m.theta.s for m in bundle.manifests] == ["lib", "app"]
+    # The trigger first, then its dependencies, dependencies first.
+    assert [m.theta.s for m in bundle.manifests] == ["app", "lib"]
+    assert bundle.trigger.theta.s == "app"
     assert [e.signer_id for e in bundle.sigma] == ["sud.snapshot"]
 
 

@@ -1,6 +1,7 @@
 from helpers import Rig, VIN
 from ota_stations import messages as msg
 from ota_stations.adversary import AttackRule
+from ota_stations.broker import Station, UpdateEngine
 from ota_stations.crypto import KeyPair, digest, sign
 from ota_stations.scenario import ScenarioConfig, build_scenario, run_scenario
 from ota_stations.simnet import FETCH_RETRIES, Envelope
@@ -34,15 +35,76 @@ def test_end_to_end_install_over_cellular():
     vehicle = _primary(rig, {"sw0": ("primary", msg.TimestampRecord(1, 1))})
     rig.world.schedule(10.0, vehicle.ignition)
     rig.world.run()
-    tau, h = vehicle.installed["sw0"]
-    assert tau.v == 2
     assert vehicle.inventory[("primary", "sw0")].v == 2
     assert vehicle.records["complete"] is not None
     assert not vehicle.alerts
     log = rig.world.install_log
     assert [(vin, ecu, s, v) for _, vin, ecu, s, v, _ in log] == \
         [(VIN, "primary", "sw0", 2)]
-    assert log[0][5] == h
+    bundle = rig.director.bundles[(VIN[:11], "sw0")]
+    assert log[0][5] == bundle.trigger.theta.h
+
+
+def _lib_then_app(rig, vehicle, published=False):
+    """The model has `lib` and `app` at v1, and the vehicle ignites at
+    10 ms and then every 100 s.  `lib` v2 is bundled before the first
+    ignition, and `app` v2, which depends on `lib`, at 50 s; if
+    `published`, the director also publishes each bundle to its
+    subscribers.  Runs the world and returns the install log's (ecu,
+    software, version) rows."""
+    min_id = VIN[:11]
+
+    def bundle(software, deps=()):
+        signed, _ = rig.seed_update(software, deps=deps)
+        if published:
+            rig.director._bundle_and_publish(signed)
+        else:
+            rig.director.resolve_and_bundle(software, min_id)
+
+    bundle("lib")
+    rig.world.schedule(50_000.0, lambda: bundle("app", deps=("lib",)))
+    rig.world.schedule(10.0, vehicle.ignition)
+    rig.world.run()
+    return [(ecu, s, v) for _, _, ecu, s, v, _ in rig.world.install_log]
+
+
+def _lib_and_app():
+    return {s: ("primary", msg.TimestampRecord(1, 1)) for s in ("lib", "app")}
+
+
+def test_dependency_bundle_installs_after_its_dependency_over_cellular():
+    rig = Rig()
+    rig.director.register_vehicle(VIN, _lib_and_app())
+    vehicle = _primary(rig, _lib_and_app(), ignition_period_ms=100_000.0,
+                       ignition_limit=3)
+    assert _lib_then_app(rig, vehicle) == [("primary", "lib", 2),
+                                           ("primary", "app", 2)]
+    assert not vehicle.alerts
+
+
+def test_dependency_bundle_reaches_a_vehicle_through_engine_and_station():
+    rig = Rig()
+    min_id = VIN[:11]
+    engine = UpdateEngine("engine0", rig.world, rig.trust,
+                          rig.add_key("engine0"), sud="sud0",
+                          sud_link=rig.link("e-s"))
+    station = Station("station0", rig.world, rig.trust,
+                      rig.add_key("station0"), engine="engine0",
+                      engine_link=rig.link("s-e"), repo="repo0",
+                      repo_link=rig.link("s-r"), capacity_bytes=10_000)
+    rig.director.subscribers[min_id] = {"engine0": rig.link("sud-e")}
+    engine.subscriptions[min_id] = {"station0": rig.link("e-st")}
+    rig.director.register_vehicle(VIN, _lib_and_app())
+    vehicle = _primary(rig, _lib_and_app(), ignition_period_ms=100_000.0,
+                       ignition_limit=3, station="station0",
+                       station_link=rig.link("v-st"))
+    assert _lib_then_app(rig, vehicle, published=True) == [
+        ("primary", "lib", 2), ("primary", "app", 2)]
+    # Both images come from the station's prefetched cache.
+    assert [(outcome, s) for _, outcome, s in station.events] == [
+        ("hit", "lib"), ("hit", "app")]
+    assert engine.audit_log == []
+    assert not vehicle.alerts
 
 
 def test_digest_status_used_once_inventory_is_stable():
