@@ -12,11 +12,17 @@ not depend on which provider is plugged in.
 check and the signer lookup run on every call.  Signing is memoised on each
 `KeyPair`, keyed by the payload digest, and the `KeyRegistry` refers to
 each registered pair's memo.  HMAC (RFC 2104) and Ed25519 (RFC 8032
-section 5.1.6) are deterministic, and a pair whose public half is not its
-private half's refuses to sign, so a signature equal to the one the
-registered pair issued over the same digest is one the provider would
-accept, and it verifies as it is.  Only a foreign signature reaches the
-provider, on every check; the registry keeps no verdict.  Each key is
+section 5.1.6) are deterministic, and a pair without a private half, or
+whose public half is not its private half's, refuses at `sign`, so a
+signature equal to the one the registered pair issued over the same digest
+is one the provider would accept, and it verifies as it is; the very entry
+the pair issued verifies without its bytes being read.  So `sign` computes
+no signature: the provider computes an entry's bytes when `sig` is first
+read (`SignatureEntry`), and they are the bytes it would have given at
+`sign`.  An entry that is only verified against its pair's memo, or sized
+for the wire (`messages.wire_size`), is never computed.  Only a foreign
+signature reaches the provider's `verify`, on every check; the registry
+keeps no verdict.  Each key is
 prepared once: a `KeyPair` keeps its signing state (`_signer`) and the
 `KeyRegistry` keeps each registered key's verifying state (`_loaded`),
 which for HMAC are the SHA-256 states of the key's inner and outer pads
@@ -47,6 +53,7 @@ from __future__ import annotations
 import hashlib
 import hmac
 from dataclasses import dataclass, field
+from typing import Optional
 
 DIGEST_LEN = 32
 _BLOCK = 64                 # SHA-256 block size, bytes
@@ -59,8 +66,32 @@ def digest(data: bytes) -> bytes:
 
 @dataclass(frozen=True, slots=True)
 class SignatureEntry:
+    """A signer id and its signature bytes.
+
+    An entry that `sign` issues holds its key pair and payload digest
+    instead (`_pending`), and the provider computes `sig` when it is first
+    read: the unset slot falls through to `__getattr__`, which fills it, so
+    no later read makes a Python call.  Equality, hashing and repr read
+    `sig`, so they compare, hash and show the bytes as for any entry.  A
+    class with `__getattr__` gets no specialised attribute reads on
+    CPython 3.11, so the hot paths read each field of an entry once."""
+
     signer_id: str
     sig: bytes
+    # (key pair, payload digest) until `sig` is computed, else None
+    _pending: Optional[tuple] = field(default=None, init=False, repr=False,
+                                      compare=False)
+
+    def __getattr__(self, name):
+        # Reached only for an unset slot: `sig` of an entry `sign` issued.
+        pending = self._pending if name == "sig" else None
+        if pending is None:
+            raise AttributeError(name)
+        key, payload_digest = pending
+        sig = PROVIDERS[key.scheme].sign(payload_digest, key)
+        object.__setattr__(self, "sig", sig)
+        object.__setattr__(self, "_pending", None)
+        return sig
 
 
 @dataclass(frozen=True)
@@ -69,9 +100,9 @@ class KeyPair:
     public_key: bytes
     private_key: bytes
     scheme: str = "hmac"
-    # The provider's signing state: the HMAC pads, built by the key's first
-    # `sign`, or the Ed25519 private-key object, kept by `generate` (or
-    # built by the first `sign` of a pair made by hand).
+    # The provider's signing state (`prepare`): the HMAC pads, built at the
+    # key's first `sign`, or the Ed25519 private-key object, kept by
+    # `generate` (or built at the first `sign` of a pair made by hand).
     _signer: object = field(default=None, init=False, repr=False,
                             compare=False)
     # payload digest -> the SignatureEntry this key made over it
@@ -96,6 +127,7 @@ class HmacProvider:
     """
 
     scheme = "hmac"
+    sig_len = 32
 
     def generate(self, signer_id: str, seed: bytes) -> KeyPair:
         secret = hashlib.sha256(b"key:" + seed + signer_id.encode()).digest()
@@ -104,13 +136,18 @@ class HmacProvider:
     def load_public(self, public_key: bytes) -> tuple:
         return _hmac_pads(public_key)
 
-    def sign(self, payload_digest: bytes, key: KeyPair) -> SignatureEntry:
+    def prepare(self, key: KeyPair) -> None:
+        """Keep `key`'s signing state; a pair whose public half is not its
+        private half refuses."""
+        if key.public_key != key.private_key:
+            raise CryptoError(f"{key.signer_id}: public key is not its "
+                              f"private key")
+        object.__setattr__(key, "_signer", _hmac_pads(key.private_key))
+
+    def sign(self, payload_digest: bytes, key: KeyPair) -> bytes:
         if key._signer is None:
-            if key.public_key != key.private_key:
-                raise CryptoError(f"{key.signer_id}: public key is not its "
-                                  f"private key")
-            object.__setattr__(key, "_signer", _hmac_pads(key.private_key))
-        return SignatureEntry(key.signer_id, _hmac(key._signer, payload_digest))
+            self.prepare(key)
+        return _hmac(key._signer, payload_digest)
 
     def verify(self, payload_digest: bytes, public, sig: bytes) -> bool:
         """`public` is `load_public` of the registered key."""
@@ -138,9 +175,14 @@ def _hmac(pads: tuple, data: bytes) -> bytes:
 
 
 class Ed25519Provider:
-    """Asymmetric provider; private keys never leave the KeyPair."""
+    """Asymmetric provider; private keys never leave the KeyPair.
+
+    The `cryptography` package is imported only where a key object is
+    built (`generate`, `load_public`, `prepare`), so signing and verifying
+    run no import statement."""
 
     scheme = "ed25519"
+    sig_len = 64
 
     def generate(self, signer_id: str, seed: bytes) -> KeyPair:
         from cryptography.hazmat.primitives.asymmetric import ed25519
@@ -152,31 +194,37 @@ class Ed25519Provider:
         object.__setattr__(key, "_signer", priv)
         return key
 
-    def load_public(self, public_key: bytes):
+    def load_public(self, public_key: bytes) -> tuple:
+        """The public-key object and the exception its check raises."""
+        from cryptography.exceptions import InvalidSignature
         from cryptography.hazmat.primitives.asymmetric import ed25519
 
-        return ed25519.Ed25519PublicKey.from_public_bytes(public_key)
+        return (ed25519.Ed25519PublicKey.from_public_bytes(public_key),
+                InvalidSignature)
 
-    def sign(self, payload_digest: bytes, key: KeyPair) -> SignatureEntry:
+    def prepare(self, key: KeyPair) -> None:
+        """Keep `key`'s private-key object; a pair whose public half is not
+        its private half's refuses."""
         from cryptography.hazmat.primitives.asymmetric import ed25519
 
+        priv = ed25519.Ed25519PrivateKey.from_private_bytes(key.private_key)
+        if priv.public_key().public_bytes_raw() != key.public_key:
+            raise CryptoError(f"{key.signer_id}: public key is not its "
+                              f"private key's")
+        object.__setattr__(key, "_signer", priv)
+
+    def sign(self, payload_digest: bytes, key: KeyPair) -> bytes:
         if key._signer is None:
-            priv = ed25519.Ed25519PrivateKey.from_private_bytes(
-                key.private_key)
-            if priv.public_key().public_bytes_raw() != key.public_key:
-                raise CryptoError(f"{key.signer_id}: public key is not its "
-                                  f"private key's")
-            object.__setattr__(key, "_signer", priv)
-        return SignatureEntry(key.signer_id, key._signer.sign(payload_digest))
+            self.prepare(key)
+        return key._signer.sign(payload_digest)
 
     def verify(self, payload_digest: bytes, public, sig: bytes) -> bool:
         """`public` is `load_public` of the registered key."""
-        from cryptography.exceptions import InvalidSignature
-
+        public_key, invalid = public
         try:
-            public.verify(sig, payload_digest)
+            public_key.verify(sig, payload_digest)
             return True
-        except InvalidSignature:
+        except invalid:
             return False
 
 
@@ -184,14 +232,21 @@ PROVIDERS = {"hmac": HmacProvider(), "ed25519": Ed25519Provider()}
 
 
 def sign(payload_digest: bytes, key: KeyPair) -> SignatureEntry:
-    """`key`'s entry over `payload_digest`; the provider signs each digest
-    once per key, since both schemes are deterministic."""
+    """`key`'s entry over `payload_digest`, one per digest and key.
+
+    A key without a private half, or whose halves do not match, refuses
+    here.  The provider computes the entry's bytes when `sig` is first
+    read; both schemes are deterministic, so they are the bytes it would
+    give now, and an entry nobody reads costs no provider call."""
     if not key.private_key:
         raise CryptoError(f"no private key for {key.signer_id}")
     entry = key._signed.get(payload_digest)
     if entry is None:
-        entry = key._signed[payload_digest] = PROVIDERS[key.scheme].sign(
-            payload_digest, key)
+        if key._signer is None:
+            PROVIDERS[key.scheme].prepare(key)
+        entry = key._signed[payload_digest] = object.__new__(SignatureEntry)
+        object.__setattr__(entry, "signer_id", key.signer_id)
+        object.__setattr__(entry, "_pending", (key, payload_digest))
     return entry
 
 
@@ -245,13 +300,14 @@ def verify(payload_digest: bytes, entry: SignatureEntry,
     the provider would give the same verdict.  Any other signature goes to
     the provider, on every call.
     """
-    if entry.signer_id in crl.revoked:
+    signer_id = entry.signer_id
+    if signer_id in crl.revoked:
         return False
-    rec = registry.keys.get(entry.signer_id)
+    rec = registry.keys.get(signer_id)
     if rec is None:
         return False
-    own = registry._issued[entry.signer_id].get(payload_digest)
-    if own is not None and own.sig == entry.sig:
+    own = registry._issued[signer_id].get(payload_digest)
+    if own is not None and (own is entry or own.sig == entry.sig):
         return True
     provider = PROVIDERS[rec[1]]
     public = registry._loaded.get(rec)

@@ -18,6 +18,15 @@ bytes, and a status entry its own bytes, which each report or reply that
 carries the entry joins.  A reply's region joins its bundles' kept wire
 bytes.  An instance that appends a signature, grant or endorsement
 shares its source's region but encodes its own wire bytes.
+
+Wire bytes are encoded only where they are embedded (a manifest in its
+bundle's region, a bundle in a reply's) or decoded.  A wire size
+(`wire_size`) is the length of the kept wire bytes, or else the kept
+region's length plus the sizes of the sections (`_sections_size`), each
+signature counted as 8 bytes, its signer id in UTF-8 and its scheme's
+signature length.  So sizing a message encodes no section and reads no
+signature bytes, and an entry that `crypto.sign` issued and nothing else
+reads is never computed.
 """
 from __future__ import annotations
 
@@ -26,8 +35,9 @@ import struct
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
-from .crypto import (DIGEST_LEN, KeyPair, KeyRegistry, RevocationList,
-                     SignatureEntry, digest, revoke, sign, verify)
+from .crypto import (DIGEST_LEN, PROVIDERS, KeyPair, KeyRegistry,
+                     RevocationList, SignatureEntry, digest, revoke, sign,
+                     verify)
 
 NONCE_LEN = 16
 DEFAULT_BUCKET_SIZE = 1 << 20
@@ -72,7 +82,8 @@ class _WireMessage:
     """A manifest, bundle or status report.  It keeps its signed region, the
     region's digest and its full wire bytes once computed (`signed_region`,
     `payload_digest`, `canonical_encode`).  Its sections after the region
-    are its signatures, unless it adds more."""
+    are its signatures, unless it adds more; `_sections_size` is the length
+    of `_sections`, counted without encoding them."""
 
     _region: Optional[bytes] = field(default=None, init=False, repr=False,
                                      compare=False)
@@ -83,6 +94,9 @@ class _WireMessage:
 
     def _sections(self) -> bytes:
         return _enc_sigma(self.sigma)
+
+    def _sections_size(self) -> int:
+        return _sigma_size(self.sigma)
 
 
 @dataclass(frozen=True)
@@ -148,6 +162,14 @@ class Bundle(_WireMessage):
         for ecu, entry in self.ecu_sigs:
             out += _s(ecu) + _enc_sig(entry)
         return out
+
+    def _sections_size(self) -> int:
+        size = _sigma_size(self.sigma) + 8
+        for g in self.grants:
+            size += 4 + len(g.subject.encode("utf-8")) + _sig_size(g.entry)
+        for ecu, entry in self.ecu_sigs:
+            size += 4 + len(ecu.encode("utf-8")) + _sig_size(entry)
+        return size
 
 
 @dataclass(frozen=True)
@@ -318,8 +340,20 @@ def _dec_meta(r: _Reader) -> MetaRecord:
 
 def _enc_sig(entry: SignatureEntry) -> bytes:
     signer = entry.signer_id.encode("utf-8")
-    return (_U32.pack(len(signer)) + signer + _U32.pack(len(entry.sig))
-            + entry.sig)
+    sig = entry.sig
+    return _U32.pack(len(signer)) + signer + _U32.pack(len(sig)) + sig
+
+
+def _sig_size(entry: SignatureEntry) -> int:
+    """`len(_enc_sig(entry))`.  An entry whose bytes are not computed yet
+    (`crypto.sign`) is counted at its scheme's signature length, so the
+    count computes no signature."""
+    pending = entry._pending
+    if pending is None:
+        sig_len = len(entry.sig)
+    else:
+        sig_len = PROVIDERS[pending[0].scheme].sig_len
+    return 8 + len(entry.signer_id.encode("utf-8")) + sig_len
 
 
 def _dec_sig(r: _Reader) -> SignatureEntry:
@@ -331,6 +365,13 @@ def _enc_sigma(sigma: tuple) -> bytes:
     for entry in sigma:
         out += _enc_sig(entry)
     return out
+
+
+def _sigma_size(sigma: tuple) -> int:
+    size = 4
+    for entry in sigma:
+        size += _sig_size(entry)
+    return size
 
 
 def _dec_sigma(r: _Reader) -> tuple:
@@ -433,8 +474,13 @@ def payload_digest(msg) -> bytes:
 
 
 def wire_size(msg) -> int:
-    """`len(canonical_encode(msg))`, read from the kept wire bytes."""
-    return len(canonical_encode(msg))
+    """`len(canonical_encode(msg))`: the length of the kept wire bytes of a
+    message that was encoded (embedded in a region), else counted from the
+    kept region and the sizes of the sections, which encodes no section
+    and reads no signature bytes (`_sig_size`)."""
+    if msg._wire is not None:
+        return len(msg._wire)
+    return len(msg._region or signed_region(msg)) + msg._sections_size()
 
 
 # ---------------------------------------------------------------------------

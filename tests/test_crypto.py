@@ -48,7 +48,7 @@ def test_hmac_one_shot_matches_the_hmac_object():
         want = hmac.new(key.private_key, payload_digest,
                         hashlib.sha256).digest()
         assert hmac.digest(key.private_key, payload_digest, "sha256") == want
-        assert provider.sign(payload_digest, key).sig == want
+        assert provider.sign(payload_digest, key) == want
         public = provider.load_public(key.public_key)
         assert provider.verify(payload_digest, public, want)
         assert not provider.verify(payload_digest, public,
@@ -98,7 +98,7 @@ def test_prepared_hmac_matches_hmac_digest():
             want = hmac.digest(key, data, "sha256")
             assert crypto._hmac(pads, data) == want
             assert crypto._hmac(pads, data) == want
-            assert provider.sign(data, pair).sig == want
+            assert provider.sign(data, pair) == want
             assert provider.verify(data, public, want)
             assert not provider.verify(data, public, bytes([want[0] ^ 1])
                                        + want[1:])
@@ -371,18 +371,27 @@ def test_provider_signs_each_digest_once_per_key(provider, counting):
     key = provider.generate("alice", b"seed")
     by_hand = KeyPair("alice", key.public_key, key.private_key, key.scheme)
     before = repr(key)
+    # `sign` makes no provider call; the first read of the bytes makes one.
     first = sign(digest(b"x"), key)
-    for _ in range(3):
-        assert sign(digest(b"x"), key) == first
+    assert sign(digest(b"x"), key) is first
+    assert counting.calls["sign"] == 0
+    sig = first.sig
     assert counting.calls["sign"] == 1
-    sign(digest(b"y"), key)
+    # No later read or re-sign of the same digest with the key makes another.
+    for _ in range(3):
+        assert sign(digest(b"x"), key).sig is sig
+        assert first.sig is sig
+    assert counting.calls["sign"] == 1
+    other = sign(digest(b"y"), key)
+    assert counting.calls["sign"] == 1
+    assert other.sig != sig
     assert counting.calls["sign"] == 2
     # The memo belongs to the key object, not to its value.
     assert sign(digest(b"x"), by_hand) == first
     assert counting.calls["sign"] == 3
-    # A signature from the memo equals one computed afresh.
+    # The bytes equal a fresh provider signature.
     fresh = provider.generate("alice", b"seed")
-    assert provider.sign(digest(b"x"), fresh) == first
+    assert provider.sign(digest(b"x"), fresh) == sig
     assert provider.verify(digest(b"x"), provider.load_public(key.public_key),
                            first.sig)
     # The memo takes no part in equality, hashing or repr.
@@ -394,6 +403,14 @@ def test_provider_signs_each_digest_once_per_key(provider, counting):
 def test_registry_memo_is_not_a_constructor_argument():
     with pytest.raises(TypeError):
         KeyRegistry({}, {})
+
+
+# Two vehicles with untrusted secondaries and a station, on Ed25519.
+ED25519_CONFIG = ScenarioConfig(
+    name="memo", vehicles=2, stations=1, models=1, coverage_pct=100,
+    mix_hit=100, bundle_bytes=40_000, image_count=3,
+    secondaries_per_vehicle=1, untrusted_secondaries=True,
+    crypto="ed25519", ignition_limit=2)
 
 
 def test_repeated_scenario_does_the_same_crypto_and_codec_work(monkeypatch):
@@ -424,11 +441,7 @@ def test_repeated_scenario_does_the_same_crypto_and_codec_work(monkeypatch):
         return crypto.verify(*args)
 
     monkeypatch.setattr(messages, "verify", counted_verify)
-    config = ScenarioConfig(
-        name="memo", vehicles=2, stations=1, models=1, coverage_pct=100,
-        mix_hit=100, bundle_bytes=40_000, image_count=3,
-        secondaries_per_vehicle=1, untrusted_secondaries=True,
-        crypto="ed25519", ignition_limit=2)
+    config = ED25519_CONFIG
     work = []
     for _ in range(2):
         counting.calls.clear()
@@ -457,3 +470,44 @@ def test_repeated_scenario_does_the_same_crypto_and_codec_work(monkeypatch):
     # key issued, and none reaches the provider.
     assert "verify" not in calls
     assert regions > 0 and hashed > config.bundle_bytes
+
+
+def test_unread_signatures_stay_uncomputed_and_verify_once_forced(
+        monkeypatch):
+    """A run computes only the signatures whose bytes something reads: an
+    entry checked only against its registered key's memo, or counted only
+    for its wire size, is never computed.  Forced afterwards, every issued
+    signature is one the provider accepts."""
+    counting = CountingProvider(PROVIDERS["ed25519"])
+    monkeypatch.setitem(crypto.PROVIDERS, "ed25519", counting)
+    groups = []
+
+    def recorded_sign(payload_digest, key):
+        groups.append(sign(payload_digest, key))
+        return groups[-1]
+
+    # A primary signs each install group it pushes to a secondary.
+    monkeypatch.setattr(vehicle, "sign", recorded_sign)
+    built = build_scenario(ED25519_CONFIG)
+    built.world.run(ED25519_CONFIG.horizon_ms)
+    assert collect_report(built).install_count > 0
+    registry = built.trust.registry
+    issued = [(signer_id, payload_digest, entry)
+              for signer_id, memo in registry._issued.items()
+              for payload_digest, entry in memo.items()]
+    pending = [entry for _, _, entry in issued if entry._pending is not None]
+    assert pending and len(pending) < len(issued)
+    assert counting.calls["sign"] == len(issued) - len(pending)
+    # Each secondary checks its install group against the primary's memo,
+    # so no group signature was computed.
+    assert groups and all(entry._pending is not None for entry in groups)
+    # Forcing an entry costs one provider call and gives bytes the provider
+    # verifies under the registered key.
+    provider = counting.inner
+    for signer_id, payload_digest, entry in issued:
+        public_key, scheme = registry.keys[signer_id]
+        assert scheme == "ed25519"
+        assert provider.verify(payload_digest,
+                               provider.load_public(public_key), entry.sig)
+        assert entry._pending is None
+    assert counting.calls["sign"] == len(issued)

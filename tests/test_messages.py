@@ -1,13 +1,15 @@
 import dataclasses
 import struct
 from types import SimpleNamespace
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from ota_stations import adversary, messages as msg
-from ota_stations.crypto import (PROVIDERS, KeyRegistry, RevocationList,
-                                 SignatureEntry, digest)
+from ota_stations.crypto import (PROVIDERS, Ed25519Provider, HmacProvider,
+                                 KeyRegistry, RevocationList, SignatureEntry,
+                                 digest, sign)
 
 HMAC = PROVIDERS["hmac"]
 
@@ -138,10 +140,20 @@ def metas(draw, text=names):
 
 
 @st.composite
+def signature_entries(draw, text=names):
+    """An entry made with its bytes, or one that `sign` issued with a fresh
+    key of either scheme, whose bytes are computed when first read."""
+    name = draw(text)
+    scheme = draw(st.sampled_from((None, "hmac", "ed25519")))
+    if scheme is None:
+        return SignatureEntry(name, draw(st.binary(min_size=1, max_size=64)))
+    key = PROVIDERS[scheme].generate(name, draw(st.binary(max_size=8)))
+    return sign(digest(draw(st.binary(max_size=16))), key)
+
+
+@st.composite
 def sigmas(draw, text=names):
-    entries = draw(st.lists(
-        st.tuples(text, st.binary(min_size=1, max_size=64)), max_size=3))
-    return tuple(SignatureEntry(n, b) for n, b in entries)
+    return tuple(draw(st.lists(signature_entries(text), max_size=3)))
 
 
 @st.composite
@@ -209,7 +221,18 @@ def _wide_report():
 def test_wire_size_is_the_encoded_length(message):
     # A signed message adds its sections' length to its kept region's, so
     # every id counts in UTF-8 bytes, in every section and in the region.
-    assert msg.wire_size(message) == len(msg.canonical_encode(message))
+    # The region embeds the wire bytes of the messages a bundle or reply
+    # encloses, and so their signatures; the size of the sections reads
+    # none: an entry whose bytes are not computed counts at its scheme's
+    # length, and no provider signs.
+    msg.signed_region(message)
+    with mock.patch.object(HmacProvider, "sign", autospec=True,
+                           side_effect=HmacProvider.sign) as hmac_sign, \
+            mock.patch.object(Ed25519Provider, "sign", autospec=True,
+                              side_effect=Ed25519Provider.sign) as ed_sign:
+        size = msg.wire_size(message)
+    assert hmac_sign.call_count == ed_sign.call_count == 0
+    assert size == len(msg.canonical_encode(message))
 
 
 @settings(max_examples=100, deadline=None)
