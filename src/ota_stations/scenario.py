@@ -279,14 +279,14 @@ class Producer(Actor):
             on_reply=lambda r: self._announce(mu, image, attempt)
             if r.kind == "store_ok" else self._retry(mu, image, attempt),
             on_fail=lambda: self._retry(mu, image, attempt),
-            timeout_ms=self.REPLY_TIMEOUT_MS, retries=0)
+            timeout_ms=self.REPLY_TIMEOUT_MS)
 
     def _announce(self, mu, image, attempt: int):
         self.request(self.sud, "producer_manifest", mu, msg.wire_size(mu),
                      self.sud_link,
                      on_reply=lambda r: self._settle(mu, image, attempt, r),
                      on_fail=lambda: self._retry(mu, image, attempt),
-                     timeout_ms=self.REPLY_TIMEOUT_MS, retries=0)
+                     timeout_ms=self.REPLY_TIMEOUT_MS)
 
     def _settle(self, mu, image, attempt: int, reply):
         if reply.kind == "manifest_accepted":

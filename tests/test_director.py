@@ -96,6 +96,44 @@ def test_ingestion_appends_role_signatures_in_order():
     assert signed in record.l_e["primary"]
 
 
+class _DelayFirstFetchOk:
+    """An adversary that delays the repository's first `fetch_ok` by 40 s,
+    past the director's 30 s timeout, and records every `fetch_ok`."""
+
+    def __init__(self):
+        self.sent = []
+
+    def intercept(self, world, env):
+        if env.kind != "fetch_ok":
+            return []
+        self.sent.append((world.now, env))
+        return [("delay", 40_000.0)] if len(self.sent) == 1 else []
+
+
+def test_a_retransmitted_fetch_gets_the_same_reply_as_the_first():
+    rig = Rig()
+    rig.director.register_vehicle(VIN, _initial("sw0"))
+    mu, image = rig.make_update("sw0", size=200_000)
+    rig.repo.store(image, mu, "producer0")
+    rig.world.adversary = adversary = _DelayFirstFetchOk()
+    fetches = []
+    on_fetch = rig.repo.on_fetch
+    rig.repo.on_fetch = lambda env: (fetches.append(env.attempt),
+                                     on_fetch(env))
+    replies = _submit(rig, mu)
+    # The retransmission reaches the repository's handler again, which
+    # answers it anew; the director takes that reply and drops the delayed
+    # first one as a late duplicate.
+    assert fetches == [0, 1]
+    assert replies == [("manifest_accepted", replies[0][1])]
+    (first_at, first), (again_at, again) = adversary.sent
+    assert again_at - first_at == pytest.approx(30_000.0, abs=10.0)
+    assert (again.kind, again.size) == (first.kind, first.size)
+    assert again.payload["buckets"] == first.payload["buckets"]
+    assert [i for i, _, _ in again.payload["buckets"]] == list(
+        range(len(image.buckets())))
+
+
 def test_ingestion_rejects_unknown_producer_and_bad_signature():
     rig = Rig()
     rig.director.register_vehicle(VIN, _initial("sw0"))

@@ -12,6 +12,7 @@ import pytest
 
 from ota_stations import messages, simnet
 from ota_stations.scenario import ScenarioConfig, _image_bytes, build_scenario
+from ota_stations.suites import family_config
 
 
 def _cellular_config(vehicles: int) -> ScenarioConfig:
@@ -234,15 +235,11 @@ def _kept_state(ignitions: int, live_publish: bool) -> Counter:
 
 @pytest.mark.parametrize("live_publish", [False, True])
 def test_kept_state_does_not_grow_with_run_length(live_publish):
-    # Served replies are kept only while a retransmission can arrive, and no
-    # record of past status exchanges is kept.  The trace and each vehicle's
+    # No record of past status exchanges is kept.  The trace and each vehicle's
     # ignition times are output.  The key registry keeps one entry per key
     # and no verdict; each key pair's signing memo (`KeyPair._signed`) is
     # also the registry's record of what that key issued, and still grows.
     short, long = _kept_state(10, live_publish), _kept_state(40, live_publish)
-    served = [sum(n for (_, name), n in sizes.items() if name == "_served")
-              for sizes in (short, long)]
-    assert served[1] <= served[0], served
     registry = [{name: n for (cls, name), n in sizes.items()
                  if cls == "KeyRegistry"} for sizes in (short, long)]
     assert registry[0]["keys"] > 0 and registry[1] == registry[0], registry
@@ -251,21 +248,29 @@ def test_kept_state_does_not_grow_with_run_length(live_publish):
     assert grown == {}
 
 
-def test_only_replies_to_the_directors_retried_fetches_are_kept():
+def test_no_actor_keeps_a_reply_to_the_directors_retried_fetches():
     # The director's repository `fetch` is the one request made with a
-    # retry budget, so in a world that ingests live the repository keeps
-    # only its replies to the director, and no other actor keeps any.
-    config = ScenarioConfig(
-        vehicles=20, stations=1, coverage_pct=50, bundle_bytes=1_000_000,
-        image_count=5, ignition_period_ms=10_000, ignition_limit=10,
-        live_publish=True)
+    # retry budget.  A slow-retrieval attack delays its replies past the
+    # 30 s timeout, so it is sent again and the repository answers each
+    # sending anew; once the run ends no actor holds a reply.
+    config = family_config(0, "slow_retrieval")
+    assert config.live_publish
     built = build_scenario(config)
+    repo = built.world.actors["repo0"]
+    fetched = Counter()
+    on_fetch = repo.on_fetch
+    repo.on_fetch = lambda env: (fetched.update([(env.src, env.attempt)]),
+                                 on_fetch(env))
     built.world.run(config.horizon_ms)
-    kept = [(name, env.dst, env.kind)
-            for name, actor in built.world.actors.items()
-            for env in actor._served.values()]
-    assert kept
-    assert set(kept) == {("repo0", built.director.name, "fetch_ok")}
+    del repo.on_fetch
+    assert not built.world.horizon_reached
+    director = built.director.name
+    assert fetched[director, 0] and fetched[director, 1], fetched
+    roots = [value for actor in built.world.actors.values()
+             for name, value in vars(actor).items() if name != "world"]
+    assert [obj for obj in _reachable(roots)
+            if isinstance(obj, simnet.Envelope)
+            and obj.reply_to is not None] == []
 
 
 def test_a_finished_download_is_dropped():

@@ -1,6 +1,9 @@
 import heapq
+import importlib.util
+import inspect
 import math
 import random
+from pathlib import Path
 
 import pytest
 
@@ -8,6 +11,7 @@ from ota_stations import messages as msg
 from ota_stations.scenario import ScenarioConfig, build_scenario
 from ota_stations.simnet import (CELLULAR, Actor, Envelope, Link,
                                  LinkProfile, World)
+from ota_stations.suites import ATTACK_LABELS, family_config
 
 
 def _link(bandwidth_mbps=5.0, latency_ms=30.0):
@@ -146,56 +150,40 @@ class _Asker(Actor):
         self.replies = []
 
 
+def _held_replies(actor) -> list:
+    """Every reply envelope that `actor`'s attributes hold, one container
+    deep."""
+    held = []
+    for value in vars(actor).values():
+        values = value.values() if isinstance(value, dict) else (
+            value if isinstance(value, (list, tuple, set)) else (value,))
+        held += [v for v in values
+                 if isinstance(v, Envelope) and v.reply_to is not None]
+    return held
+
+
 def test_request_reply_and_idempotent_retransmission():
     world = World(seed=1)
     responder = Recorder("b", world)
     asker = _Asker(world)
     link = _link(10.0, 1.0)
+    handled = []
+    responder.on_ask = lambda env: (handled.append(env.attempt),
+                                    Recorder.on_ask(responder, env))
     req_id = asker.request("b", "ask", "q", 64, link,
                            on_reply=lambda env: asker.replies.append(
                                env.payload),
                            on_fail=lambda: None, timeout_ms=100.0, retries=2)
+    # A duplicated request envelope reaches the handler again, which
+    # answers it anew; the asker takes the first reply, and drops the
+    # second as a late duplicate.
+    world.send(Envelope("a", "b", "ask", "q", 64, link, req_id=req_id,
+                        attempt=1))
     world.run()
-    assert asker.replies == ["q"]
-    # The request carries its 300 ms window, and the reply is kept for it.
-    asked_at = next(rec.time for rec in world.trace if rec.kind == "ask")
-    assert responder._served_due == [(asked_at + 300.0, req_id)]
-
-    # A duplicated request envelope inside the replay window is answered
-    # from the kept reply, not re-dispatched to the handler.
-    handler_calls = []
-    responder.on_ask = lambda env: handler_calls.append(env)
-    responder.receive(Envelope("a", "b", "ask", "q", 64, link, req_id=req_id))
-    world.run()
-    assert not handler_calls
+    assert handled == [0, 1]
     assert [rec.kind for rec in world.trace].count("answer") == 2
-
-
-def test_a_reply_older_than_the_replay_window_is_dropped():
-    world = World(seed=1)
-    responder = Recorder("b", world)
-    asker = _Asker(world)
-    link = _link(10.0, 1.0)
-
-    def ask():
-        return asker.request("b", "ask", "q", 64, link,
-                             on_reply=lambda env: None, timeout_ms=100.0,
-                             retries=1)
-
-    first = ask()
-    world.run()
-    assert set(responder._served) == {first}
-    # The responder's next reply, more than the 200 ms window later, drops
-    # the first, and a retransmission of it would reach the handler again.
-    later = []
-    world.schedule(500.0, lambda: later.append(ask()))
-    world.run()
-    assert set(responder._served) == set(later)
-    assert len(responder._served_due) == 1
-    handler_calls = []
-    responder.on_ask = lambda env: handler_calls.append(env)
-    responder.receive(Envelope("a", "b", "ask", "q", 64, link, req_id=first))
-    assert len(handler_calls) == 1
+    assert asker.replies == ["q"]
+    assert _held_replies(responder) == [] and _held_replies(asker) == []
 
 
 def test_no_reply_is_kept_when_no_request_is_retried():
@@ -207,32 +195,10 @@ def test_no_reply_is_kept_when_no_request_is_retried():
                   on_reply=lambda env: asker.replies.append(env.payload))
     asker.request("b", "ask", "r", 64, link,
                   on_reply=lambda env: asker.replies.append(env.payload),
-                  timeout_ms=100.0, retries=0)
+                  timeout_ms=100.0)
     world.run()
     assert sorted(asker.replies) == ["q", "r"]
-    assert responder._served == {}
-    assert responder._served_due == []
-
-
-def test_only_the_reply_to_a_retried_request_is_kept():
-    # A retried request elsewhere in the world keeps no other reply.
-    world = World(seed=1)
-    responder = Recorder("b", world)
-    asker = _Asker(world)
-    link = _link(10.0, 1.0)
-    retried = asker.request("b", "ask", "q", 64, link,
-                            on_reply=lambda env: asker.replies.append(
-                                env.payload),
-                            timeout_ms=100.0, retries=1)
-    asker.request("b", "ask", "r", 64, link,
-                  on_reply=lambda env: asker.replies.append(env.payload))
-    asker.request("b", "ask", "s", 64, link,
-                  on_reply=lambda env: asker.replies.append(env.payload),
-                  timeout_ms=100.0, retries=0)
-    world.run()
-    assert sorted(asker.replies) == ["q", "r", "s"]
-    assert list(responder._served) == [retried]
-    assert [req_id for _, req_id in responder._served_due] == [retried]
+    assert _held_replies(responder) == [] and _held_replies(asker) == []
 
 
 def test_a_second_copy_of_an_answered_reply_is_dropped():
@@ -266,6 +232,57 @@ def test_request_timeout_retries_then_fails():
     attempts = [rec for rec in world.trace if rec.kind == "ask"]
     assert len(attempts) == 3  # initial + 2 retries
     assert outcomes == ["fail"]
+
+
+def test_a_timed_request_is_sent_once_by_default():
+    world = World(seed=1)
+    outcomes = []
+    asker = _Asker(world)
+    asker.request("nobody", "ask", "q", 64, _link(), on_reply=lambda e: None,
+                  on_fail=lambda: outcomes.append(world.now),
+                  timeout_ms=10.0)
+    world.run()
+    assert [rec.kind for rec in world.trace] == ["ask"]
+    assert outcomes == [10.0]
+
+
+# The requests that may be sent with a retry budget.  A retransmission
+# reaches the handler again and no reply is kept, so each handler here must
+# be idempotent.  `ImageRepo.on_fetch` only reads: it checks the credential,
+# looks up the entry and replies with its buckets.
+IDEMPOTENT_RETRIED = {("Director", "ImageRepo", "fetch")}
+
+
+def _load_workloads():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("_perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.WORKLOADS
+
+
+def test_every_retried_request_goes_to_an_idempotent_handler(monkeypatch):
+    retried = set()
+    signature = inspect.signature(Actor.request)
+    original = Actor.request
+
+    def request(self, *args, **kwargs):
+        call = signature.bind(self, *args, **kwargs)
+        call.apply_defaults()
+        if call.arguments["timeout_ms"] is not None \
+                and call.arguments["retries"] > 0:
+            receiver = self.world.actors.get(call.arguments["dst"])
+            retried.add((type(self).__name__, type(receiver).__name__,
+                         call.arguments["kind"]))
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(Actor, "request", request)
+    configs = [config for workload in _load_workloads().values()
+               for config in workload(0)]
+    configs += [family_config(0, label) for label in ATTACK_LABELS]
+    for config in configs:
+        build_scenario(config).world.run(config.horizon_ms)
+    assert retried == IDEMPOTENT_RETRIED, retried
 
 
 def test_trace_csv_rows_shape():
