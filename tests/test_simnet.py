@@ -201,6 +201,34 @@ def test_no_reply_is_kept_when_no_request_is_retried():
     assert _held_replies(responder) == [] and _held_replies(asker) == []
 
 
+def test_only_the_reply_to_a_retried_request_is_kept():
+    # Beside requests sent without retries, a retried request that arrives
+    # twice runs its handler twice; the asker keeps only one reply to it,
+    # and the responder keeps none.
+    world = World(seed=1)
+    responder = Recorder("b", world)
+    asker = _Asker(world)
+    link = _link(10.0, 1.0)
+    handled = []
+    responder.on_ask = lambda env: (handled.append(env.payload),
+                                    Recorder.on_ask(responder, env))
+    retried = asker.request("b", "ask", "q", 64, link,
+                            on_reply=lambda env: asker.replies.append(
+                                env.payload),
+                            timeout_ms=100.0, retries=1)
+    world.send(Envelope("a", "b", "ask", "q", 64, link, req_id=retried,
+                        attempt=1))
+    asker.request("b", "ask", "r", 64, link,
+                  on_reply=lambda env: asker.replies.append(env.payload))
+    asker.request("b", "ask", "s", 64, link,
+                  on_reply=lambda env: asker.replies.append(env.payload),
+                  timeout_ms=100.0)
+    world.run()
+    assert sorted(handled) == ["q", "q", "r", "s"]
+    assert sorted(asker.replies) == ["q", "r", "s"]
+    assert _held_replies(responder) == [] and _held_replies(asker) == []
+
+
 def test_a_second_copy_of_an_answered_reply_is_dropped():
     world = World(seed=1)
     Recorder("b", world)
