@@ -219,11 +219,10 @@ class Station(Actor):
             self._miss_path(env, mu, min_id, "miss")
             return
         # Unknown vehicle model: subscribe before pulling.
-        self.request(self.engine, "subscribe_model", {"min": min_id}, 96,
-                     self.engine_link,
-                     on_reply=lambda r: self._after_subscribe(env, mu, min_id),
-                     on_fail=lambda: self.reply(env, "serve_err",
-                                                {"reason": "engine"}, 64))
+        self.request(
+            self.engine, "subscribe_model", {"min": min_id}, 96,
+            self.engine_link,
+            on_reply=lambda r: self._after_subscribe(env, mu, min_id))
 
     def _after_subscribe(self, env, mu, min_id):
         self.known_models.add(min_id)
@@ -235,9 +234,7 @@ class Station(Actor):
             self.engine, "authorize",
             {"min": min_id, "s": mu.theta.s, "v": mu.tau.v}, 96,
             self.engine_link,
-            on_reply=lambda r: self._on_authorized(env, mu, outcome, r),
-            on_fail=lambda: self.reply(env, "serve_err",
-                                       {"reason": "engine"}, 64))
+            on_reply=lambda r: self._on_authorized(env, mu, outcome, r))
 
     def _on_authorized(self, env, mu, outcome, reply: Envelope):
         if reply.kind != "authorize_ok":

@@ -1,10 +1,10 @@
-"""OEM software update director: fleet inventory, producer-manifest
+"""OEM software update director: fleet registration, producer-manifest
 ingestion, dependency resolution and bundling, pub/sub publication, and
 status-report handling.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from . import messages as msg
@@ -26,7 +26,6 @@ class DependencyCycleError(DirectorError):
 class FleetRecord:
     vin: str
     min: str
-    l_e: dict = field(default_factory=dict)   # ecu -> list of signed manifests
     last_tau: msg.TimestampRecord = msg.TimestampRecord(0, 1)
     last_r_digest: Optional[bytes] = None
     last_full_r: Optional[tuple] = None
@@ -64,7 +63,9 @@ def resolve_update_set(trigger: str, deps: dict, installed: set,
 
 
 class Director(Actor):
-    """Single-threaded actor; one simnet event per state transition."""
+    """Single-threaded actor; one simnet event per state transition.  It
+    keeps each software's latest signed manifest and each vehicle's last
+    status exchange, not their histories."""
 
     def __init__(self, name: str, world: World, trust: msg.TrustContext,
                  role_keys: dict, repo: str, repo_link: Link,
@@ -78,8 +79,7 @@ class Director(Actor):
         self.untrusted_secondaries = untrusted_secondaries
 
         self.fleet: dict = {}                 # vin -> FleetRecord
-        self.catalog: dict = {}               # s -> list of signed manifests
-        self.software_ecu: dict = {}          # s -> ecu
+        self.catalog: dict = {}               # s -> latest signed manifest
         self.min_config: dict = {}            # min -> {s: (ecu, TimestampRecord)}
         self.subscribers: dict = {}           # min -> {subscriber: Link}
         self.bundles: dict = {}               # (min, s) -> snapshot-signed Bundle
@@ -98,7 +98,6 @@ class Director(Actor):
         if vin in self.fleet:
             raise DirectorError(f"duplicate VIN {vin}")
         record = FleetRecord(vin, vin[:msg.MIN_LEN])
-        record.l_e = {ecu: [] for ecu, _ in initial.values()}
         self.fleet[vin] = record
         self.min_config.setdefault(record.min, dict(initial))
         return record
@@ -126,18 +125,15 @@ class Director(Actor):
         if not self.trust.signed_by(mu.sigma, (producer,),
                                     msg.payload_digest(mu)):
             return "auth"
-        last = self._last_tau(mu.theta.s)
+        known = self.catalog.get(mu.theta.s)
+        last = self._initial_tau(mu.theta.s) if known is None else known.tau
         if last is not None and not msg.assert_fresh(mu.tau, last):
             return "stale"
-        known_ecu = self.software_ecu.get(mu.theta.s)
-        if known_ecu is not None and known_ecu != mu.theta.e:
+        if known is not None and known.theta.e != mu.theta.e:
             return "ecu_mismatch"
         return None
 
-    def _last_tau(self, software: str):
-        entries = self.catalog.get(software)
-        if entries:
-            return entries[-1].tau
+    def _initial_tau(self, software: str):
         for config in self.min_config.values():
             if software in config:
                 return config[software][1]
@@ -150,21 +146,13 @@ class Director(Actor):
         self._bundle_and_publish(signed)
 
     def accept_manifest(self, mu: msg.UpdateManifest) -> msg.UpdateManifest:
-        """Append the targets, timestamp, and root role signatures and store
-        the manifest in the catalog and fleet inventory."""
+        """Append the targets, timestamp, and root role signatures and keep
+        the manifest as its software's latest in the catalog."""
         signed = mu
         for role in ("targets", "timestamp", "root"):
             signed = msg.sign_message(signed, self.role_keys[role])
-        self.catalog.setdefault(mu.theta.s, []).append(signed)
-        self.software_ecu[mu.theta.s] = mu.theta.e
-        for record in self.fleet.values():
-            if mu.theta.s in self.min_config.get(record.min, {}):
-                record.l_e.setdefault(mu.theta.e, []).append(signed)
+        self.catalog[mu.theta.s] = signed
         return signed
-
-    def _dep_graph(self) -> dict:
-        return {s: entries[-1].theta.d
-                for s, entries in self.catalog.items() if entries}
 
     def resolve_and_bundle(self, trigger: str, min_id: str) -> Optional[msg.Bundle]:
         config = self.min_config.get(min_id, {})
@@ -172,19 +160,20 @@ class Director(Actor):
             return None
         installed = set()
         for s, (ecu, ref_tau) in config.items():
-            entries = self.catalog.get(s)
-            if not entries or entries[-1].tau.v <= ref_tau.v:
+            latest = self.catalog.get(s)
+            if latest is None or latest.tau.v <= ref_tau.v:
                 installed.add(s)
-        selected = resolve_update_set(trigger, self._dep_graph(), installed,
+        deps = {s: latest.theta.d for s, latest in self.catalog.items()}
+        selected = resolve_update_set(trigger, deps, installed,
                                       self.co_update_groups)
         manifests = []
         for s in [trigger] + [s for s in selected if s != trigger]:
-            entries = self.catalog.get(s)
-            if not entries:
+            latest = self.catalog.get(s)
+            if latest is None:
                 # Missing dependency manifest: defer bundling until ingested.
                 self.audit_log.append(("bundle_deferred", trigger, s))
                 return None
-            manifests.append(entries[-1])
+            manifests.append(latest)
         key = (min_id, trigger)
         last = self.bundles.get(key)
         tau = msg.TimestampRecord(int(self.world.now) + 1,
@@ -298,15 +287,3 @@ class Director(Actor):
                 copies[record.vin] = copy
             out.append(copy)
         return out
-
-    # -- inspection --------------------------------------------------------
-
-    def export_inventory(self) -> str:
-        lines = []
-        for vin in sorted(self.fleet):
-            record = self.fleet[vin]
-            for ecu in sorted(record.l_e):
-                for mu in record.l_e[ecu]:
-                    lines.append(f"{vin} {ecu} {mu.theta.s} "
-                                 f"v{mu.tau.v} t{mu.tau.t}")
-        return "\n".join(lines) + "\n"

@@ -1,5 +1,6 @@
-"""Image repository actor: versioned image/manifest storage, credential
-checks on download, whole-image and bucket-range serving.
+"""Image repository actor: versioned image storage, each image checked
+against its producer-signed manifest on store, credential checks on
+download, whole-image and bucket-range serving.
 
 Locations have the form "<repo_id>/<software>/<version>".  Download
 authorization accepts either a producer-signed manifest naming the location
@@ -7,8 +8,6 @@ authorization accepts either a producer-signed manifest naming the location
 the publish role, reaches the requester.
 """
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from . import messages as msg
 # Unused here; perfbench/tracer.py counts hashing by patching `digest` by
@@ -21,13 +20,6 @@ class RepoError(Exception):
     pass
 
 
-@dataclass
-class RepoEntry:
-    location: str
-    image: msg.UpdateImage
-    manifest: msg.UpdateManifest
-
-
 def location_for(repo_id: str, software: str, version: int) -> str:
     return f"{repo_id}/{software}/{version}"
 
@@ -36,7 +28,7 @@ class ImageRepo(Actor):
     def __init__(self, name: str, world: World, trust: msg.TrustContext):
         super().__init__(name, world)
         self.trust = trust
-        self.entries: dict = {}  # location -> RepoEntry
+        self.entries: dict = {}  # location -> UpdateImage
 
     # -- storage -----------------------------------------------------------
 
@@ -50,13 +42,8 @@ class ImageRepo(Actor):
             raise RepoError("manifest not signed by the claimed producer")
         if image.data_digest != manifest.theta.h:
             raise RepoError("image digest does not match manifest")
-        self.entries[manifest.l] = RepoEntry(manifest.l, image, manifest)
+        self.entries[manifest.l] = image
         return manifest.l
-
-    def dump(self):
-        """Content-addressed inspection listing, deterministic order."""
-        return sorted((e.location, len(e.image.data), e.manifest.tau.v)
-                      for e in self.entries.values())
 
     # -- authorization -----------------------------------------------------
 
@@ -89,10 +76,10 @@ class ImageRepo(Actor):
             self.reply(env, "fetch_err", {"reason": "unauthorized",
                                           "l": location}, 64)
             return
-        entry = self.entries.get(location)
-        if entry is None:
+        image = self.entries.get(location)
+        if image is None:
             self.reply(env, "fetch_err", {"reason": "not_found",
                                           "l": location}, 64)
             return
-        self.reply_buckets(env, "fetch_ok", entry.image.buckets(), l=location)
+        self.reply_buckets(env, "fetch_ok", image.buckets(), l=location)
 

@@ -589,7 +589,7 @@ def build_scenario(config: ScenarioConfig) -> Scenario:
                                 config.invehicle_latency_ms, IN_VEHICLE))
             secondary = SecondaryEcu(
                 vin, ecu, world, trust, key,
-                initial={item.software: (msg.TimestampRecord(1, 1), None)
+                initial={item.software: msg.TimestampRecord(1, 1)
                          for item in items if item.ecu == ecu},
                 untrusted=config.untrusted_secondaries,
                 flash_latency_ms=config.flash_latency_ms,
@@ -757,8 +757,7 @@ def collect_report(scenario: Scenario) -> MetricsReport:
             cache_counts[outcome] = cache_counts.get(outcome, 0) + 1
     rows = []
     for vehicle in scenario.vehicles:
-        ignitions = vehicle.records["ignitions"]
-        t0 = ignitions[0] if ignitions else None
+        t0 = vehicle.records["ignition"]
         manifest = vehicle.records["manifest_done"]
         complete = vehicle.records["complete"]
         rows.append(VehicleRow(
@@ -840,8 +839,7 @@ def liveness_failures(scenario: Scenario) -> list:
     out = []
     producer_alerted = any(p.alerts for p in scenario.producers)
     for item in scenario.items:
-        published = bool(scenario.director.catalog.get(item.software))
-        if not published:
+        if item.software not in scenario.director.catalog:
             # Publication itself was prevented; the producer's retry budget
             # must have raised the alarm.
             if not producer_alerted:

@@ -348,7 +348,8 @@ class _Download:
         self.actor.request(
             self.dst, self.kind,
             dict(self.payload, from_index=self.received.next_missing()),
-            self.size, self.link, self.pulled, self.timed_out,
+            self.size, self.link, self.pulled,
+            None if self.timeout_ms is None else self.timed_out,
             self.timeout_ms, self.retries)
 
     def pulled(self, reply: Envelope):
@@ -414,11 +415,11 @@ class Actor:
                 timeout_ms: Optional[float] = None, retries: int = 0):
         """Send request `kind` to `dst` and call `on_reply` with the first
         reply.  With `timeout_ms` None, the default, the request is sent
-        once and never times out.  Otherwise an unanswered request is sent
-        again after `timeout_ms`, at most `retries` more times (default
-        none), and then `on_fail` is called, if given.  Each sending reaches
-        `dst`'s handler, so retry only a request whose handler is
-        idempotent.  Returns the request id."""
+        once and never times out, and `on_fail` is never called.  Otherwise
+        an unanswered request is sent again after `timeout_ms`, at most
+        `retries` more times (default none), and then `on_fail` is called,
+        if given.  Each sending reaches `dst`'s handler, so retry only a
+        request whose handler is idempotent.  Returns the request id."""
         req_id = self.world.next_req_id()
         self._attempt(req_id, _Pending(dst, kind, payload, size, link,
                                        on_reply, on_fail, timeout_ms, retries))

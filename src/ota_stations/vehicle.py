@@ -14,6 +14,7 @@ from typing import Optional
 
 from . import messages as msg
 from .crypto import KeyPair, digest, sign
+from .director import resolve_update_set
 from .simnet import Actor, Envelope, Link, World
 
 PRIMARY_ECU = "primary"
@@ -52,12 +53,12 @@ class PendingItem:
     # The verified image: the sender's buckets in order, never joined.
     buckets: Optional[tuple] = None
     data_digest: Optional[bytes] = None    # digest of the buckets' bytes
-    installed: bool = False
     download: Optional[object] = None      # the download under way, if any
 
 
 class VehiclePrimary(Actor):
-    """Primary ECU; the actor name is the VIN."""
+    """Primary ECU; the actor name is the VIN.  An update stays `pending`
+    until its group installs, and `inventory` then refuses it."""
 
     def __init__(self, vin: str, world: World, trust: msg.TrustContext,
                  key: KeyPair, sud: str, sud_link: Link,
@@ -110,7 +111,7 @@ class VehiclePrimary(Actor):
         self._last_status_t = 0
         self._ignitions = 0
         self.alerts: list = []
-        self.records: dict = {"ignitions": [], "manifest_done": None,
+        self.records: dict = {"ignition": None, "manifest_done": None,
                               "complete": None}
 
     # -- alerts ------------------------------------------------------------
@@ -125,7 +126,8 @@ class VehiclePrimary(Actor):
                 and self._ignitions >= self.ignition_limit:
             return
         self._ignitions += 1
-        self.records["ignitions"].append(self.world.now)
+        if self._ignitions == 1:
+            self.records["ignition"] = self.world.now
         if self.ignition_period_ms is not None:
             self.world.schedule(self.ignition_period_ms, self.ignition)
         if self.untrusted and self.secondaries:
@@ -279,8 +281,7 @@ class VehiclePrimary(Actor):
         nonce = self.world.rng.randbytes(msg.NONCE_LEN)
         self.request(self.station, "session_open", {"nonce": nonce}, 96,
                      self.station_link,
-                     on_reply=lambda r: self._on_session(r, nonce),
-                     on_fail=lambda: self._session_failed())
+                     on_reply=lambda r: self._on_session(r, nonce))
 
     def _on_session(self, env: Envelope, nonce: bytes):
         if env.kind != "session_ok" or not self.trust.signed_by(
@@ -292,7 +293,7 @@ class VehiclePrimary(Actor):
         self._station_next()
 
     def _session_failed(self):
-        # Revoked or unreachable station: everything queued goes cellular.
+        # Revoked or impostor station: everything queued goes cellular.
         queue, self._station_queue = self._station_queue, []
         for item in queue:
             self._cellular(item)
@@ -346,6 +347,11 @@ class VehiclePrimary(Actor):
                  if p.bundle is item.bundle and p.mu.theta.e == ecu]
         if any(p.buckets is None for p in group):
             return
+        if len(group) > 1:  # one co-update set, resolved dependencies first
+            by_s = {p.mu.theta.s: p for p in group}
+            group = [by_s[s] for s in resolve_update_set(
+                min(by_s), {s: p.mu.theta.d for s, p in by_s.items()}, set(),
+                [by_s]) if s in by_s]
         if ecu == PRIMARY_ECU:
             self.world.schedule(self.flash_latency_ms,
                                 lambda: self._install_local(group))
@@ -358,16 +364,15 @@ class VehiclePrimary(Actor):
             self.world.install_log.append(
                 (self.world.now, self.vin, PRIMARY_ECU, p.mu.theta.s,
                  p.mu.tau.v, p.data_digest))
-            p.installed = True
+            del self.pending[p.mu.theta.s, p.mu.tau.v]
         self._check_complete()
 
     def _push_group(self, ecu, bundle, group):
         name, link = self.secondaries[ecu]
-        ordered = sorted(group, key=lambda p: p.mu.theta.s)
-        items = tuple((p.mu, p.buckets) for p in ordered)
-        entry = sign(group_digest(items, [p.data_digest for p in ordered]),
+        items = tuple((p.mu, p.buckets) for p in group)
+        entry = sign(group_digest(items, [p.data_digest for p in group]),
                      self.key)
-        size = sum(msg.bucket_bytes(p.buckets) for p in ordered) + 256
+        size = sum(msg.bucket_bytes(p.buckets) for p in group) + 256
         self.request(name, "install_group",
                      {"bundle": bundle, "items": items, "group_sig": entry},
                      size, link,
@@ -378,11 +383,11 @@ class VehiclePrimary(Actor):
             return  # secondary's own deadline raises the alert if needed
         for p in group:
             self.inventory[(ecu, p.mu.theta.s)] = p.mu.tau
-            p.installed = True
+            del self.pending[p.mu.theta.s, p.mu.tau.v]
         self._check_complete()
 
     def _check_complete(self):
-        if all(p.installed for p in self.pending.values()):
+        if not self.pending:
             self.records["complete"] = self.world.now
             if self._image_timer is not None:
                 self._image_timer.cancel()
@@ -399,14 +404,13 @@ class VehiclePrimary(Actor):
                                                 self._image_deadline_fired)
 
     def _image_deadline_fired(self):
-        stuck = [p for p in self.pending.values() if not p.installed]
-        if not stuck:
+        if not self.pending:
             return
         if not self._fallback_used:
             # One cellular retry round before declaring failure.
             self._fallback_used = True
             self._station_queue = []
-            for item in stuck:
+            for item in self.pending.values():
                 if item.buckets is None:
                     self._cellular(item)
             self._arm_image_deadline()
@@ -432,7 +436,7 @@ class SecondaryEcu(Actor):
         self.flash_latency_ms = flash_latency_ms
         self.status_deadline_ms = status_deadline_ms
         self.image_deadline_ms = image_deadline_ms
-        self.installed: dict = dict(initial)   # s -> (tau, digest or None)
+        self.installed: dict = dict(initial)   # s -> TimestampRecord
         self.primary_id = f"{vin}.primary"
         self.last_reply_tau = msg.TimestampRecord(0, 1)
         self._entries: dict = {}               # see `kept_entry`
@@ -447,7 +451,7 @@ class SecondaryEcu(Actor):
 
     def on_report_tau(self, env: Envelope):
         key = self.key if self.untrusted else None
-        entries = [kept_entry(self._entries, self.ecu, s, self.installed[s][0],
+        entries = [kept_entry(self._entries, self.ecu, s, self.installed[s],
                               key) for s in sorted(self.installed)]
         if self.untrusted and self.status_deadline_ms is not None:
             if self._status_timer is not None:
@@ -485,7 +489,7 @@ class SecondaryEcu(Actor):
                 if mu.theta.e != self.ecu:
                     continue
                 have = self.installed.get(mu.theta.s)
-                if have is None or mu.tau.v > have[0].v:
+                if have is None or mu.tau.v > have.v:
                     return True
         return False
 
@@ -524,7 +528,7 @@ class SecondaryEcu(Actor):
             if data_digest != mu.theta.h:
                 return "integrity"
             have = self.installed.get(mu.theta.s)
-            if have is not None and mu.tau.v <= have[0].v:
+            if have is not None and mu.tau.v <= have.v:
                 return "stale"
         return None
 
@@ -546,7 +550,7 @@ class SecondaryEcu(Actor):
 
     def _flash(self, env: Envelope, items, data_digests):
         for (mu, _), data_digest in zip(items, data_digests):
-            self.installed[mu.theta.s] = (mu.tau, data_digest)
+            self.installed[mu.theta.s] = mu.tau
             self.world.install_log.append(
                 (self.world.now, self.vin, self.ecu, mu.theta.s,
                  mu.tau.v, data_digest))

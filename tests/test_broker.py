@@ -287,4 +287,4 @@ def test_hit_preseed_caches_the_buckets_the_repository_serves():
     station = built.stations[0]
     for item in built.items:
         cached = station.cache_get(item.software, item.version)
-        assert cached is built.repo.entries[item.manifest.l].image.buckets()
+        assert cached is built.repo.entries[item.manifest.l].buckets()

@@ -88,12 +88,9 @@ def test_ingestion_appends_role_signatures_in_order():
     rig.repo.store(image, mu, "producer0")
     replies = _submit(rig, mu)
     assert replies[0][0] == "manifest_accepted"
-    signed = rig.director.catalog["sw0"][-1]
+    signed = rig.director.catalog["sw0"]
     assert [e.signer_id for e in signed.sigma] == \
         ["producer0", "sud.targets", "sud.timestamp", "sud.root"]
-    # Inventory updated for the registered vehicle.
-    record = rig.director.fleet[VIN]
-    assert signed in record.l_e["primary"]
 
 
 class _DelayFirstFetchOk:
@@ -377,10 +374,9 @@ def test_status_reply_carries_the_new_copy_after_a_rebundle():
                                            + fresh._sections())
 
 
-def test_inventory_export_is_deterministic():
+def test_the_catalog_keeps_only_the_latest_manifest_of_each_software():
     rig = Rig()
     rig.director.register_vehicle(VIN, _initial("sw0"))
-    rig.seed_update("sw0")
-    assert rig.director.export_inventory() == \
-        rig.director.export_inventory()
-    assert "sw0 v2" in rig.director.export_inventory()
+    rig.seed_update("sw0", version=2)
+    signed, _ = rig.seed_update("sw0", version=3)
+    assert rig.director.catalog == {"sw0": signed}

@@ -13,6 +13,7 @@ import pytest
 from ota_stations import messages, simnet
 from ota_stations.scenario import ScenarioConfig, _image_bytes, build_scenario
 from ota_stations.suites import family_config
+from ota_stations.vehicle import PendingItem
 
 
 def _cellular_config(vehicles: int) -> ScenarioConfig:
@@ -117,8 +118,15 @@ def test_a_build_with_large_images_holds_each_image_once():
 
 
 def test_image_bytes_are_shared_by_every_holder():
+    # A primary drops an item once it installs, so the chunks it keeps are
+    # read as each image completes.
     built = build_scenario(_mixed_config())
-    pushed = []
+    kept, pushed = [], []
+    for primary in built.vehicles:
+        def image_complete(item, result, original=primary._image_complete):
+            original(item, result)
+            kept.extend(chunk for _, chunk, _ in item.buckets)
+        primary._image_complete = image_complete
     for secondaries in built.secondaries.values():
         for ecu in secondaries:
             def on_install_group(env, ecu=ecu,
@@ -134,9 +142,6 @@ def test_image_bytes_are_shared_by_every_holder():
     cached = [chunk for station in built.stations
               for buckets, _ in station.cache.values()
               for _, chunk, _ in buckets]
-    kept = [chunk for primary in built.vehicles
-            for item in primary.pending.values()
-            for _, chunk, _ in item.buckets]
     assert cached and kept and pushed
     for chunk in cached + kept + pushed:
         assert isinstance(chunk, memoryview) and chunk.readonly
@@ -212,8 +217,7 @@ def test_an_image_and_its_split_form_no_reference_cycle():
 def _kept_state(ignitions: int, live_publish: bool) -> Counter:
     """Entries in every container an actor, a director's fleet record, or
     the world's key registry holds after a run of `ignitions` per vehicle,
-    by (class, attribute).  A vehicle's `records` are output, and are left
-    out."""
+    by (class, attribute)."""
     config = ScenarioConfig(
         vehicles=20, stations=1, coverage_pct=50, bundle_bytes=1_000_000,
         image_count=5, ignition_period_ms=10_000, ignition_limit=ignitions,
@@ -227,16 +231,33 @@ def _kept_state(ignitions: int, live_publish: bool) -> Counter:
     sizes = Counter()
     for holder in holders:
         for name, value in vars(holder).items():
-            if isinstance(value, (dict, list, set, deque)) \
-                    and name != "records":
+            if isinstance(value, (dict, list, set, deque)):
                 sizes[type(holder).__name__, name] += len(value)
     return sizes
 
 
+def test_a_finished_run_keeps_fewer_than_100_objects_per_vehicle():
+    # What the build and the run leave live, with the collector on.  A
+    # vehicle keeps its inventory, last status exchange and bundle copies,
+    # but no installed item, ignition log or manifest history: 82.8 tracked
+    # objects per vehicle on Python 3.11 and 92.9 on 3.10.
+    config = ScenarioConfig(
+        name="live-set", vehicles=320, stations=1, coverage_pct=0,
+        bundle_bytes=1_000_000, image_count=5)
+    gc.collect()
+    before = len(gc.get_objects())
+    built = build_scenario(config)
+    built.world.run(config.horizon_ms)
+    gc.collect()
+    per_vehicle = (len(gc.get_objects()) - before) / config.vehicles
+    assert len(built.world.install_log) == 5 * config.vehicles
+    assert per_vehicle < 100, per_vehicle
+
+
 @pytest.mark.parametrize("live_publish", [False, True])
 def test_kept_state_does_not_grow_with_run_length(live_publish):
-    # No record of past status exchanges is kept.  The trace and each vehicle's
-    # ignition times are output.  The key registry keeps one entry per key
+    # No record of past status exchanges or ignitions is kept, and the trace
+    # is output.  The key registry keeps one entry per key
     # and no verdict; each key pair's signing memo (`KeyPair._signed`) is
     # also the registry's record of what that key issued, and still grows.
     short, long = _kept_state(10, live_publish), _kept_state(40, live_publish)
@@ -274,11 +295,12 @@ def test_no_actor_keeps_a_reply_to_the_directors_retried_fetches():
 
 
 def test_a_finished_download_is_dropped():
-    # Once an item's image is complete, its `_Download`, and the closure
-    # cycle through the item, are freed.
+    # Once an item's group installs, the primary drops the item, and with it
+    # its buckets, its `Received` and its finished `_Download`.
     built = build_scenario(_mixed_config())
     built.world.run(built.config.horizon_ms)
-    items = [item for primary in built.vehicles
-             for item in primary.pending.values()]
-    assert items and all(item.buckets is not None for item in items)
-    assert [item for item in items if item.download is not None] == []
+    assert len(built.world.install_log) == 12 and not built.all_alerts()
+    assert all(primary.pending == {} for primary in built.vehicles)
+    assert [obj for obj in _reachable(built.world.actors.values())
+            if isinstance(obj, (PendingItem, messages.Received,
+                                simnet._Download))] == []

@@ -1,3 +1,4 @@
+import functools
 import heapq
 import importlib.util
 import inspect
@@ -289,28 +290,52 @@ def _load_workloads():
     return module.WORKLOADS
 
 
-def test_every_retried_request_goes_to_an_idempotent_handler(monkeypatch):
-    retried = set()
+@functools.lru_cache(maxsize=None)
+def _requests() -> frozenset:
+    """Every distinct `Actor.request` call of the four benchmark workloads
+    at seed 0 and of one config per attack family, as (sender class,
+    receiver class, kind, timeout_ms, retries, whether `on_fail` is
+    given)."""
+    calls = set()
     signature = inspect.signature(Actor.request)
     original = Actor.request
 
     def request(self, *args, **kwargs):
         call = signature.bind(self, *args, **kwargs)
         call.apply_defaults()
-        if call.arguments["timeout_ms"] is not None \
-                and call.arguments["retries"] > 0:
-            receiver = self.world.actors.get(call.arguments["dst"])
-            retried.add((type(self).__name__, type(receiver).__name__,
-                         call.arguments["kind"]))
+        arg = call.arguments
+        receiver = self.world.actors.get(arg["dst"])
+        calls.add((type(self).__name__, type(receiver).__name__, arg["kind"],
+                   arg["timeout_ms"], arg["retries"],
+                   arg["on_fail"] is not None))
         return original(self, *args, **kwargs)
 
-    monkeypatch.setattr(Actor, "request", request)
     configs = [config for workload in _load_workloads().values()
                for config in workload(0)]
     configs += [family_config(0, label) for label in ATTACK_LABELS]
-    for config in configs:
-        build_scenario(config).world.run(config.horizon_ms)
+    Actor.request = request
+    try:
+        for config in configs:
+            build_scenario(config).world.run(config.horizon_ms)
+    finally:
+        Actor.request = original
+    return frozenset(calls)
+
+
+def test_every_retried_request_goes_to_an_idempotent_handler():
+    retried = {(sender, receiver, kind)
+               for sender, receiver, kind, timeout_ms, retries, _
+               in _requests() if timeout_ms is not None and retries > 0}
     assert retried == IDEMPOTENT_RETRIED, retried
+
+
+def test_every_failure_callback_belongs_to_a_timed_request():
+    # `on_fail` runs only when a timeout fires, so an untimed request that
+    # passes one would keep it, and all it refers to, until the reply.
+    untimed = {(sender, receiver, kind)
+               for sender, receiver, kind, timeout_ms, _, on_fail
+               in _requests() if on_fail and timeout_ms is None}
+    assert untimed == set(), untimed
 
 
 def test_trace_csv_rows_shape():

@@ -91,7 +91,7 @@ def _primary_accepts(rig, bundle, image):
 def _secondary_accepts(rig, bundle, image):
     secondary = SecondaryEcu(VIN, ECU, rig.world, rig.trust,
                              rig.keys[f"{VIN}.{ECU}"],
-                             {"sw0": (INITIAL_TAU, None)}, untrusted=True)
+                             {"sw0": INITIAL_TAU}, untrusted=True)
     replies = _capture(secondary)
     endorsed = msg.endorse_for_ecu(bundle, ECU,
                                    rig.keys[msg.ROLE_IDS["targets"]])

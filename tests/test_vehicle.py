@@ -8,14 +8,14 @@ from ota_stations.simnet import FETCH_RETRIES, Envelope
 from ota_stations.vehicle import SecondaryEcu, VehiclePrimary, group_digest
 
 
-def _primary(rig, initial, **kwargs):
+def _primary(rig, initial, secondaries=(), **kwargs):
     key = rig.add_key(f"{VIN}.primary")
     rig.registry.add(KeyPair(VIN, key.public_key, b"", key.scheme))
     return VehiclePrimary(
         VIN, rig.world, rig.trust, key,
         sud="sud0", sud_link=rig.link("v-sud"),
         repo="repo0", repo_link=rig.link("v-repo"),
-        initial=initial, secondaries={}, **kwargs)
+        initial=initial, secondaries=secondaries, **kwargs)
 
 
 def _register(rig, software="sw0"):
@@ -68,8 +68,45 @@ def _lib_then_app(rig, vehicle, published=False):
     return [(ecu, s, v) for _, _, ecu, s, v, _ in rig.world.install_log]
 
 
-def _lib_and_app():
-    return {s: ("primary", msg.TimestampRecord(1, 1)) for s in ("lib", "app")}
+def _lib_and_app(ecu="primary"):
+    return {s: (ecu, msg.TimestampRecord(1, 1)) for s in ("lib", "app")}
+
+
+def _one_group_run(rig, vehicle, ecu):
+    """Bundles `app` v2, which depends on `lib`, with `lib` v2 for `ecu`,
+    so that both form one install group.  The vehicle ignites at 10 ms.
+    Runs the world and returns the install log's (ecu, software, version)
+    rows."""
+    rig.seed_update("lib", ecu=ecu)
+    rig.seed_update("app", ecu=ecu, deps=("lib",))
+    bundle = rig.director.resolve_and_bundle("app", VIN[:11])
+    assert [m.theta.s for m in bundle.manifests] == ["app", "lib"]
+    rig.world.schedule(10.0, vehicle.ignition)
+    rig.world.run()
+    assert not vehicle.alerts
+    return [(ecu, s, v) for _, _, ecu, s, v, _ in rig.world.install_log]
+
+
+def test_a_primary_group_installs_a_dependency_before_its_dependent():
+    rig = Rig()
+    rig.director.register_vehicle(VIN, _lib_and_app())
+    vehicle = _primary(rig, _lib_and_app())
+    assert _one_group_run(rig, vehicle, "primary") == [
+        ("primary", "lib", 2), ("primary", "app", 2)]
+
+
+def test_a_secondary_group_installs_a_dependency_before_its_dependent():
+    rig = Rig()
+    rig.director.register_vehicle(VIN, _lib_and_app("sec"))
+    secondary = SecondaryEcu(
+        VIN, "sec", rig.world, rig.trust, rig.add_key(f"{VIN}.sec"),
+        {s: msg.TimestampRecord(1, 1) for s in ("lib", "app")})
+    vehicle = _primary(rig, _lib_and_app("sec"),
+                       secondaries={"sec": (secondary.name, rig.link("iv"))})
+    assert _one_group_run(rig, vehicle, "sec") == [
+        ("sec", "lib", 2), ("sec", "app", 2)]
+    assert {s: tau.v for s, tau in secondary.installed.items()} == {
+        "lib": 2, "app": 2}
 
 
 def test_dependency_bundle_installs_after_its_dependency_over_cellular():
@@ -276,8 +313,8 @@ def test_image_deadline_reset_keeps_the_station_reply_in_flight():
 def _secondary(rig, untrusted=False, installed_version=1, **kwargs):
     rig.add_key(f"{VIN}.primary")
     key = rig.add_key(f"{VIN}.sec")
-    initial = {"sw0": (msg.TimestampRecord(installed_version,
-                                           installed_version), None)}
+    initial = {"sw0": msg.TimestampRecord(installed_version,
+                                          installed_version)}
     return SecondaryEcu(VIN, "sec", rig.world, rig.trust, key, initial,
                         untrusted=untrusted, flash_latency_ms=1.0, **kwargs)
 
@@ -309,7 +346,7 @@ def test_secondary_installs_valid_group():
     sec.on_install_group(_install_env(rig, ((mu, image.buckets()),)))
     rig.world.run()
     assert replies[0][0] == "install_ok"
-    assert sec.installed["sw0"][0].v == 2
+    assert sec.installed["sw0"].v == 2
     assert rig.world.install_log[0][2:5] == ("sec", "sw0", 2)
 
 
@@ -323,7 +360,7 @@ def test_secondary_group_is_all_or_nothing():
     sec.on_install_group(_install_env(rig, items))
     rig.world.run()
     assert replies[0] == ("install_err", {"reason": "integrity"})
-    assert sec.installed["sw0"][0].v == 1        # the good half not applied
+    assert sec.installed["sw0"].v == 1        # the good half not applied
     assert "sw1" not in sec.installed
     assert rig.world.install_log == []
 
@@ -340,7 +377,7 @@ def test_secondary_rejects_stale_and_foreign_signer():
     sec.on_install_group(
         _install_env(rig, ((fresh, image.buckets()),), signer=mallory))
     assert replies[-1] == ("install_err", {"reason": "primary_auth"})
-    assert sec.installed["sw0"][0].v == 3
+    assert sec.installed["sw0"].v == 3
 
 
 def test_untrusted_secondary_requires_endorsed_bundle():
@@ -357,7 +394,7 @@ def test_untrusted_secondary_requires_endorsed_bundle():
     sec.on_install_group(_install_env(rig, ((mu, image.buckets()),), endorsed))
     rig.world.run()
     assert replies[-1][0] == "install_ok"
-    assert sec.installed["sw0"][0].v == 2
+    assert sec.installed["sw0"].v == 2
 
 
 def test_untrusted_secondary_rejects_bad_relays_and_times_out():
