@@ -168,9 +168,6 @@ class Station(Actor):
             self.cache.move_to_end((software, version))
         return buckets
 
-    def cache_dump(self):
-        return sorted((s, v, size) for (s, v), (_, size) in self.cache.items())
-
     # -- prefetch (publishing step 5 tail) ---------------------------------
 
     def on_prefetch(self, env: Envelope):

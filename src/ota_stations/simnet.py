@@ -13,7 +13,7 @@ before any event runs, and it touches no actor, link or heap.
 Events run in (time, seq) order, where seq is the order in which they were
 scheduled: of two events due at the same instant, the one scheduled first
 runs first.  A flow start or finish costs O(log n) for the n flows on its
-link, which keeps a virtual clock and a heap of finish tags (see `Link`),
+link, which keeps a virtual clock and one heap of its flows (see `Link`),
 and O(1) heap pushes; a link arms one finisher, so the heap holds
 O(links + timers) entries.  A link completes its flows in finish-tag
 order, and a run ends at its last event.  A virtual clock rounds
@@ -22,12 +22,12 @@ differ from one in its last bits.
 
 One delivered message costs one `Envelope` and one `TraceRecord` row,
 beside its heap entries.  A heap entry carries its event's argument, and so
-does a flow: its link calls the world back with the envelope when the last
-bit is sent.  A link arms its finisher with its generation, an int, and a
-timed request's entry holds its request id beside its `Timer`.  The world,
-each link and each actor bind these callbacks once, so no `partial`,
-closure, method object or tuple is made to carry a flow, arm a finisher or
-time a request.
+does a flow's one entry on its link's heap: the link calls the world back
+with the envelope when the last bit is sent.  A link arms its finisher with
+its generation, an int, and a timed request's entry holds its request id
+beside its `Timer`.  The world, each link and each actor bind these
+callbacks once, so no `partial`, closure or method object is made to carry
+a flow, arm a finisher or time a request.
 """
 from __future__ import annotations
 
@@ -68,26 +68,25 @@ class Link:
     & Shenker, SIGCOMM 1989; Parekh & Gallager, ToN 1993).  `_v` counts the
     bits sent to each active flow since the link was last empty.  A flow of
     `b` bits started at `_v` gets the finish tag `_v + b`, and its remaining
-    bits are its tag minus `_v`.  Flows with equal tags share one group, a
-    flat list of (callback, argument) pairs in start order, and `_tags` is a
-    heap of the distinct tags.  A flow start or finish adds the bits sent
-    since the last update to `_v`, pushes or pops a tag, and reads the first
-    finish from the heap's top: O(log n) for n flows.  `_v` goes back to 0
-    when the link empties.
+    bits are its tag minus `_v`.  `_flows` is one heap of (tag, generation
+    at start, callback, argument) entries, one per flow; the generation
+    grows with every start, so it orders equal tags by start.  A flow start
+    or finish adds the bits sent since the last update to `_v`, pushes or
+    pops an entry, and reads the first finish from the heap's top: O(log n)
+    for n flows.  `_v` goes back to 0 when the link empties.
 
-    A link arms one finisher event, for the first-started flow of the
-    smallest tag, with the link's generation as its argument; a newer
-    generation disarms any earlier one.  So flows complete in tag order,
-    fewest remaining bits first, as in the fluid model, and flows with equal
-    tags complete in start order.  A link belongs to one world, which it
-    keeps from its flows' starts for its finisher.
+    A link arms one finisher event, for the flow at the heap's top, with
+    the link's generation as its argument; a newer generation disarms any
+    earlier one.  So flows complete in tag order, fewest remaining bits
+    first, as in the fluid model, and flows with equal tags complete in
+    start order.  A link belongs to one world, which it keeps from its
+    flows' starts for its finisher.
     """
 
     def __init__(self, name: str, profile: LinkProfile):
         self.name = name
         self.profile = profile
-        self._tags: list = []   # heap of the distinct finish tags
-        self._flows: dict = {}  # tag -> [on_done, arg, on_done, arg, ...]
+        self._flows: list = []  # heap of (tag, generation, on_done, arg)
         self._count = 0
         self._v = self._rate = self._last_t = 0.0
         self._gen = 0
@@ -101,13 +100,8 @@ class Link:
         `on_done()` when `arg` is None."""
         self._world = world
         self._drain(world.now)
-        tag = self._v + size_bytes * 8
-        group = self._flows.get(tag)
-        if group is None:
-            self._flows[tag] = [on_done, arg]
-            heapq.heappush(self._tags, tag)
-        else:
-            group += (on_done, arg)
+        heapq.heappush(self._flows, (self._v + size_bytes * 8, self._gen,
+                                     on_done, arg))
         self._count += 1
         self._rebalance(world)
 
@@ -123,24 +117,18 @@ class Link:
             self._v = 0.0
             return
         rate = self._rate = self.profile.bandwidth_bps / self._count
-        bits = self._tags[0] - self._v
+        bits = self._flows[0][0] - self._v
         if bits < 0.0:  # sent with a rounding surplus
             bits = 0.0
         world._schedule_raw(world.now + bits / rate * 1000.0,
                             self._finish_cb, self._gen)
 
     def _finish(self, gen: int):
-        """The finisher armed at generation `gen`: complete the
-        first-started flow of the smallest tag unless disarmed."""
+        """The finisher armed at generation `gen`: complete the flow at the
+        heap's top unless disarmed."""
         if gen != self._gen:
             return
-        tags = self._tags
-        group = self._flows[tags[0]]
-        on_done, arg = group[0], group[1]
-        if len(group) == 2:
-            del self._flows[heapq.heappop(tags)]
-        else:
-            del group[:2]
+        _, _, on_done, arg = heapq.heappop(self._flows)
         self._count -= 1
         world = self._world
         self._drain(world.now)
@@ -447,12 +435,12 @@ class Actor:
         elif pending.on_fail is not None:
             pending.on_fail()
 
-    def reply(self, env: Envelope, kind: str, payload, size: int,
-              link: Optional[Link] = None):
-        """Answer request `env`.  The reply is not kept: a retransmission of
-        `env` reaches the handler again, which answers it anew."""
+    def reply(self, env: Envelope, kind: str, payload, size: int):
+        """Answer request `env` on the link it came by.  The reply is not
+        kept: a retransmission of `env` reaches the handler again, which
+        answers it anew."""
         self.world.send(Envelope(self.name, env.src, kind, payload, size,
-                                 link or env.link, None, env.req_id))
+                                 env.link, None, env.req_id))
 
     def reply_buckets(self, env: Envelope, kind: str, buckets: tuple, **extra):
         """Answer a download request `env` with `buckets` from its

@@ -60,6 +60,9 @@ class VehiclePrimary(Actor):
     """Primary ECU; the actor name is the VIN.  An update stays `pending`
     until its group installs, and `inventory` then refuses it."""
 
+    # An unanswered `session_open` sends the station queue cellular.
+    SESSION_TIMEOUT_MS = 30_000.0
+
     def __init__(self, vin: str, world: World, trust: msg.TrustContext,
                  key: KeyPair, sud: str, sud_link: Link,
                  repo: str, repo_link: Link, initial: dict, secondaries: dict,
@@ -281,7 +284,9 @@ class VehiclePrimary(Actor):
         nonce = self.world.rng.randbytes(msg.NONCE_LEN)
         self.request(self.station, "session_open", {"nonce": nonce}, 96,
                      self.station_link,
-                     on_reply=lambda r: self._on_session(r, nonce))
+                     on_reply=lambda r: self._on_session(r, nonce),
+                     on_fail=self._session_failed,
+                     timeout_ms=self.SESSION_TIMEOUT_MS)
 
     def _on_session(self, env: Envelope, nonce: bytes):
         if env.kind != "session_ok" or not self.trust.signed_by(
@@ -293,7 +298,8 @@ class VehiclePrimary(Actor):
         self._station_next()
 
     def _session_failed(self):
-        # Revoked or impostor station: everything queued goes cellular.
+        # Revoked, impostor or silent station: everything queued goes
+        # cellular.
         queue, self._station_queue = self._station_queue, []
         for item in queue:
             self._cellular(item)

@@ -66,12 +66,14 @@ def test_reinsert_counts_an_entry_once():
         == b"4" * 300
 
 
-def test_cache_dump_is_sorted():
+def test_cache_keeps_each_image_size_in_insertion_order():
     rig = Rig()
     station = _station(rig, capacity=10_000)
     station.cache_insert("b", 1, _buckets(b"x" * 10))
     station.cache_insert("a", 2, _buckets(b"y" * 20))
-    assert station.cache_dump() == [("a", 2, 20), ("b", 1, 10)]
+    assert [(key, size) for key, (_, size) in station.cache.items()] == [
+        (("b", 1), 10), (("a", 2), 20)]
+    assert station.occupancy == 30
 
 
 # ---------------------------------------------------------------------------
@@ -274,7 +276,7 @@ def test_image_larger_than_the_cache_is_served_pass_through():
     # served by the station and installed.
     assert report.cache_counts == {"hit": 0, "miss": 4, "unknown": 0}
     assert report.install_count == 4 and report.alert_count == 0
-    assert built.stations[0].cache_dump() == []
+    assert not built.stations[0].cache
     assert report.bytes_by_class.get("cellular", 0) < 100_000
 
 

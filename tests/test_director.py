@@ -74,9 +74,9 @@ def _submit(rig, mu, producer="producer0"):
 def _capture_reply(actor, sink):
     original = type(actor).reply
 
-    def wrapper(env, kind, payload, size, link=None):
+    def wrapper(env, kind, payload, size):
         sink.append((kind, payload))
-        return original(actor, env, kind, payload, size, link)
+        return original(actor, env, kind, payload, size)
 
     return wrapper
 

@@ -27,7 +27,7 @@ def _fetch(rig, mu):
     env = Envelope("sud0", "repo0", "fetch", {"l": mu.l, "credential": mu},
                    96, rig.link("x"), req_id=rig.world.next_req_id())
     sent = []
-    rig.repo.reply = lambda e, kind, payload, size, link=None: \
+    rig.repo.reply = lambda e, kind, payload, size: \
         sent.append(Envelope("repo0", e.src, kind, payload, size, e.link,
                              reply_to=e.req_id))
     rig.repo.on_fetch(env)

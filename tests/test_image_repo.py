@@ -119,9 +119,9 @@ def _fetch(rig, location, credential, requester="sud0", from_index=0):
                    96, rig.link("x"), req_id=rig.world.next_req_id())
     replies = []
     original = type(rig.repo).reply
-    rig.repo.reply = lambda e, kind, payload, size, link=None: (
+    rig.repo.reply = lambda e, kind, payload, size: (
         replies.append((kind, payload)),
-        original(rig.repo, e, kind, payload, size, link))
+        original(rig.repo, e, kind, payload, size))
     rig.repo.on_fetch(env)
     return replies[0]
 

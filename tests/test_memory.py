@@ -154,7 +154,7 @@ def test_image_bytes_are_shared_by_every_holder():
 
 def test_finished_run_leaves_every_link_empty():
     # A run that ends before its horizon has completed every flow, and no
-    # link keeps the finish tag, the tag group or the callback of one.
+    # link keeps the heap entry, finish tag or callback of one.
     built = build_scenario(_mixed_config())
     built.world.run(built.config.horizon_ms)
     assert not built.world.horizon_reached
@@ -163,7 +163,7 @@ def test_finished_run_leaves_every_link_empty():
     assert {link.profile.cls for link in links} == {
         simnet.CELLULAR, simnet.ENGINE_CABLE, simnet.STATION_WIRE,
         simnet.IN_VEHICLE}
-    assert all(link._count == 0 and link._tags == [] and link._flows == {}
+    assert all(link._count == 0 and link._flows == []
                for link in links)
 
 

@@ -462,7 +462,7 @@ def test_forged_total_does_not_stall_a_download():
 
 
 # ---------------------------------------------------------------------------
-# A virtual clock and a heap of finish tags, against an update of each flow
+# A virtual clock and one heap of flows, against an update of each flow
 # ---------------------------------------------------------------------------
 
 class _ReferenceLink(Link):
@@ -601,14 +601,13 @@ def test_link_matches_reference_model_within_rounding():
 
 
 def _bits_left(link):
-    """Each flow's remaining bits, in tag order.  A tag's group holds a
-    (callback, argument) pair per flow."""
-    return [max(tag - link._v, 0.0) for tag in sorted(link._flows)
-            for _ in link._flows[tag][::2]]
+    """Each flow's remaining bits, in tag order.  A flow's heap entry starts
+    with its tag."""
+    return [max(entry[0] - link._v, 0.0) for entry in sorted(link._flows)]
 
 
 def _link_is_empty(link):
-    return link._count == 0 and link._tags == [] and link._flows == {}
+    return link._count == 0 and link._flows == []
 
 
 def test_flow_started_as_another_drains():
@@ -666,7 +665,7 @@ def test_flow_event_changes_logarithmically_many_heap_slots(n):
     # n flows of distinct sizes share a link.  A flow smaller than all of
     # them climbs to the heap's top, and the first finish moves the last tag
     # there and down again: each changes at most 2 * ceil(log2 n) + 2 slots
-    # of the tag heap.
+    # of the link's heap of flows.
     world = World(seed=1)
     link = _link(10.0, 0.0)
     done = []
@@ -674,18 +673,18 @@ def test_flow_event_changes_logarithmically_many_heap_slots(n):
         link.start_flow(world, size, lambda: done.append(world.now))
     bound = 2 * math.ceil(math.log2(n)) + 2
 
-    before = list(link._tags)
+    before = list(link._flows)
     link.start_flow(world, 1, lambda: done.append(world.now))
-    assert _changed_slots(before, link._tags) <= bound
-    assert link._tags[0] == 8.0 and len(link._tags) == n + 1
+    assert _changed_slots(before, link._flows) <= bound
+    assert link._flows[0][0] == 8.0 and len(link._flows) == n + 1
 
-    before = list(link._tags)
+    before = list(link._flows)
     while not done:  # run one live finisher; disarmed ones change nothing
         at, _, fn, arg, _ = heapq.heappop(world._heap)
         world.now = at
         fn(arg)
-    assert 0 < _changed_slots(before, link._tags) <= bound
-    assert len(link._tags) == n and link._count == n
+    assert 0 < _changed_slots(before, link._flows) <= bound
+    assert len(link._flows) == n and link._count == n
 
 
 def test_rounded_tie_goes_to_fewest_bits():
@@ -721,11 +720,11 @@ def test_rounded_tie_completes_in_tag_order_then_start_order():
         for n, size in enumerate(sizes):
             link.start_flow(world, size,
                             lambda n=n: done.append((n, world.now)))
-        tags.extend(link._tags)
+        tags.extend(entry[0] for entry in link._flows)
 
     world.schedule(1e10, start)
     world.run()
-    assert len(tags) == 5
+    assert len(tags) == 7 and len(set(tags)) == 5
     assert done == [(n, 1e10) for n in (4, 3, 2, 5, 6, 1, 0)]
     assert world.now == 1e10 and _link_is_empty(link)
 
@@ -734,15 +733,16 @@ def test_ties_anywhere_in_the_heap_complete_in_size_then_start_order():
     # At 1e12 ms half a step of the clock is 6.1e-5 ms, and 40 flows of at
     # most 150 bytes shared on 1 Tbps take at most 4.8e-5 ms: all are due at
     # 1e12 ms and complete by size, equal sizes in start order.  Each
-    # completion pops the heap's top, and the heap must stay one.
+    # completion pops the heap's top, and the entries must stay a heap.
     world = World(seed=1)
     link = Link("l", LinkProfile(1e12, 0.0))
     sizes = random.Random(3).choices(range(1, 151), k=40)
     done = []
 
     def on_done(n):
-        tags = link._tags
-        assert all(tags[(i - 1) // 2] <= tags[i] for i in range(1, len(tags)))
+        flows = link._flows
+        assert all(flows[(i - 1) // 2] <= flows[i]
+                   for i in range(1, len(flows)))
         done.append(n)
 
     def start():

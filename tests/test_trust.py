@@ -42,9 +42,8 @@ def _bundled(case):
 def _capture(actor):
     replies = []
     original = actor.reply
-    actor.reply = lambda env, kind, payload, size, link=None: (
-        replies.append((kind, payload)),
-        original(env, kind, payload, size, link))
+    actor.reply = lambda env, kind, payload, size: (
+        replies.append((kind, payload)), original(env, kind, payload, size))
     return replies
 
 

@@ -3,7 +3,9 @@ from ota_stations import messages as msg
 from ota_stations.adversary import AttackRule
 from ota_stations.broker import Station, UpdateEngine
 from ota_stations.crypto import KeyPair, digest, sign
-from ota_stations.scenario import ScenarioConfig, build_scenario, run_scenario
+from ota_stations.scenario import (ScenarioConfig, build_scenario,
+                                   collect_report, liveness_failures,
+                                   run_scenario)
 from ota_stations.simnet import FETCH_RETRIES, Envelope
 from ota_stations.vehicle import SecondaryEcu, VehiclePrimary, group_digest
 
@@ -236,6 +238,22 @@ def test_station_session_failure_falls_back_to_cellular():
     assert rep.bytes_by_class.get("cellular", 0) > 0
 
 
+def test_an_unanswered_session_falls_back_to_cellular():
+    # No `session_ok` arrives and no image deadline is set: the session
+    # request times out and sends the queued images cellular.
+    config = ScenarioConfig(
+        name="silent-station", bundle_bytes=200_000, image_count=2,
+        coverage_pct=100, horizon_ms=600_000,
+        attacks=(AttackRule("drop", message_kinds=frozenset({"session_ok"})),))
+    built = build_scenario(config)
+    built.world.run(config.horizon_ms)
+    rep = collect_report(built)
+    assert rep.install_count == 2 and rep.alert_count == 0
+    assert liveness_failures(built) == []
+    assert all(rec.kind != "session_ok" for rec in built.world.trace)
+    assert rep.bytes_by_class.get("cellular", 0) > 0
+
+
 def _one_image_run(attacks, image_deadline_ms: float):
     """One vehicle downloading one 1 MB station-cached image under
     `attacks`; returns the scenario and the vehicle's (kind, from_index)
@@ -332,9 +350,8 @@ def _install_env(rig, items, bundle=None, signer=None):
 def _capture(actor):
     replies = []
     original = actor.reply
-    actor.reply = lambda env, kind, payload, size, link=None: (
-        replies.append((kind, payload)), original(env, kind, payload, size,
-                                                  link))
+    actor.reply = lambda env, kind, payload, size: (
+        replies.append((kind, payload)), original(env, kind, payload, size))
     return replies
 
 
