@@ -150,7 +150,10 @@ def replace_env(env: Envelope, payload, size: Optional[int] = None) -> Envelope:
 # Payload mutators
 # ---------------------------------------------------------------------------
 
-def _flip(data: bytes) -> bytes:
+def _flip(data) -> bytes:
+    """`data`'s bytes with the first one flipped.  `data` is `bytes` or a
+    chunk, whose bytes are made here."""
+    data = bytes(data)
     if not data:
         return data
     return bytes([data[0] ^ 0xFF]) + data[1:]
@@ -177,7 +180,8 @@ def _tamper(payload):
             return {**payload, "bundle": _tamper_bundle(payload["bundle"])}
         if isinstance(payload.get("image"), msg.UpdateImage):
             image = payload["image"]
-            return {**payload, "image": replace(image, data=_flip(image.data))}
+            return {**payload,
+                    "image": replace(image, source=_flip(image.data))}
         return None
     if isinstance(payload, msg.StatusReport):
         return replace(payload,

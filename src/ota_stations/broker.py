@@ -3,8 +3,9 @@ bundle validation, download authorization) and the update stations
 (LRU-cached image serving with hit/miss/unknown outcomes).
 
 A station holds each image as its verified (index, chunk, chunk digest)
-bucket tuple, whose chunks are views of the repository's bytes: the tuple
-it downloaded, or the repository's own split for an image cached at build.
+bucket tuple, whose chunks are lazy views of the repository's image
+source, holding no bytes: the tuple it downloaded, or the repository's own
+split for an image cached at build.
 
 Non-hit downloads flow station <- image repository over the station cable
 after the engine issues a delegated download grant; the engine itself is

@@ -31,17 +31,17 @@ which for HMAC are the SHA-256 states of the key's inner and outer pads
 outside the region, so appending one gives an instance that shares both,
 and each region is hashed once per world.  So is each grant and
 endorsement digest of a bundle, per subject, and the digest of each status
-entry, which the entry keeps.  An image's digest is kept on the object
-that owns its bytes:
+entry, which the entry keeps.  An image's digest is kept on the image:
 `messages.UpdateImage.data_digest`, which the build computes for the
 manifest, and the image's split, which carries it
-(`messages.split_buckets`).  So each image buffer is hashed once per
-world; a sender's own chunk and whole image are recognised by identity,
-and a bucket digest is computed only to check a foreign chunk.  `digest`
-itself keeps no state.  A failed check or a refused input is never turned
-into a pass: a signature passes without the provider only when it is the
-exact bytes its registered key issued, and an image digest is kept only
-with the immutable bytes it was computed from.
+(`messages.split_buckets`).  A built image has no buffer: `digest`
+streams its virtual source once, block by block, so each image is hashed
+once per world; a sender's own chunk and whole image are recognised by
+identity, and a bucket digest is computed only to check a foreign chunk.
+`digest` itself keeps no state.  A failed check or a refused input is
+never turned into a pass: a signature passes without the provider only
+when it is the exact bytes its registered key issued, and an image digest
+is kept only with the immutable source it was computed from.
 
 Registries, key pairs and images each belong to one world, so every memo
 lives and dies with it; none lives at module level.  Simulated time
@@ -59,9 +59,19 @@ DIGEST_LEN = 32
 _BLOCK = 64                 # SHA-256 block size, bytes
 
 
-def digest(data: bytes) -> bytes:
-    """32-byte content digest used everywhere a hash appears on the wire."""
-    return hashlib.sha256(data).digest()
+def digest(data) -> bytes:
+    """32-byte content digest used everywhere a hash appears on the wire.
+
+    `data` is a buffer, hashed in one call, or an image's virtual byte
+    source, which has no buffer and is hashed block by block as it yields
+    its bytes (`scenario.ImageSource`), so its bytes are never whole."""
+    try:
+        return hashlib.sha256(data).digest()
+    except TypeError:
+        state = hashlib.sha256()
+        for block in data:
+            state.update(block)
+        return state.digest()
 
 
 @dataclass(frozen=True, slots=True)

@@ -33,6 +33,7 @@ from __future__ import annotations
 import operator
 import struct
 from dataclasses import dataclass, field
+from itertools import chain, repeat
 from typing import Optional, Union
 
 from .crypto import (DIGEST_LEN, PROVIDERS, KeyPair, KeyRegistry,
@@ -211,8 +212,17 @@ class StatusReport(_WireMessage):
 
 @dataclass(frozen=True)
 class UpdateImage:
+    """An update image: its software id, its byte source and the size of
+    the buckets it is served in.
+
+    The source is `bytes`, or a virtual source whose bytes are made only
+    when read (`scenario.ImageSource`): a sized object that gives `bytes`
+    for a slice and yields its bytes, in blocks, when iterated.  So no image
+    needs a buffer that lives as long as the world, and `len(image.source)`
+    sizes an image without making its bytes."""
+
     s: str
-    data: bytes
+    source: object         # bytes, or a virtual byte source
     bucket_size: int = DEFAULT_BUCKET_SIZE
     _buckets: Optional[tuple] = field(default=None, init=False, repr=False,
                                       compare=False)
@@ -220,35 +230,37 @@ class UpdateImage:
                                      compare=False)
 
     @property
-    def data_digest(self) -> bytes:
-        """The digest of `data`, hashed on first use.  It is kept only when
-        `data` is immutable `bytes`; any other buffer is hashed on every
-        call.  `replace` gives a new instance, which hashes its own bytes.
+    def data(self) -> bytes:
+        """The image's bytes, made on this read and not kept."""
+        return self.source[:]
 
-        `build_scenario` calls this for an image of at least 1 MiB on its
-        one helper thread, right after generating the image, and joins that
-        thread before it reads the digest for the manifest.  Either thread
-        hashes through this module's `digest` binding, so a traced or
-        counted `digest` sees every image hash, and a read that finds no
-        kept digest hashes the bytes itself."""
+    @property
+    def data_digest(self) -> bytes:
+        """The digest of the image's bytes, hashed on first use: in one
+        call for `bytes`, and streamed block by block through `digest` for
+        a virtual source, whose bytes are never whole.  It is kept unless
+        the source is a mutable buffer, which is hashed on every call.
+        `replace` gives a new instance, which hashes its own bytes.
+        `build_scenario` reads it for the manifest, so a built image is
+        hashed once, by the build."""
         if self._digest is not None:
             return self._digest
-        data_digest = digest(self.data)
-        if type(self.data) is bytes:
+        data_digest = digest(self.source)
+        if not isinstance(self.source, (bytearray, memoryview)):
             object.__setattr__(self, "_digest", data_digest)
         return data_digest
 
     def buckets(self) -> tuple:
         """The image's (index, chunk, chunk digest) buckets, split on first
-        use and shared by every later caller.  The chunks are read-only
-        views of `data` and their digests are lazy (see `split_buckets`).
-        When `data_digest` was computed before the split (the build computes
-        it for the manifest), the split carries it as the digest of its
-        whole image.  So no receiver hashes a genuine chunk or the image;
-        a bucket digest is computed only to check a foreign chunk."""
+        use and shared by every later caller.  The chunks are lazy views of
+        the source and their digests are lazy (see `split_buckets`).  When
+        `data_digest` was computed before the split (the build computes it
+        for the manifest), the split carries it as the digest of its whole
+        image.  So no receiver hashes a genuine chunk or the image; a bucket
+        digest is computed only to check a foreign chunk."""
         if self._buckets is None:
             object.__setattr__(self, "_buckets", tuple(split_buckets(
-                self.data, self.bucket_size, self._digest)))
+                self.source, self.bucket_size, self._digest)))
         return self._buckets
 
 
@@ -666,54 +678,77 @@ def assert_status_fresh_at_primary(new: TimestampRecord,
 # Bucketed downloads
 # ---------------------------------------------------------------------------
 
-def split_buckets(data: bytes, bucket_size: int,
+def split_buckets(data, bucket_size: int,
                   data_digest: Optional[bytes] = None):
     """Fixed-size chunks with per-bucket digests; concatenation is identity.
 
-    Each chunk is a read-only `memoryview` slice of `data`, not a copy, and
-    the image's immutable `bytes` is the view's `.obj`.  Receivers keep
-    these very chunk objects, so an image's bytes exist once per world:
-    every holder refers to the buffer the producer generated.  No chunk is
-    hashed here: each bucket's digest is a lazy `ChunkDigest` of its chunk,
-    and all of them share the split's (chunks, `data_digest`) pair, so a
-    receiver accepts the sender's own chunk by identity (`Received.add`)
-    and the sender's whole image by that digest (`image_digest`).
-    `data_digest` is the digest of `data` when `data` is immutable `bytes`,
-    and None otherwise or when unknown.  A chunk the adversary changes is a new object, so it is
-    hashed and compared with the value its genuine bucket hashes.  The
-    split refers to the bytes, never to the image holding them.
+    `data` is an image's byte source (see `UpdateImage`).  Each chunk is a
+    lazy `Chunk` view of it, which holds no bytes, so an image's bytes are
+    made only where something reads them.  Receivers keep these very chunk
+    objects.  No chunk is hashed here: each bucket's digest is a lazy
+    `ChunkDigest` of its chunk, and all of them share the split's (chunks,
+    `data_digest`) pair, so a receiver accepts the sender's own chunk by
+    identity (`Received.add`) and the sender's whole image by that digest
+    (`image_digest`).  `data_digest` is the digest of `data` when `data` is
+    immutable, and None otherwise or when unknown.  A chunk the adversary
+    changes is a new object, so it is hashed and compared with the value
+    its genuine bucket hashes.  The split refers to the source, never to
+    the image holding it.  Chunks and digests are built in C (`map`, `zip`),
+    with no interpreted step per chunk.
     """
     if bucket_size < 1:
         raise ValueError("bucket_size must be >= 1")
-    view = memoryview(data).toreadonly()
-    chunks = tuple(view[i:i + bucket_size]
-                   for i in range(0, max(len(data), 1), bucket_size))
+    size = len(data)
+    starts = range(0, max(size, 1), bucket_size)
+    chunks = tuple(map(Chunk, zip(repeat(data), starts,
+                                  chain(starts[1:], (size,)))))
     split = (chunks, data_digest)
-    return [(i, chunk, ChunkDigest(chunk, split))
-            for i, chunk in enumerate(chunks)]
+    return list(zip(range(len(chunks)), chunks,
+                    map(ChunkDigest, zip(chunks, repeat(split)))))
 
 
-class ChunkDigest:
-    """The digest of one split chunk, hashed on first use and kept, and the
-    (chunks, digest of their concatenation) pair of the split it came from.
+class Chunk(tuple):
+    """Bytes `start` to `stop` of a byte source, as a (source, start, stop)
+    triple, made only when read: `bytes(chunk)` slices the source, and
+    `len(chunk)` is the count of those bytes.
+
+    One type serves virtual and `bytes` sources alike.  It is a tuple only
+    so that a split builds its chunks in C; `bucket_bytes` reads the bounds
+    in C too, since `len` would call `__len__` once per chunk."""
+
+    __slots__ = ()
+    source = property(operator.itemgetter(0))
+    start = property(operator.itemgetter(1))
+    stop = property(operator.itemgetter(2))
+
+    def __bytes__(self) -> bytes:
+        source, start, stop = self
+        return source[start:stop]
+
+    def __len__(self) -> int:
+        return self.stop - self.start
+
+
+class ChunkDigest(tuple):
+    """The digest of one split chunk, as a (chunk, split) pair: the chunk,
+    and the (chunks, digest of their concatenation) pair of the split it
+    came from.  The value is hashed on first use and kept.
 
     It equals itself without hashing, so a receiver's check of a sender's
     own bucket costs nothing.  Compared with `bytes` or with another
-    `ChunkDigest`, it compares `value`, which hashes the chunk once.
-    `bytes()` gives that value.
+    `ChunkDigest`, it compares `value`, which makes the chunk's bytes and
+    hashes them once.  `bytes()` gives that value.  Like `Chunk`, it is a
+    tuple only so that a split builds it in C.
     """
 
-    __slots__ = ("chunk", "split", "_value")
-
-    def __init__(self, chunk, split: tuple = ((), None)):
-        self.chunk = chunk
-        self.split = split
-        self._value: Optional[bytes] = None
+    chunk = property(operator.itemgetter(0))
+    split = property(operator.itemgetter(1))
+    _value: Optional[bytes] = None
 
     @property
     def value(self) -> bytes:
         if self._value is None:
-            self._value = digest(self.chunk)
+            self._value = digest(bytes(self.chunk))
         return self._value
 
     def __eq__(self, other):
@@ -733,26 +768,35 @@ class ChunkDigest:
 
 
 _chunk_of = operator.itemgetter(1)  # the chunk of a bucket
+_start_of = operator.itemgetter(1)  # the start of a chunk
+_stop_of = operator.itemgetter(2)   # the stop of a chunk
 
 
 def bucket_bytes(buckets) -> int:
-    """The chunk bytes of (index, chunk, chunk digest) `buckets`, summed in
-    C, with no interpreted step per bucket."""
-    return sum(map(len, map(_chunk_of, buckets)))
+    """The chunk bytes of (index, chunk, chunk digest) `buckets`, whose
+    chunks are a sender's `Chunk`s, summed in C from their bounds, with no
+    interpreted step per bucket."""
+    return (sum(map(_stop_of, map(_chunk_of, buckets)))
+            - sum(map(_start_of, map(_chunk_of, buckets))))
+
+
+def joined_bytes(buckets) -> bytes:
+    """The concatenated bytes of the chunks of (index, chunk, digest)
+    `buckets`, made here."""
+    return b"".join(map(bytes, map(_chunk_of, buckets)))
 
 
 def image_digest(buckets) -> bytes:
     """The digest of the concatenated chunks of (index, chunk, digest)
     `buckets`: the split's digest, unhashed, when the chunks are in order
-    every chunk of one split (by identity: `==` would compare a view's
-    contents), else computed while the chunks are joined."""
-    if buckets and isinstance(buckets[0][2], ChunkDigest):
+    every chunk of one split (by identity: `==` would compare their
+    bounds), else computed over their joined bytes."""
+    if buckets and type(buckets[0][2]) is ChunkDigest:
         chunks, data_digest = buckets[0][2].split
         if data_digest is not None and len(chunks) == len(buckets) \
-                and all(map(operator.is_, chunks,
-                            (chunk for _, chunk, _ in buckets))):
+                and all(map(operator.is_, chunks, map(_chunk_of, buckets))):
             return data_digest
-    return digest(b"".join(chunk for _, chunk, _ in buckets))
+    return digest(joined_bytes(buckets))
 
 
 @dataclass(frozen=True, slots=True)
@@ -770,11 +814,13 @@ class Received:
 
     Each chunk is checked against its digest when it arrives: a sender's
     own split chunk matches its own bucket's digest by identity, with no
-    hashing; any other chunk is hashed, and so is the genuine chunk behind
-    the digest it claims (once, on that bucket's `ChunkDigest`).  A bucket
+    hashing; any other chunk has its bytes made and hashed, and so has the
+    genuine chunk behind the digest it claims (once, on that bucket's
+    `ChunkDigest`).  A bucket
     whose chunk does not match its digest is not kept, and a later bucket
-    for an index replaces the earlier one.  A kept bucket is the sender's own (index, chunk, digest)
-    tuple, so its chunk stays a view of the sender's image.
+    for an index replaces the earlier one.  A kept bucket is the sender's
+    own (index, chunk, digest) tuple, so its chunk stays a view of the
+    sender's image source, and no bytes are made for it.
     `assemble_buckets` sets `complete` once the image completes, and
     empties `buckets` when all are present but the image is wrong.
     """
@@ -791,9 +837,9 @@ class Received:
         bad = []
         for bucket in buckets:
             index, chunk, chunk_digest = bucket
-            if (isinstance(chunk_digest, ChunkDigest)
+            if (type(chunk_digest) is ChunkDigest
                     and chunk_digest.chunk is chunk) \
-                    or digest(chunk) == chunk_digest:
+                    or digest(bytes(chunk)) == chunk_digest:
                 self.buckets[index] = bucket
             else:
                 bad.append(index)

@@ -20,13 +20,9 @@ attack rule.  Unknown keys are rejected before the simulation starts.
 """
 from __future__ import annotations
 
-import contextlib
 import hashlib
-import io
-import queue
 import struct
-import threading
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from typing import Optional
 
 from . import messages as msg
@@ -275,7 +271,7 @@ class Producer(Actor):
         self.request(
             self.repo, "store_image",
             {"image": image, "manifest": mu, "producer": self.name},
-            len(image.data) + 256, self.repo_link,
+            len(image.source) + 256, self.repo_link,
             on_reply=lambda r: self._announce(mu, image, attempt)
             if r.kind == "store_ok" else self._retry(mu, image, attempt),
             on_fail=lambda: self._retry(mu, image, attempt),
@@ -378,77 +374,82 @@ def _mix_labels(config: ScenarioConfig, served_count: int) -> list:
 
 
 _IMAGE_RUN = 4096  # keyed bytes drawn for one image; each run ends in its offset
+# The most bytes one iteration makes: 124 KiB, under glibc's default 128 KiB
+# mmap threshold, so a block reuses heap memory instead of page-faulting a
+# fresh mapping.
+_IMAGE_BLOCK = 31 * _IMAGE_RUN
 
 
-def _image_bytes(key: bytes, size: int) -> bytes:
-    """`size` image bytes that depend on `key` alone.
+@dataclass(frozen=True, slots=True)
+class ImageSource:
+    """The bytes of one built image, `size` bytes that depend on `key`
+    alone, made only when read.
 
-    SHAKE-128 draws one run of `min(size, 4 KiB)` bytes from the key, and
-    the run is tiled to `size` by doubling buffer copies.  The last 8 bytes
-    of every 4 KiB run are then the run's offset, big-endian, written as 8
-    strided byte columns, so no two runs of one image are equal, nor two
-    buckets that hold a whole run.  The keyed bytes come first, so images
-    shorter than a run differ by key.  The bytes are written into one
-    buffer of exactly `size` bytes, which `getvalue` hands over without a
-    copy: the build's peak holds each image once.
+    SHAKE-128 draws one run of 4 KiB from the key, and the image tiles it;
+    the last 8 bytes of every 4 KiB run are then the run's offset,
+    big-endian, so no two runs of one image are equal, nor two buckets that
+    hold a whole run.  The keyed bytes come first, so images shorter than a
+    run differ by key (a shorter draw is a prefix of a longer one).
+
+    A slice gives `bytes` (`source[:]` the whole image), and iterating
+    gives the bytes in blocks of at most 124 KiB, made one at a time,
+    which is how `crypto.digest` hashes a source.  The run is drawn on the
+    first read and kept, since drawing it costs more than tiling a bucket;
+    no image byte is kept between reads.
     """
-    first = _IMAGE_RUN - 8  # where run 0's offset stamp starts
-    offsets = range(0, size - first, _IMAGE_RUN)
-    # Packed before the buffer exists, so the transient tuple of offsets
-    # never adds to a peak that holds the image.
-    stamps = struct.pack(f">{len(offsets)}Q", *offsets)
-    run = hashlib.shake_128(key).digest(min(size, _IMAGE_RUN))
-    out = io.BytesIO()
-    out.seek(size - 1)
-    out.write(b"\0")  # sizes the buffer once, to exactly `size` bytes
-    with out.getbuffer() as buf:
-        filled = len(run)
-        buf[:filled] = run
-        while filled < size:
-            n = min(filled, size - filled)
-            buf[filled:filled + n] = buf[:n]
-            filled += n
-        for b in range(8):
-            count = len(range(first + b, size, _IMAGE_RUN))
-            buf[first + b::_IMAGE_RUN] = stamps[b:8 * count:8]
-    return out.getvalue()
+
+    key: bytes
+    size: int
+    _run: Optional[bytes] = field(default=None, init=False, repr=False,
+                                  compare=False)
+
+    def __len__(self) -> int:
+        return self.size
+
+    def __getitem__(self, index: slice) -> bytes:
+        start, stop, step = index.indices(self.size)
+        if step != 1:
+            raise ValueError("an image source is sliced with step 1")
+        base = start - start % _IMAGE_RUN
+        runs = _image_runs(self._keyed_run(), base, stop)
+        return bytes(memoryview(runs)[start - base:stop - base])
+
+    def __iter__(self):
+        run = self._keyed_run()
+        for start in range(0, self.size, _IMAGE_BLOCK):
+            stop = min(start + _IMAGE_BLOCK, self.size)
+            yield memoryview(_image_runs(run, start, stop))[:stop - start]
+
+    def _keyed_run(self) -> bytes:
+        if self._run is None:
+            object.__setattr__(self, "_run", hashlib.shake_128(
+                self.key).digest(_IMAGE_RUN))
+        return self._run
 
 
-# Images this large are hashed on the build's helper thread while the
-# next one is generated; handing a smaller one over costs more than it saves.
-_HASH_AHEAD_BYTES = 1 << 20
-
-
-def _hash_ahead(todo: queue.SimpleQueue, taken: threading.Semaphore):
-    """The build's helper thread: for each image put on `todo` until None,
-    release `taken`, then compute and keep the image's `data_digest`.
-
-    A failed hash is left to the manifest's read of `data_digest`, which
-    hashes on the build's thread and raises any error that persists; so
-    the helper takes every image, and the build never waits on it forever.
-    """
-    for image in iter(todo.get, None):
-        taken.release()
-        with contextlib.suppress(Exception):
-            image.data_digest
+def _image_runs(run: bytes, base: int, stop: int) -> bytearray:
+    """The image's whole runs from offset `base`, a multiple of 4 KiB,
+    through the run that holds byte `stop - 1`: `run` tiled, and the last
+    8 bytes of each run its offset, big-endian, written as 8 strided byte
+    columns."""
+    count = (stop - base + _IMAGE_RUN - 1) // _IMAGE_RUN if stop > base else 0
+    out = bytearray(run) * count
+    stamps = struct.pack(f">{count}Q", *range(base, base + count * _IMAGE_RUN,
+                                              _IMAGE_RUN))
+    for b in range(8):
+        out[_IMAGE_RUN - 8 + b::_IMAGE_RUN] = stamps[b::8]
+    return out
 
 
 def build_scenario(config: ScenarioConfig) -> Scenario:
     """Build the world of `config`: keys, actors, links, images, signed
     manifests and the fleet, preseeded unless `live_publish` is set.
 
-    Images are generated one after another on this thread.  Each image of
-    at least 1 MiB is handed, as soon as its bytes exist, to one helper
-    thread that computes its `data_digest` (`hashlib` releases the GIL)
-    while this thread generates the next; the hand-over waits until the
-    helper has taken the image.  That thread is started, before the first
-    image is generated, only when some image is that large, and is joined
-    before any manifest is built, also on error.  The manifests then read
-    each image's `data_digest`; an image the helper did not hash is hashed
-    there, so the result never depends on the helper.  While the helper
-    hashes, this thread makes no call that `perfbench/tracer.py` wraps, so
-    spans and counts stay exact.  Nothing after the join, and nothing in
-    `World.run`, uses a second thread.
+    Each image is an `ImageSource`, whose bytes are made only when read.
+    The build reads them once, to stream them through `digest` for the
+    manifest, and the image keeps that digest.  Nothing keeps the bytes,
+    so the build holds about three 124 KiB blocks of image bytes at most,
+    whatever the images' sizes, and runs on one thread.
     """
     config.validate()
     world = World(seed=config.seed)
@@ -509,41 +510,13 @@ def build_scenario(config: ScenarioConfig) -> Scenario:
     labels = _mix_labels(config, served_count)
     sizes = [per_image] * (config.image_count - 1)
     sizes.append(config.bundle_bytes - sum(sizes))
-    images: list = []
-    helper = None
-    if max(sizes) >= _HASH_AHEAD_BYTES:
-        # Started before the first image is generated, so that it waits on
-        # `todo` by the first hand-over and then wakes on an idle CPU.  A
-        # thread started at the hand-over would first run on this thread's
-        # CPU while this thread waits, which can move this thread to
-        # another CPU for the rest of the build and the run.
-        todo, taken = queue.SimpleQueue(), threading.Semaphore(0)
-        helper = threading.Thread(target=_hash_ahead, args=(todo, taken))
-        helper.start()
-    try:
-        for i, size in enumerate(sizes):
-            software = f"sw{i}"
-            data = _image_bytes(b"image:" + seed_bytes + software.encode(),
-                                size)
-            image = msg.UpdateImage(software, data, config.bucket_size)
-            images.append(image)
-            if size >= _HASH_AHEAD_BYTES:
-                todo.put(image)
-                # Wait, without the GIL, until the helper has taken the
-                # image: were this thread in a long buffer copy when the
-                # helper needs the GIL to start the hash, the helper would
-                # wait out the interpreter's 5 ms switch interval.  A hash
-                # that outlasts the next image's generation ends while this
-                # thread waits here again, so it too finds the GIL free.
-                taken.acquire()
-    finally:
-        if helper is not None:
-            todo.put(None)
-            helper.join()
     items: list = []
     truth: dict = {}
-    for i, image in enumerate(images):
-        software = image.s
+    for i, size in enumerate(sizes):
+        software = f"sw{i}"
+        image = msg.UpdateImage(
+            software, ImageSource(b"image:" + seed_bytes + software.encode(),
+                                  size), config.bucket_size)
         ecu = ecus[i % len(ecus)]
         version = 2
         location = location_for("repo0", software, version)

@@ -4,11 +4,9 @@ a request/reply layer with bounded retransmission, and the one resumable
 image download that vehicles, stations and the director share, whether
 they pull from a repository or from a station.
 
-A world's event loop is strictly single-threaded, so identical (scenario,
-seed) pairs produce identical event traces.  The one other thread a world
-ever sees is `build_scenario`'s helper, which hashes large images while the
-build generates the next one; it is joined before the build returns, so
-before any event runs, and it touches no actor, link or heap.
+A world is built and run on one thread, and its event loop is strictly
+single-threaded, so identical (scenario, seed) pairs produce identical
+event traces.
 
 Events run in (time, seq) order, where seq is the order in which they were
 scheduled: of two events due at the same instant, the one scheduled first

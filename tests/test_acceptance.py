@@ -205,8 +205,7 @@ def _check_bucket_cases(count=1000, seed=77):
         if received.add(shuffled):
             return False
         result = msg.assemble_buckets(received, mu, len(buckets))
-        if result is None or b"".join(
-                chunk for _, chunk, _ in result.buckets) != data:
+        if result is None or msg.joined_bytes(result.buckets) != data:
             return False
     return True
 

@@ -62,7 +62,7 @@ def test_reinsert_counts_an_entry_once():
     assert station.occupancy == sum(size for _, size in station.cache.values())
     assert station.occupancy == 700
     assert station.cache_get("a", 1) is not None
-    assert b"".join(chunk for _, chunk, _ in station.cache_get("b", 1)) \
+    assert msg.joined_bytes(station.cache_get("b", 1)) \
         == b"4" * 300
 
 

@@ -454,12 +454,12 @@ def test_repeated_scenario_does_the_same_crypto_and_codec_work(monkeypatch):
                      encodes["sha256_bytes"]))
         # Each image keeps its own digest, and every split this world made
         # holds only views of this world's images.
-        images = {id(item.image.data) for item in built.items}
+        sources = {id(item.image.source) for item in built.items}
         assert all(item.image._digest == item.manifest.theta.h
                    for item in built.items)
         splits = [chunk_digest.split for item in built.items
                   for _, _, chunk_digest in item.image._buckets or ()]
-        assert splits and all(id(chunk.obj) in images
+        assert splits and all(id(chunk.source) in sources
                               and split_digest is not None
                               for chunks, split_digest in splits
                               for chunk in chunks)

@@ -1,20 +1,21 @@
-"""How often image bytes are hashed: the build hashes each image buffer
-once per world (an image of at least 1 MiB on its helper thread) and the
-image keeps that digest; senders split it once into buckets whose digests
-are lazy and share the split's chunks and image digest.  Every later
+"""How often image bytes are hashed: the build streams each image's bytes
+through SHA-256 once per world, in blocks, and the image keeps that digest;
+senders split it once into buckets whose chunks are lazy views and whose
+digests are lazy and share the split's chunks and image digest.  Every later
 check reads those: the repository's store check reads the image's digest,
 an arriving chunk matches its own bucket's digest by identity, and a whole
 image that is, in order, every chunk of one split gets the split's
 digest.  A bucket digest is computed only to check a
-foreign chunk.  Installs reuse the digest of the bytes they install.
-Bytes that fail a check are hashed every time and never kept."""
+foreign chunk, whose bytes are made for that check.  Installs reuse the
+digest of the bytes they install.  Bytes that fail a check are hashed
+every time and never kept."""
 import hashlib
 
 from helpers import Rig
 from ota_stations import (broker, crypto, director, image_repo, messages,
                           scenario, vehicle)
 from ota_stations.adversary import Adversary, AttackRule, _tamper
-from ota_stations.scenario import ScenarioConfig, build_scenario
+from ota_stations.scenario import ImageSource, ScenarioConfig, build_scenario
 from ota_stations.simnet import Envelope
 
 DIGEST_SITES = (crypto, messages, vehicle, broker, director, image_repo,
@@ -57,7 +58,7 @@ def test_tampered_fetch_leaves_the_shared_buckets_intact():
     assert received.add(_fetch(rig, mu).payload["buckets"]) == []
     result = messages.assemble_buckets(received, mu, 4)
     assert isinstance(result, messages.Complete)
-    assert b"".join(chunk for _, chunk, _ in result.buckets) == image.data
+    assert messages.joined_bytes(result.buckets) == image.data
 
 
 def test_tampered_chunk_is_a_new_object_and_fails_its_digest():
@@ -69,8 +70,8 @@ def test_tampered_chunk_is_a_new_object_and_fails_its_digest():
     assert action == "modify"
     index, chunk, chunk_digest = tampered.payload["buckets"][0]
     original = reply.payload["buckets"][0][1]
-    assert chunk is not original and not isinstance(chunk, memoryview)
-    assert original.obj is image.data
+    assert chunk is not original and not isinstance(chunk, messages.Chunk)
+    assert original.source is image.source
     assert crypto.digest(chunk) != chunk_digest
     assert messages.Received().add(tampered.payload["buckets"]) == [index]
 
@@ -82,8 +83,8 @@ def test_tampered_chunk_is_a_new_object_and_fails_its_digest():
     assert flipped[0][1] is not buckets[0][1]
     assert flipped[0][2] is buckets[0][2]
     assert all(a is b for a, b in zip(flipped[1:], buckets[1:]))
-    assert crypto.digest(b"".join(c for _, c, _ in flipped)) != mu.theta.h
-    assert crypto.digest(b"".join(c for _, c, _ in buckets)) == mu.theta.h
+    assert crypto.digest(messages.joined_bytes(flipped)) != mu.theta.h
+    assert crypto.digest(messages.joined_bytes(buckets)) == mu.theta.h
     assert messages.image_digest(flipped) != mu.theta.h
 
 
@@ -99,10 +100,10 @@ def test_chunk_digest_bytes_are_the_chunk_digest():
     data = bytes(range(256)) * 700
     for _, chunk, chunk_digest in messages.split_buckets(data, 65536):
         assert isinstance(chunk_digest, messages.ChunkDigest)
-        assert bytes(chunk_digest) == crypto.digest(chunk)
-        assert chunk_digest == crypto.digest(chunk)
-        assert hash(chunk_digest) == hash(crypto.digest(chunk))
-    assert messages.ChunkDigest(b"") == crypto.digest(b"")
+        assert bytes(chunk_digest) == crypto.digest(bytes(chunk))
+        assert chunk_digest == crypto.digest(bytes(chunk))
+        assert hash(chunk_digest) == hash(crypto.digest(bytes(chunk)))
+    assert messages.ChunkDigest((b"", ((), None))) == crypto.digest(b"")
 
 
 def test_split_hashes_nothing_and_a_bucket_digest_hashes_once(monkeypatch):
@@ -111,8 +112,8 @@ def test_split_hashes_nothing_and_a_bucket_digest_hashes_once(monkeypatch):
     assert hashed == []
     _, chunk, chunk_digest = buckets[0]
     assert chunk_digest == chunk_digest and hashed == []
-    assert chunk_digest == messages.ChunkDigest(chunk)
-    assert bytes(chunk_digest) == crypto.digest(chunk)
+    assert chunk_digest == messages.ChunkDigest((chunk, ((), None)))
+    assert bytes(chunk_digest) == crypto.digest(bytes(chunk))
     # Each of the two digests hashed the chunk once, and keeps the value.
     assert [len(data) for data in hashed] == [len(chunk)] * 2
 
@@ -131,11 +132,11 @@ def test_flipped_bucket_with_its_genuine_digest_costs_two_bucket_hashes(
     hashed = _count_messages_digest(monkeypatch)
     received = messages.Received()
     assert received.add(tampered.payload["buckets"]) == [0]
-    # The flipped chunk and the genuine chunk behind its claimed digest,
-    # not the whole image.
+    # The flipped chunk and the bytes of the genuine chunk behind its
+    # claimed digest, made for this check, not the whole image.
     assert len(hashed) == 2
     assert hashed[0] is flipped[1]
-    assert hashed[1] is genuine[1]
+    assert hashed[1] == bytes(genuine[1])
     assert sorted(received.buckets) == [1, 2, 3]
 
 
@@ -144,7 +145,7 @@ def test_genuine_chunk_under_a_forged_digest_is_refused():
     mu, _ = rig.seed_update("sw0", size=200_000)
     buckets = _fetch(rig, mu).payload["buckets"]
     index, chunk, chunk_digest = buckets[1]
-    genuine = crypto.digest(chunk)
+    genuine = crypto.digest(bytes(chunk))
     forged = genuine[:-1] + bytes([genuine[-1] ^ 1])
     received = messages.Received()
     assert received.add([(index, chunk, forged)]) == [index]
@@ -165,7 +166,7 @@ def test_warm_memo_never_launders_bad_bytes(monkeypatch):
                       messages.Complete)
 
     index, chunk, chunk_digest = buckets[0]
-    mutated = bytes(chunk[:-1]) + bytes([chunk[-1] ^ 1])
+    mutated = bytes(chunk)[:-1] + bytes([bytes(chunk)[-1] ^ 1])
     # Forging from the genuine value hashes the genuine chunk once, before
     # the checks below are counted.
     genuine = bytes(chunk_digest)
@@ -176,10 +177,12 @@ def test_warm_memo_never_launders_bad_bytes(monkeypatch):
         # is hashed on every check and refused.
         assert messages.Received().add(
             [(index, mutated, chunk_digest)]) == [index]
-        # A genuine chunk under a forged `bytes` digest is hashed, since
-        # only its own bucket's digest matches it by identity, and refused.
+        # A genuine chunk under a forged `bytes` digest has its bytes made
+        # and hashed, since only its own bucket's digest matches it by
+        # identity, and is refused.
         assert messages.Received().add([(index, chunk, forged)]) == [index]
-    assert [id(data) for data in hashed] == [id(mutated), id(chunk)] * 2
+    assert [data is mutated for data in hashed] == [True, False] * 2
+    assert hashed[1] == hashed[3] == bytes(chunk)
 
     # Another image's genuine chunks pass their own digests but do not make
     # up this manifest's image.
@@ -229,7 +232,7 @@ def test_prefix_of_a_split_is_not_given_the_split_digest():
     for n in range(1, len(buckets)):
         prefix = buckets[:n]
         assert messages.image_digest(prefix) == crypto.digest(
-            b"".join(chunk for _, chunk, _ in prefix)) != mu.theta.h
+            messages.joined_bytes(prefix)) != mu.theta.h
 
 
 def _small_config(**kwargs):
@@ -243,10 +246,10 @@ def _small_config(**kwargs):
 
 
 def _both_image_sizes(**kwargs):
-    """`_small_config`'s 300 KB images, hashed where the manifests are
-    built, and two 1.2 MB ones, which the build's helper thread hashes."""
+    """`_small_config`'s 300 KB images, each hashed in one block, and two
+    1.2 MB ones, each streamed through SHA-256 in two blocks."""
     large = _small_config(bundle_bytes=2_400_000, image_count=2, **kwargs)
-    assert large.bundle_bytes // 2 >= scenario._HASH_AHEAD_BYTES
+    assert large.bundle_bytes // 2 > scenario._IMAGE_BLOCK
     return _small_config(**kwargs), large
 
 
@@ -259,8 +262,8 @@ def test_install_log_records_digest_of_installed_bytes():
         def install_local(group, primary=primary, original=original):
             for p in group:
                 flashed.append((primary.vin, vehicle.PRIMARY_ECU,
-                                p.mu.theta.s, hashlib.sha256(b"".join(
-                                    c for _, c, _ in p.buckets)).digest()))
+                                p.mu.theta.s, hashlib.sha256(
+                                    messages.joined_bytes(p.buckets)).digest()))
             original(group)
         primary._install_local = install_local
     for secondaries in built.secondaries.values():
@@ -270,8 +273,8 @@ def test_install_log_records_digest_of_installed_bytes():
             def flash(env, items, data_digests, ecu=ecu, original=original):
                 for mu, buckets in items:
                     flashed.append((ecu.vin, ecu.ecu, mu.theta.s,
-                                    hashlib.sha256(b"".join(
-                                        c for _, c, _ in buckets)).digest()))
+                                    hashlib.sha256(messages.joined_bytes(
+                                        buckets)).digest()))
                 original(env, items, data_digests)
             ecu._flash = flash
     built.world.run(built.config.horizon_ms)
@@ -287,7 +290,7 @@ def _count_hashing(monkeypatch, config):
     Returns the scenario, the bytes hashed that lie inside an image
     (control-plane digests, over signed regions and nonces, are not
     counted), those of them hashed inside `World.run`, the bytes split
-    into buckets, and how often each image's whole buffer was hashed."""
+    into buckets, and how often each image's whole source was hashed."""
     hashed = []
     counts = {"image": 0, "split": 0}
     real_digest, real_split = crypto.digest, messages.split_buckets
@@ -307,16 +310,18 @@ def _count_hashing(monkeypatch, config):
     built_hashes = len(hashed)
     built.world.run(config.horizon_ms)
     monkeypatch.undo()
-    images = [item.image.data for item in built.items]
+    sources = [item.image.source for item in built.items]
+    images = [source[:] for source in sources]
 
     def image_bytes(hashed):
         return sum(len(data) for data in hashed
-                   if any(data in image for image in images))
+                   if isinstance(data, ImageSource)
+                   or any(data in image for image in images))
 
     counts["image"] = image_bytes(hashed)
     counts["run_image"] = image_bytes(hashed[built_hashes:])
-    counts["whole"] = [sum(data is image for data in hashed)
-                       for image in images]
+    counts["whole"] = [sum(data is source for data in hashed)
+                       for source in sources]
     return built, counts
 
 
@@ -337,8 +342,8 @@ def test_each_image_byte_is_hashed_at_most_twice_per_receiving_hop(
         assert built.world.install_log and not built.all_alerts()
         # Senders split an image at most once each: the repository serves
         # every image, the station the ones it serves.
-        distinct = sum(len(item.image.data) for item in built.items)
-        served = sum(len(item.image.data) for item in built.items
+        distinct = sum(len(item.image.source) for item in built.items)
+        served = sum(len(item.image.source) for item in built.items
                      if item.station_served)
         assert counts["split"] <= distinct + served
         # A receiver hashes each chunk on arrival and the whole image once.
@@ -347,16 +352,15 @@ def test_each_image_byte_is_hashed_at_most_twice_per_receiving_hop(
 
 
 def test_each_distinct_image_is_hashed_once_per_world(monkeypatch):
-    """Each image buffer is hashed once, by the build for its manifest (on
-    the build's helper thread when it is at least 1 MiB); its split hashes
-    nothing.  The repository's store check (preseeded or
+    """Each image is hashed once, streamed by the build for its manifest;
+    its split hashes nothing.  The repository's store check (preseeded or
     live-published) reads the image's kept digest, and every receiving hop
     matches the sender's chunks and whole split by identity."""
     for live_publish in (False, True):
         for config in _both_image_sizes(live_publish=live_publish):
             built, counts = _count_hashing(monkeypatch, config)
             assert built.world.install_log and not built.all_alerts()
-            distinct = sum(len(item.image.data) for item in built.items)
+            distinct = sum(len(item.image.source) for item in built.items)
             assert counts["split"] <= distinct
             assert counts["image"] <= distinct, live_publish
             _assert_each_image_hashed_once(built, counts)

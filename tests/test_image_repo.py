@@ -70,7 +70,7 @@ def test_image_digest_is_the_digest_of_its_own_bytes(monkeypatch):
     assert image.data_digest == mu.theta.h
     # The adversary's store-image tamper: `replace` carries no digest onto
     # the flipped bytes.
-    tampered = replace(image, data=_flip(image.data))
+    tampered = replace(image, source=_flip(image.data))
     assert tampered.data_digest == digest(tampered.data) != mu.theta.h
     with pytest.raises(RepoError):
         rig.repo.store(tampered, mu, "producer0")
@@ -132,7 +132,7 @@ def test_fetch_with_producer_manifest_credential():
     rig.repo.store(image, mu, "producer0")
     kind, payload = _fetch(rig, mu.l, mu)
     assert kind == "fetch_ok"
-    data = b"".join(chunk for _, chunk, _ in payload["buckets"])
+    data = msg.joined_bytes(payload["buckets"])
     assert data == image.data
     assert payload["total"] == len(image.buckets())
 

@@ -1,17 +1,20 @@
-"""Memory stays bounded: an image's bytes exist once per world, every holder
-keeps read-only views of them, and a finished request leaves nothing
-behind for the cycle collector.  What a run keeps does not grow with how
-long it lasts."""
+"""Memory stays bounded: a built image's bytes are made only when read and
+kept by no one, every holder keeps lazy views of its source, and a finished
+request leaves nothing behind for the cycle collector.  What a run keeps
+does not grow with how long it lasts."""
 import gc
+import importlib.util
 import tracemalloc
 import types
 import weakref
 from collections import Counter, deque
+from pathlib import Path
 
 import pytest
 
-from ota_stations import messages, simnet
-from ota_stations.scenario import ScenarioConfig, _image_bytes, build_scenario
+from ota_stations import crypto, messages, scenario, simnet
+from ota_stations.adversary import AttackRule
+from ota_stations.scenario import ImageSource, ScenarioConfig, build_scenario
 from ota_stations.suites import family_config
 from ota_stations.vehicle import PendingItem
 
@@ -55,8 +58,8 @@ def _mixed_config(**kwargs) -> ScenarioConfig:
 
 
 def _reachable(roots):
-    """Every object reachable from `roots`, following closures and views
-    but not modules or classes."""
+    """Every object reachable from `roots`, following closures but not
+    modules or classes."""
     seen, stack = set(), list(roots)
     while stack:
         obj = stack.pop()
@@ -64,9 +67,7 @@ def _reachable(roots):
             continue
         seen.add(id(obj))
         yield obj
-        if isinstance(obj, memoryview):
-            stack.append(obj.obj)
-        elif isinstance(obj, types.FunctionType):
+        if isinstance(obj, types.FunctionType):
             stack.extend(cell.cell_contents for cell in obj.__closure__ or ())
             stack.extend(obj.__defaults__ or ())
         elif not isinstance(obj, (type, types.ModuleType)):
@@ -80,48 +81,78 @@ def _large_bytes(roots, min_len: int) -> list:
             if isinstance(obj, (bytes, bytearray)) and len(obj) >= min_len]
 
 
-def test_an_image_is_generated_without_a_second_copy():
-    # The build holds every image of a world at once, so a transient second
-    # copy while one image is made (a `join(...)[:size]` that copies, an
-    # int round trip) would show in the build's peak RSS.
-    size = 10_000_000
-    tracemalloc.start()
-    try:
-        before, _ = tracemalloc.get_traced_memory()
-        data = _image_bytes(b"image:0sw0", size)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert len(data) == size
-    assert peak - before < size + 128 * 1024, peak - before
-
-
-def test_a_build_with_large_images_holds_each_image_once():
-    # Both images are hashed on the build's helper thread.  tracemalloc
-    # traces every thread, so a copy of an image made there, or kept by the
-    # thread, would add 1.2 MB to the peak; the rest of this build (keys,
-    # actors, manifests, the thread itself) takes about 60 KB.
-    config = ScenarioConfig(
-        name="memory-build", vehicles=2, stations=1, bundle_bytes=2_400_000,
-        image_count=2, bucket_size=65536, secondaries_per_vehicle=1)
+def _traced_peak(fn) -> int:
+    """Peak bytes allocated while `fn()` runs, above what was live before."""
     gc.collect()
     tracemalloc.start()
     try:
         before, _ = tracemalloc.get_traced_memory()
-        built = build_scenario(config)
+        fn()
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    sizes = [len(item.image.data) for item in built.items]
-    assert sizes == [1_200_000] * 2
-    assert peak - before < sum(sizes) + 256 * 1024, peak - before - sum(sizes)
+    return peak - before
 
 
-def test_image_bytes_are_shared_by_every_holder():
+def test_an_image_is_generated_without_a_second_copy():
+    # Hashing streams an image's bytes one block at a time: a 10 MB image
+    # never exists whole.  At most the block last hashed, the next one
+    # and the runs it is joined from are alive.
+    source = ImageSource(b"image:0sw0", 10_000_000)
+    peak = _traced_peak(lambda: crypto.digest(source))
+    assert peak < 3 * scenario._IMAGE_BLOCK + 128 * 1024, peak
+
+
+def test_a_build_with_large_images_holds_each_image_once():
+    # At most once: the build hashes each image from its virtual source
+    # and keeps its digest, not its bytes, so no image is held at all.
+    config = ScenarioConfig(
+        name="memory-build", vehicles=2, stations=1, bundle_bytes=2_400_000,
+        image_count=2, bucket_size=65536, secondaries_per_vehicle=1)
+    peak = _traced_peak(lambda: build_scenario(config))
+    assert peak < 3 * scenario._IMAGE_BLOCK + 256 * 1024, peak
+
+
+def _workload(name: str) -> list:
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("_perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.WORKLOADS[name](0)
+
+
+def test_building_station_mix_peaks_under_4_mb():
+    # 100 MB of images, 10 MB each, streamed through SHA-256 in 124 KiB
+    # blocks; everything else the build makes is small.
+    config, = _workload("station_mix")
+    built = []
+    peak = _traced_peak(lambda: built.append(build_scenario(config)))
+    assert sum(len(item.image.source) for item in built[0].items) \
+        == 100_000_000
+    assert peak < 4_000_000, peak
+
+
+def _count_image_reads(monkeypatch) -> list:
+    """The (source, start, stop) of every read of a virtual image source."""
+    reads = []
+    getitem = ImageSource.__getitem__
+
+    def counting_getitem(source, index):
+        data = getitem(source, index)
+        start, stop, _ = index.indices(len(source))
+        reads.append((source, start, stop))
+        return data
+
+    monkeypatch.setattr(ImageSource, "__getitem__", counting_getitem)
+    return reads
+
+
+def _watch_holders(built) -> tuple:
+    """Lists that collect the chunks that primaries keep when an image
+    completes and the chunks they push to their secondaries."""
+    kept, pushed = [], []
     # A primary drops an item once it installs, so the chunks it keeps are
     # read as each image completes.
-    built = build_scenario(_mixed_config())
-    kept, pushed = [], []
     for primary in built.vehicles:
         def image_complete(item, result, original=primary._image_complete):
             original(item, result)
@@ -135,21 +166,59 @@ def test_image_bytes_are_shared_by_every_holder():
                               for _, chunk, _ in buckets)
                 original(env)
             ecu.on_install_group = on_install_group
-    built.world.run(built.config.horizon_ms)
-    assert len(built.world.install_log) == 12 and not built.all_alerts()
+    return kept, pushed
 
-    images = {id(item.image.data) for item in built.items}
+
+def test_image_bytes_are_shared_by_every_holder(monkeypatch):
+    # Every holder keeps lazy views of the repository's image sources, and
+    # an untampered run makes no image byte: no image bytes object or
+    # buffer of a bucket or more is reachable from an actor afterwards.
+    built = build_scenario(_mixed_config())
+    kept, pushed = _watch_holders(built)
+    reads = _count_image_reads(monkeypatch)
+    runs = []
+    image_runs = scenario._image_runs
+    monkeypatch.setattr(scenario, "_image_runs",
+                        lambda *args: runs.append(args) or image_runs(*args))
+    built.world.run(built.config.horizon_ms)
+    monkeypatch.undo()
+    assert len(built.world.install_log) == 12 and not built.all_alerts()
+    assert reads == [] and runs == []
+
+    sources = {id(item.image.source) for item in built.items}
     cached = [chunk for station in built.stations
               for buckets, _ in station.cache.values()
               for _, chunk, _ in buckets]
     assert cached and kept and pushed
     for chunk in cached + kept + pushed:
-        assert isinstance(chunk, memoryview) and chunk.readonly
-        assert id(chunk.obj) in images
+        assert isinstance(chunk, messages.Chunk)
+        assert id(chunk.source) in sources
 
-    smallest = min(len(item.image.data) for item in built.items)
-    held = _large_bytes(list(built.world.actors.values()), smallest)
-    assert held and all(id(data) in images for data in held)
+    assert _large_bytes(list(built.world.actors.values()),
+                        built.config.bucket_size) == []
+
+
+def test_a_tampered_run_makes_bytes_only_for_the_chunks_it_flips_or_checks(
+        monkeypatch):
+    # The adversary flips the first chunk of each image reply, and the
+    # receiver refuses it by making and hashing the genuine chunk's bytes
+    # once.  No other image byte is made.
+    config = _mixed_config(attacks=(AttackRule(
+        "tamper", message_kinds=frozenset({"fetch_ok", "serve_ok"}),
+        t_end=200_000.0),))
+    built = build_scenario(config)
+    reads = _count_image_reads(monkeypatch)
+    built.world.run(config.horizon_ms)
+    monkeypatch.undo()
+    flips = sum(rule == "tamper" for _, rule, _ in built.adversary.events)
+    assert flips > 0 and reads
+    bucket = config.bucket_size
+    assert all(start % bucket == 0 and stop == min(start + bucket, len(source))
+               for source, start, stop in reads)
+    # One read per flip, and one per genuine chunk whose digest a flip
+    # made a receiver compute, once.
+    genuine = {(id(source), start) for source, start, _ in reads}
+    assert len(reads) == flips + len(genuine)
 
 
 def test_finished_run_leaves_every_link_empty():

@@ -554,7 +554,7 @@ def test_freshness_rules_truth_table():
 def test_split_buckets_concatenation_identity():
     data = bytes(range(256)) * 5
     buckets = msg.split_buckets(data, 100)
-    assert b"".join(chunk for _, chunk, _ in buckets) == data
+    assert msg.joined_bytes(buckets) == data
     assert [i for i, _, _ in buckets] == list(range(len(buckets)))
 
 
@@ -579,7 +579,7 @@ def test_assemble_resume_and_complete():
     received = _received(buckets)
     done = msg.assemble_buckets(received, mu, 3)
     assert isinstance(done, msg.Complete) and received.complete
-    assert b"".join(chunk for _, chunk, _ in done.buckets) == data
+    assert msg.joined_bytes(done.buckets) == data
 
 
 def test_assemble_detects_corruption():
@@ -589,7 +589,7 @@ def test_assemble_detects_corruption():
     buckets = msg.split_buckets(data, 100)
     index, chunk, chunk_digest = buckets[1]
     received = msg.Received()
-    assert received.add([buckets[0], (index, b"EVIL" + chunk[4:],
+    assert received.add([buckets[0], (index, b"EVIL" + bytes(chunk)[4:],
                                        chunk_digest)]) == [index]
     assert msg.assemble_buckets(received, mu, 3) is None
     assert received.next_missing() == 1 and not received.complete

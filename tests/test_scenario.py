@@ -1,5 +1,3 @@
-import contextlib
-import faulthandler
 import hashlib
 import random
 import threading
@@ -8,8 +6,8 @@ import pytest
 
 from ota_stations import messages, scenario
 from ota_stations.adversary import AttackRule
-from ota_stations.scenario import (ConfigError, ScenarioConfig,
-                                   _image_bytes, _mix_labels, bandwidth_cost,
+from ota_stations.scenario import (ConfigError, ImageSource, ScenarioConfig,
+                                   _mix_labels, bandwidth_cost,
                                    build_scenario, format_config,
                                    parse_config, run_scenario)
 
@@ -117,12 +115,14 @@ def _images(**fields) -> list:
 @pytest.mark.parametrize("size", [1, 7, 8, 9, 4095, 4096, 4097, 65536,
                                   65537, 1_000_003])
 def test_image_bytes_have_exactly_the_asked_size(size):
-    data = _image_bytes(b"image:0sw0", size)
-    assert type(data) is bytes and len(data) == size
+    source = ImageSource(b"image:0sw0", size)
+    data = source[:]
+    assert type(data) is bytes and len(data) == len(source) == size
+    assert sum(len(block) for block in source) == size
 
 
 def _reference_image_bytes(key: bytes, size: int) -> bytes:
-    """The slow model of `_image_bytes`: one keyed 4 KiB run, tiled, and
+    """The slow model of `ImageSource`: one keyed 4 KiB run, tiled, and
     each run's last 8 bytes overwritten by its offset, one run at a time."""
     run = hashlib.shake_128(key).digest(min(size, 4096))
     out = bytearray()
@@ -137,10 +137,24 @@ def _reference_image_bytes(key: bytes, size: int) -> bytes:
 
 
 @pytest.mark.parametrize("size", [1, 7, 8, 9, 4087, 4088, 4089, 4095, 4096,
-                                  4097, 8184, 8191, 8192, 65537, 1_000_003])
+                                  4097, 8184, 8191, 8192, 65537, 1_000_003,
+                                  2_100_000])
 def test_image_bytes_equal_the_reference_model(size):
+    # The whole image, its blocks as a digest streams them, and slices
+    # that start and end on either side of run and block boundaries.
     key = b"image:0sw0"
-    assert _image_bytes(key, size) == _reference_image_bytes(key, size)
+    source = ImageSource(key, size)
+    reference = _reference_image_bytes(key, size)
+    assert source[:] == reference
+    blocks = [bytes(block) for block in source]
+    assert all(len(block) <= scenario._IMAGE_BLOCK for block in blocks)
+    assert b"".join(blocks) == reference
+    cuts = sorted({min(max(cut, 0), size) for edge in (
+        4088, 4096, 8192, scenario._IMAGE_BLOCK, size)
+        for cut in (edge - 9, edge - 1, edge, edge + 1)} | {0, size})
+    for start in cuts:
+        for stop in cuts:
+            assert source[start:stop] == reference[start:stop], (start, stop)
 
 
 def test_the_build_draws_at_most_one_run_per_image(monkeypatch):
@@ -156,13 +170,17 @@ def test_the_build_draws_at_most_one_run_per_image(monkeypatch):
             return self.xof.digest(n)
 
     monkeypatch.setattr(hashlib, "shake_128", Counting)
-    images = _images(image_count=4, bundle_bytes=3_000_003)
-    assert len(drawn) == len(images) == 4
+    # The build reads each image once, to stream it through SHA-256, and
+    # an image of 3 blocks is one read.
+    built = build_scenario(ScenarioConfig(vehicles=1, coverage_pct=0,
+                                          image_count=4,
+                                          bundle_bytes=12_000_003))
+    assert len(drawn) == len(built.items) == 4
     assert all(n <= 4096 for n in drawn)
 
 
 def test_image_bytes_depend_on_seed_and_software_alone():
-    assert _image_bytes(b"k", 70_000) == _image_bytes(b"k", 70_000)
+    assert ImageSource(b"k", 70_000)[:] == ImageSource(b"k", 70_000)[:]
     first = _images(seed=5, bundle_bytes=300_000, image_count=3)
     assert _images(seed=5, bundle_bytes=300_000, image_count=3) == first
     # A different seed changes every image, and the images of one world,
@@ -202,15 +220,8 @@ def test_the_build_draws_nothing_from_the_world_rng():
 
 
 # ---------------------------------------------------------------------------
-# The build's helper thread
+# One thread
 # ---------------------------------------------------------------------------
-
-def _two_large_images(**fields) -> ScenarioConfig:
-    config = ScenarioConfig(vehicles=1, coverage_pct=0, image_count=2,
-                            bundle_bytes=2_400_000, **fields)
-    assert config.bundle_bytes // 2 >= scenario._HASH_AHEAD_BYTES
-    return config
-
 
 def _count_thread_starts(monkeypatch) -> list:
     started = []
@@ -224,94 +235,27 @@ def _count_thread_starts(monkeypatch) -> list:
     return started
 
 
-@contextlib.contextmanager
-def _no_hang(seconds: float = 60):
-    """End the test process with every thread's traceback should the block
-    not finish in time: a build that waits forever on its helper."""
-    faulthandler.dump_traceback_later(seconds, exit=True)
-    try:
-        yield
-    finally:
-        faulthandler.cancel_dump_traceback_later()
-
-
-def test_large_images_are_hashed_on_one_helper_thread(monkeypatch):
-    started = _count_thread_starts(monkeypatch)
-    hashed_on = []
-    digest = messages.digest
-
-    def recording_digest(data):
-        if len(data) >= scenario._HASH_AHEAD_BYTES:
-            hashed_on.append(threading.get_ident())
-        return digest(data)
-
-    monkeypatch.setattr(messages, "digest", recording_digest)
-    built = build_scenario(_two_large_images())
-    assert len(started) == 1
-    assert hashed_on == [started[0].ident] * 2
-    assert hashed_on[0] != threading.get_ident()
-    for item in built.items:
-        assert item.manifest.theta.h == hashlib.sha256(
-            item.image.data).digest()
-
-
 def test_small_images_start_no_thread(monkeypatch):
-    # The largest images of the other benchmark workloads: 1,000,000 B
-    # (attack_suite) lies just under the threshold.
+    # Nor do large ones: a build streams each image through SHA-256 on its
+    # own thread, and a run is single-threaded.
     started = _count_thread_starts(monkeypatch)
-    built = build_scenario(ScenarioConfig(
-        vehicles=1, coverage_pct=0, image_count=2, bundle_bytes=2_000_000))
+    for bundle_bytes in (2_000_000, 2_400_000):
+        config = ScenarioConfig(vehicles=1, coverage_pct=0, image_count=2,
+                                bundle_bytes=bundle_bytes)
+        built = build_scenario(config)
+        built.world.run(config.horizon_ms)
+        assert len(built.world.install_log) == 2
     assert started == []
-    assert all(len(item.image.data) == 1_000_000 for item in built.items)
 
 
 def test_a_build_leaves_no_thread_running():
     before = threading.active_count()
-    built = build_scenario(_two_large_images())
+    built = build_scenario(ScenarioConfig(vehicles=1, coverage_pct=0,
+                                          image_count=2,
+                                          bundle_bytes=2_400_000))
     assert threading.active_count() == before
-    assert [len(item.image.data) for item in built.items] == [1_200_000] * 2
-
-
-def test_a_failed_build_joins_its_helper_thread(monkeypatch):
-    # The second large image fails while the first may still be hashed; the
-    # error propagates and the helper is joined.
-    made = []
-    image_bytes = scenario._image_bytes
-
-    def failing_image_bytes(key, size):
-        made.append(size)
-        if len(made) == 2:
-            raise RuntimeError("no second image")
-        return image_bytes(key, size)
-
-    monkeypatch.setattr(scenario, "_image_bytes", failing_image_bytes)
-    before = threading.active_count()
-    with _no_hang(), pytest.raises(RuntimeError, match="no second image"):
-        build_scenario(_two_large_images())
-    assert made == [1_200_000] * 2
-    assert threading.active_count() == before
-
-
-def test_a_failed_helper_thread_changes_no_digest(monkeypatch):
-    # Every hash on the helper fails.  The manifests read each image's
-    # digest, and one the helper did not keep is hashed there.
-    digest = messages.digest
-    failed = []
-
-    def failing_off_the_main_thread(data):
-        if threading.current_thread() is not threading.main_thread():
-            failed.append(data)
-            raise MemoryError("helper failed")
-        return digest(data)
-
-    monkeypatch.setattr(messages, "digest", failing_off_the_main_thread)
-    with _no_hang():
-        built = build_scenario(_two_large_images())
-    assert failed == [item.image.data for item in built.items]
-    for item in built.items:
-        assert item.manifest.theta.h == hashlib.sha256(
-            item.image.data).digest()
-        assert built.truth[item.software][1] == item.manifest.theta.h
+    assert [len(item.image.source) for item in built.items] \
+        == [1_200_000] * 2
 
 
 # ---------------------------------------------------------------------------

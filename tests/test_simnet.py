@@ -439,7 +439,7 @@ def test_forged_total_does_not_stall_a_download():
             if self.replies == 1:
                 index, chunk, chunk_digest = payload["buckets"][1]
                 payload["buckets"] = list(payload["buckets"])
-                payload["buckets"][1] = (index, b"x" + bytes(chunk[1:]),
+                payload["buckets"][1] = (index, b"x" + bytes(chunk)[1:],
                                          chunk_digest)
             elif self.replies == 2:
                 payload["total"] = 1
@@ -458,7 +458,7 @@ def test_forged_total_does_not_stall_a_download():
     assert world.adversary.replies == 2 and len(requests) == 2
     assert errors == [] and len(done) == 1
     assert isinstance(done[0], msg.Complete)
-    assert b"".join(chunk for _, chunk, _ in done[0].buckets) == data
+    assert msg.joined_bytes(done[0].buckets) == data
 
 
 # ---------------------------------------------------------------------------

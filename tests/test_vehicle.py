@@ -340,7 +340,7 @@ def _secondary(rig, untrusted=False, installed_version=1, **kwargs):
 def _install_env(rig, items, bundle=None, signer=None):
     signer = signer or rig.keys[f"{VIN}.primary"]
     entry = sign(group_digest(items, [
-        digest(b"".join(chunk for _, chunk, _ in buckets))
+        digest(msg.joined_bytes(buckets))
         for _, buckets in items]), signer)
     return Envelope(f"{VIN}.primary", f"{VIN}.sec", "install_group",
                     {"bundle": bundle, "items": items, "group_sig": entry},
