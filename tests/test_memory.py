@@ -147,9 +147,11 @@ def _count_image_reads(monkeypatch) -> list:
     return reads
 
 
-def _watch_holders(built) -> tuple:
-    """Lists that collect the chunks that primaries keep when an image
-    completes and the chunks they push to their secondaries."""
+def test_image_bytes_are_shared_by_every_holder(monkeypatch):
+    # Every holder keeps lazy views of the repository's image sources, and
+    # an untampered run makes no image byte: no image bytes object or
+    # buffer of a bucket or more is reachable from an actor afterwards.
+    built = build_scenario(_mixed_config())
     kept, pushed = [], []
     # A primary drops an item once it installs, so the chunks it keeps are
     # read as each image completes.
@@ -166,15 +168,6 @@ def _watch_holders(built) -> tuple:
                               for _, chunk, _ in buckets)
                 original(env)
             ecu.on_install_group = on_install_group
-    return kept, pushed
-
-
-def test_image_bytes_are_shared_by_every_holder(monkeypatch):
-    # Every holder keeps lazy views of the repository's image sources, and
-    # an untampered run makes no image byte: no image bytes object or
-    # buffer of a bucket or more is reachable from an actor afterwards.
-    built = build_scenario(_mixed_config())
-    kept, pushed = _watch_holders(built)
     reads = _count_image_reads(monkeypatch)
     runs = []
     image_runs = scenario._image_runs
