@@ -140,6 +140,10 @@ class Director(Actor):
         return None
 
     def _ingested(self, env: Envelope, mu: msg.UpdateManifest):
+        known = self.catalog.get(mu.theta.s)   # may be newer than at precheck
+        if known is not None and not msg.assert_fresh(mu.tau, known.tau):
+            self.reply(env, "manifest_rejected", {"reason": "stale"}, 64)
+            return
         signed = self.accept_manifest(mu)
         self.reply(env, "manifest_accepted", {"s": mu.theta.s,
                                               "v": mu.tau.v}, 64)

@@ -812,17 +812,17 @@ class Complete:
 class Received:
     """The verified buckets of one download, by bucket index.
 
-    Each chunk is checked against its digest when it arrives: a sender's
-    own split chunk matches its own bucket's digest by identity, with no
-    hashing; any other chunk has its bytes made and hashed, and so has the
-    genuine chunk behind the digest it claims (once, on that bucket's
-    `ChunkDigest`).  A bucket
-    whose chunk does not match its digest is not kept, and a later bucket
-    for an index replaces the earlier one.  A kept bucket is the sender's
-    own (index, chunk, digest) tuple, so its chunk stays a view of the
-    sender's image source, and no bytes are made for it.
-    `assemble_buckets` sets `complete` once the image completes, and
-    empties `buckets` when all are present but the image is wrong.
+    A download (`simnet.Actor.fetch_image`) adds each reply's buckets, and
+    checks each chunk against its digest: a sender's own split chunk
+    matches its own bucket's digest by identity, with no hashing; any other
+    chunk has its bytes made and hashed, and so has the genuine chunk
+    behind the digest it claims (once, on that bucket's `ChunkDigest`).  A
+    bucket whose chunk does not match its digest is not kept, and a later
+    bucket for an index replaces the earlier one.  A kept bucket is the
+    sender's own (index, chunk, digest) tuple, so its chunk stays a view of
+    the sender's image source, and no bytes are made for it.  The download
+    then calls `assemble_buckets`, which sets `complete` once the image
+    completes, and empties `buckets` when all are present but wrong.
     """
 
     __slots__ = ("buckets", "complete")
@@ -850,12 +850,6 @@ class Received:
         while i in self.buckets:
             i += 1
         return i
-
-    def absorb(self, mu: UpdateManifest, reply: dict) -> Optional[Complete]:
-        """Add the buckets of a fetch or serve `reply` and assemble them
-        (see `assemble_buckets`)."""
-        self.add(reply["buckets"])
-        return assemble_buckets(self, mu, reply["total"])
 
 
 def assemble_buckets(received: Received, mu: UpdateManifest,

@@ -210,38 +210,6 @@ def _build_attack(raw: dict) -> AttackRule:
         delay_ms=float(raw.get("delay_ms", 0.0)))
 
 
-def format_config(config: ScenarioConfig) -> str:
-    """Canonical text rendering; parse(format(c)) == c for rule-free configs."""
-    lines = ["[scenario]"]
-    for f in fields(ScenarioConfig):
-        if f.name in ("attacks", "revocations"):
-            continue
-        value = getattr(config, f.name)
-        if f.name == "compromise":
-            if not value:
-                continue
-            value = ",".join(value)
-        lines.append(f"{f.name} = {value}")
-    for rule in config.attacks:
-        lines.append("[attack]")
-        lines.append(f"kind = {rule.kind}")
-        if rule.message_kinds:
-            lines.append("message_kinds = " + ",".join(sorted(rule.message_kinds)))
-        if rule.link_cls:
-            lines.append("link_cls = " + ",".join(sorted(rule.link_cls)))
-        if rule.src:
-            lines.append(f"src = {rule.src}")
-        if rule.dst:
-            lines.append(f"dst = {rule.dst}")
-        if rule.t_start:
-            lines.append(f"t_start = {rule.t_start}")
-        if rule.t_end != float("inf"):
-            lines.append(f"t_end = {rule.t_end}")
-        if rule.delay_ms:
-            lines.append(f"delay_ms = {rule.delay_ms}")
-    return "\n".join(lines) + "\n"
-
-
 # ---------------------------------------------------------------------------
 # Actors created only at scenario level
 # ---------------------------------------------------------------------------
@@ -317,6 +285,9 @@ class SoftwareItem:
 
 @dataclass
 class Scenario:
+    """A built world.  Its `items`' versions and manifest digests are the
+    ground truth that `safety_violations` checks each install against."""
+
     config: ScenarioConfig
     world: World
     trust: msg.TrustContext
@@ -329,7 +300,6 @@ class Scenario:
     vehicles: list
     secondaries: dict                  # vin -> list of SecondaryEcu
     items: list                        # SoftwareItem
-    truth: dict                        # software -> (version, digest)
     adversary: Optional[Adversary]
 
     def revoke_now(self, signer_id: str):
@@ -502,7 +472,7 @@ def build_scenario(config: ScenarioConfig) -> Scenario:
                               capacity_bytes=config.cache_capacity_bytes)
             stations.append(station)
 
-    # -- software catalog and ground truth --------------------------------
+    # -- software catalog --------------------------------------------------
     ecus = [PRIMARY_ECU] + [f"ecu{j}"
                             for j in range(1, config.secondaries_per_vehicle + 1)]
     per_image = config.bundle_bytes // config.image_count
@@ -511,7 +481,6 @@ def build_scenario(config: ScenarioConfig) -> Scenario:
     sizes = [per_image] * (config.image_count - 1)
     sizes.append(config.bundle_bytes - sum(sizes))
     items: list = []
-    truth: dict = {}
     for i, size in enumerate(sizes):
         software = f"sw{i}"
         image = msg.UpdateImage(
@@ -520,8 +489,7 @@ def build_scenario(config: ScenarioConfig) -> Scenario:
         ecu = ecus[i % len(ecus)]
         version = 2
         location = location_for("repo0", software, version)
-        data_digest = image.data_digest
-        theta = msg.MetaRecord(data_digest, ecu, software)
+        theta = msg.MetaRecord(image.data_digest, ecu, software)
         mu = msg.UpdateManifest(location, theta,
                                 msg.TimestampRecord(2, version))
         producer = sorted(producer_ids)[i % len(producer_ids)]
@@ -529,7 +497,6 @@ def build_scenario(config: ScenarioConfig) -> Scenario:
         served = i < served_count
         items.append(SoftwareItem(software, ecu, version, image, mu, served,
                                   labels[i] if served else "cellular"))
-        truth[software] = (version, data_digest)
 
     # -- fleet -------------------------------------------------------------
     initial = {item.software: (item.ecu, msg.TimestampRecord(1, 1))
@@ -622,7 +589,7 @@ def build_scenario(config: ScenarioConfig) -> Scenario:
 
     scenario = Scenario(config, world, trust, keys, repo,
                         director, engine, stations, producers, vehicles,
-                        secondaries, items, truth, adversary)
+                        secondaries, items, adversary)
     for signer_id, at_ms in config.revocations:
         world.schedule(at_ms, lambda s=signer_id: scenario.revoke_now(s))
     for i, vehicle in enumerate(vehicles):
@@ -781,9 +748,11 @@ def safety_violations(scenario: Scenario) -> list:
     producers published, or that regress an ECU."""
     out = []
     latest: dict = {}
+    published = {item.software: (item.version, item.manifest.theta.h)
+                 for item in scenario.items}
     for time, vin, ecu, software, version, image_digest \
             in scenario.world.install_log:
-        truth = scenario.truth.get(software)
+        truth = published.get(software)
         if truth is None:
             out.append(f"{time:.1f} {vin}.{ecu} installed unpublished "
                        f"{software}")

@@ -284,23 +284,19 @@ class World:
 
 @dataclass(slots=True)
 class _Pending:
-    """One outstanding request: what to resend and whom to call back.
+    """One outstanding request: the envelope it last sent, and whom to call
+    back.
 
     The actor's `_pending` table is its only owner, and timers refer to it
     by request id, so it (and whatever its callbacks capture) is freed as
     soon as the request is answered or given up.
     """
 
-    dst: str
-    kind: str
-    payload: object
-    size: int
-    link: Link
+    env: Envelope
     on_reply: Callable
     on_fail: Optional[Callable]
     timeout: Optional[float]
     retries_left: int
-    attempt: int = 0
     timer: Optional[Timer] = None
 
 
@@ -344,7 +340,9 @@ class _Download:
             return
         if self.received.complete:
             return  # another download into `received` completed it
-        result = self.received.absorb(self.mu, reply.payload)
+        payload = reply.payload   # as `Actor.reply_buckets` writes it
+        self.received.add(payload["buckets"])
+        result = msg.assemble_buckets(self.received, self.mu, payload["total"])
         if result is not None:
             self.on_done(result)
         elif self.attempts >= FETCH_RETRIES:
@@ -407,8 +405,9 @@ class Actor:
         if given.  Each sending reaches `dst`'s handler, so retry only a
         request whose handler is idempotent.  Returns the request id."""
         req_id = self.world.next_req_id()
-        self._attempt(req_id, _Pending(dst, kind, payload, size, link,
-                                       on_reply, on_fail, timeout_ms, retries))
+        self._attempt(req_id, _Pending(
+            Envelope(self.name, dst, kind, payload, size, link, req_id),
+            on_reply, on_fail, timeout_ms, retries))
         return req_id
 
     def _attempt(self, req_id: int, pending: _Pending):
@@ -418,10 +417,7 @@ class Actor:
             world._schedule_raw(world.now + pending.timeout,
                                 self._timed_out_cb, req_id, timer)
         self._pending[req_id] = pending
-        world.send(Envelope(self.name, pending.dst, pending.kind,
-                            pending.payload, pending.size, pending.link,
-                            req_id, None, pending.attempt))
-        pending.attempt += 1
+        world.send(pending.env)
 
     def _timed_out(self, req_id: int):
         pending = self._pending.pop(req_id, None)
@@ -429,6 +425,10 @@ class Actor:
             return
         if pending.retries_left > 0:
             pending.retries_left -= 1
+            env = pending.env
+            pending.env = Envelope(env.src, env.dst, env.kind, env.payload,
+                                   env.size, env.link, req_id, None,
+                                   env.attempt + 1)
             self._attempt(req_id, pending)
         elif pending.on_fail is not None:
             pending.on_fail()

@@ -46,13 +46,14 @@ def kept_entry(kept: dict, ecu: str, software: str, tau: msg.TimestampRecord,
 
 @dataclass(slots=True)
 class PendingItem:
+    """An update the primary has validated and not yet installed."""
+
     mu: msg.UpdateManifest
     bundle: msg.Bundle
     # The buckets every download of this item verified.
     received: msg.Received
-    # The verified image: the sender's buckets in order, never joined.
-    buckets: Optional[tuple] = None
-    data_digest: Optional[bytes] = None    # digest of the buckets' bytes
+    # The verified image, as the download that completed it returned it.
+    complete: Optional[msg.Complete] = None
     download: Optional[object] = None      # the download under way, if any
 
 
@@ -109,6 +110,7 @@ class VehiclePrimary(Actor):
         self._station_queue: list = []
         self._session_ok = False
         self._fallback_used = False
+        self._image_alerted = False
         self._status_timer = None
         self._image_timer = None
         self._last_status_t = 0
@@ -230,6 +232,7 @@ class VehiclePrimary(Actor):
             for mu, bundle in fresh:
                 self.pending[(mu.theta.s, mu.tau.v)] = PendingItem(
                     mu, bundle, msg.Received())
+            self._image_alerted = False
             self._arm_image_deadline()
             self._start_downloads()
 
@@ -267,7 +270,7 @@ class VehiclePrimary(Actor):
         idle = not self._station_queue   # else the station is downloading
         for key in sorted(self.pending):
             item = self.pending[key]
-            if item.buckets is not None or item.download is not None \
+            if item.complete is not None or item.download is not None \
                     or item in self._station_queue:
                 continue
             if self.station is None or key[0] in self.cellular_updates:
@@ -316,7 +319,7 @@ class VehiclePrimary(Actor):
                 self._station_queue.remove(item)
             if result is not None:
                 self._image_complete(item, result)
-            elif item.buckets is None:
+            elif item.complete is None:
                 self._cellular(item)
             self._station_next()
 
@@ -329,7 +332,7 @@ class VehiclePrimary(Actor):
 
     def _cellular(self, item: PendingItem):
         """(Re)start `item`'s download from the repository at bucket 0; its
-        earlier download makes no further request."""
+        earlier download stops.  A failure of this one stalls the image."""
         if item.download is not None:
             item.download.cancel()
         item.received.buckets = {}
@@ -338,20 +341,19 @@ class VehiclePrimary(Actor):
             {"l": item.mu.l, "credential": item.bundle},
             96 + msg.wire_size(item.bundle), item.mu,
             lambda result: self._image_complete(item, result),
-            received=item.received)
+            lambda reason: self._image_stalled(), received=item.received)
 
     # -- install push (step 10) --------------------------------------------
 
     def _image_complete(self, item: PendingItem, result: msg.Complete):
-        if item.buckets is not None:
+        if item.complete is not None:
             return  # already completed by another download
-        item.buckets = result.buckets
-        item.data_digest = result.data_digest
+        item.complete = result
         item.download = None  # frees the finished download
         ecu = item.mu.theta.e
         group = [p for p in self.pending.values()
                  if p.bundle is item.bundle and p.mu.theta.e == ecu]
-        if any(p.buckets is None for p in group):
+        if any(p.complete is None for p in group):
             return
         if len(group) > 1:  # one co-update set, resolved dependencies first
             by_s = {p.mu.theta.s: p for p in group}
@@ -369,16 +371,16 @@ class VehiclePrimary(Actor):
             self.inventory[(PRIMARY_ECU, p.mu.theta.s)] = p.mu.tau
             self.world.install_log.append(
                 (self.world.now, self.vin, PRIMARY_ECU, p.mu.theta.s,
-                 p.mu.tau.v, p.data_digest))
+                 p.mu.tau.v, p.complete.data_digest))
             del self.pending[p.mu.theta.s, p.mu.tau.v]
         self._check_complete()
 
     def _push_group(self, ecu, bundle, group):
         name, link = self.secondaries[ecu]
-        items = tuple((p.mu, p.buckets) for p in group)
-        entry = sign(group_digest(items, [p.data_digest for p in group]),
-                     self.key)
-        size = sum(msg.bucket_bytes(p.buckets) for p in group) + 256
+        items = tuple((p.mu, p.complete.buckets) for p in group)
+        entry = sign(group_digest(items, [p.complete.data_digest
+                                          for p in group]), self.key)
+        size = sum(msg.bucket_bytes(buckets) for _, buckets in items) + 256
         self.request(name, "install_group",
                      {"bundle": bundle, "items": items, "group_sig": entry},
                      size, link,
@@ -407,20 +409,23 @@ class VehiclePrimary(Actor):
         if self._image_timer is not None:
             self._image_timer.cancel()
         self._image_timer = self.world.schedule(self.image_deadline_ms,
-                                                self._image_deadline_fired)
+                                                self._image_stalled)
 
-    def _image_deadline_fired(self):
-        if not self.pending:
+    def _image_stalled(self):
+        """The image deadline passed or a repository download failed: the
+        first time, restart every pending image over cellular; later, alert
+        once per wait for new images."""
+        if not self.pending or self._image_alerted:
             return
         if not self._fallback_used:
-            # One cellular retry round before declaring failure.
             self._fallback_used = True
             self._station_queue = []
             for item in self.pending.values():
-                if item.buckets is None:
+                if item.complete is None:
                     self._cellular(item)
             self._arm_image_deadline()
             return
+        self._image_alerted = True
         self.alert("image_timeout")
 
 

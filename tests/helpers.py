@@ -1,11 +1,13 @@
 """Shared fixture plumbing: a small hand-wired world with one repository,
-one director, and helper constructors for signed artifacts."""
+one director, and helper constructors for signed artifacts, and a small
+scenario that takes every download path."""
 from __future__ import annotations
 
 from ota_stations import messages as msg
 from ota_stations.crypto import PROVIDERS, KeyRegistry
 from ota_stations.director import Director
 from ota_stations.image_repo import ImageRepo, location_for
+from ota_stations.scenario import ScenarioConfig
 from ota_stations.simnet import ENGINE_CABLE, Link, LinkProfile, World
 
 HMAC = PROVIDERS["hmac"]
@@ -55,3 +57,15 @@ class Rig:
         mu, image = self.make_update(software, version, ecu, deps, size)
         self.repo.store(image, mu, "producer0")
         return self.director.accept_manifest(mu), image
+
+
+def mixed_config(**kwargs) -> ScenarioConfig:
+    """Three vehicles with one secondary each and four 300 kB images: one a
+    station cache hit, one a miss, one unknown to the station, and one over
+    cellular, over three ignitions.  `kwargs` override any field."""
+    fields = dict(
+        name="memory-mix", vehicles=3, stations=1, bundle_bytes=1_200_000,
+        image_count=4, bucket_size=65536, coverage_pct=75, mix_hit=34,
+        mix_miss=33, mix_unknown=33, secondaries_per_vehicle=1,
+        ignition_period_ms=60_000.0, ignition_limit=3, horizon_ms=900_000)
+    return ScenarioConfig(**{**fields, **kwargs})

@@ -160,6 +160,25 @@ def test_ingestion_rejects_stale_version():
     assert replies[0] == ("manifest_rejected", {"reason": "stale"})
 
 
+def test_a_manifest_overtaken_during_its_fetch_is_refused_as_stale():
+    # v3's small image is fetched before v2's large one, so v3 is ingested
+    # first; v2 then completes its fetch and is refused, not kept.
+    rig = Rig()
+    rig.director.register_vehicle(VIN, _initial("sw0"))
+    replies = []
+    rig.director.reply = _capture_reply(rig.director, replies)
+    for version, size in ((2, 400_000), (3, 1_000)):
+        mu, image = rig.make_update("sw0", version=version, size=size)
+        rig.repo.store(image, mu, "producer0")
+        rig.director.on_producer_manifest(Envelope(
+            "producer0", "sud0", "producer_manifest", mu, msg.wire_size(mu),
+            rig.link("prod"), req_id=rig.world.next_req_id()))
+    rig.world.run()
+    assert replies == [("manifest_accepted", {"s": "sw0", "v": 3}),
+                       ("manifest_rejected", {"reason": "stale"})]
+    assert rig.director.catalog["sw0"].tau.v == 3
+
+
 def test_ingestion_rejects_image_digest_mismatch():
     rig = Rig()
     rig.director.register_vehicle(VIN, _initial("sw0"))

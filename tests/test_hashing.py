@@ -263,7 +263,8 @@ def test_install_log_records_digest_of_installed_bytes():
             for p in group:
                 flashed.append((primary.vin, vehicle.PRIMARY_ECU,
                                 p.mu.theta.s, hashlib.sha256(
-                                    messages.joined_bytes(p.buckets)).digest()))
+                                    messages.joined_bytes(
+                                        p.complete.buckets)).digest()))
             original(group)
         primary._install_local = install_local
     for secondaries in built.secondaries.values():
@@ -328,7 +329,7 @@ def _count_hashing(monkeypatch, config):
 def _assert_each_image_hashed_once(built, counts):
     assert counts["whole"] == [1] * len(built.items)
     for item in built.items:
-        assert built.truth[item.software][1] == hashlib.sha256(
+        assert item.manifest.theta.h == hashlib.sha256(
             item.image.data).digest()
 
 

@@ -12,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+from helpers import mixed_config
 from ota_stations import crypto, messages, scenario, simnet
 from ota_stations.adversary import AttackRule
 from ota_stations.scenario import ImageSource, ScenarioConfig, build_scenario
@@ -46,15 +47,6 @@ def test_peak_memory_does_not_grow_with_fleet_size():
     # than one image.
     growth = _run_peak(_cellular_config(16)) - _run_peak(_cellular_config(2))
     assert growth < 1_000_000, growth
-
-
-def _mixed_config(**kwargs) -> ScenarioConfig:
-    return ScenarioConfig(
-        name="memory-mix", vehicles=3, stations=1, bundle_bytes=1_200_000,
-        image_count=4, bucket_size=65536, coverage_pct=75, mix_hit=34,
-        mix_miss=33, mix_unknown=33, secondaries_per_vehicle=1,
-        ignition_period_ms=60_000.0, ignition_limit=3, horizon_ms=900_000,
-        **kwargs)
 
 
 def _reachable(roots):
@@ -151,14 +143,14 @@ def test_image_bytes_are_shared_by_every_holder(monkeypatch):
     # Every holder keeps lazy views of the repository's image sources, and
     # an untampered run makes no image byte: no image bytes object or
     # buffer of a bucket or more is reachable from an actor afterwards.
-    built = build_scenario(_mixed_config())
+    built = build_scenario(mixed_config())
     kept, pushed = [], []
     # A primary drops an item once it installs, so the chunks it keeps are
     # read as each image completes.
     for primary in built.vehicles:
         def image_complete(item, result, original=primary._image_complete):
             original(item, result)
-            kept.extend(chunk for _, chunk, _ in item.buckets)
+            kept.extend(chunk for _, chunk, _ in item.complete.buckets)
         primary._image_complete = image_complete
     for secondaries in built.secondaries.values():
         for ecu in secondaries:
@@ -196,7 +188,7 @@ def test_a_tampered_run_makes_bytes_only_for_the_chunks_it_flips_or_checks(
     # The adversary flips the first chunk of each image reply, and the
     # receiver refuses it by making and hashing the genuine chunk's bytes
     # once.  No other image byte is made.
-    config = _mixed_config(attacks=(AttackRule(
+    config = mixed_config(attacks=(AttackRule(
         "tamper", message_kinds=frozenset({"fetch_ok", "serve_ok"}),
         t_end=200_000.0),))
     built = build_scenario(config)
@@ -217,7 +209,7 @@ def test_a_tampered_run_makes_bytes_only_for_the_chunks_it_flips_or_checks(
 def test_finished_run_leaves_every_link_empty():
     # A run that ends before its horizon has completed every flow, and no
     # link keeps the heap entry, finish tag or callback of one.
-    built = build_scenario(_mixed_config())
+    built = build_scenario(mixed_config())
     built.world.run(built.config.horizon_ms)
     assert not built.world.horizon_reached
     links = [obj for obj in _reachable(built.world.actors.values())
@@ -234,7 +226,7 @@ def test_finished_requests_leave_no_reference_cycles():
     # `Actor.fetch_image`; every request and download is finished by the
     # end of the run and must be freed by reference counting alone, and so
     # must everything else the run made.
-    built = build_scenario(_mixed_config(live_publish=True))
+    built = build_scenario(mixed_config(live_publish=True))
     gc.collect()
     gc.disable()
     gc.set_debug(gc.DEBUG_SAVEALL)
@@ -359,7 +351,7 @@ def test_no_actor_keeps_a_reply_to_the_directors_retried_fetches():
 def test_a_finished_download_is_dropped():
     # Once an item's group installs, the primary drops the item, and with it
     # its buckets, its `Received` and its finished `_Download`.
-    built = build_scenario(_mixed_config())
+    built = build_scenario(mixed_config())
     built.world.run(built.config.horizon_ms)
     assert len(built.world.install_log) == 12 and not built.all_alerts()
     assert all(primary.pending == {} for primary in built.vehicles)

@@ -1,11 +1,11 @@
-from helpers import Rig, VIN
+from helpers import Rig, VIN, mixed_config
 from ota_stations import messages as msg
 from ota_stations.adversary import AttackRule
 from ota_stations.broker import Station, UpdateEngine
 from ota_stations.crypto import KeyPair, digest, sign
 from ota_stations.scenario import (ScenarioConfig, build_scenario,
                                    collect_report, liveness_failures,
-                                   run_scenario)
+                                   run_scenario, safety_violations)
 from ota_stations.simnet import FETCH_RETRIES, Envelope
 from ota_stations.vehicle import SecondaryEcu, VehiclePrimary, group_digest
 
@@ -285,13 +285,30 @@ def test_each_source_re_requests_fetch_retries_times():
         image_deadline_ms=60_000.0)
     per_download = FETCH_RETRIES + 1
     # The station download gives up and the image restarts on cellular
-    # at bucket 0; that download gives up too, and so does the one the
-    # first image deadline starts.  The second deadline raises the alert.
+    # at bucket 0.  That download gives up too, which starts the one
+    # cellular fallback round; its download gives up and raises the alert,
+    # and the image deadline raises none after it.
     assert asked == ([("serve", 0)] * per_download
                      + [("fetch", 0)] * (2 * per_download))
     vehicle = built.vehicles[0]
     assert [reason for _, reason in vehicle.alerts] == ["image_timeout"]
     assert built.world.install_log == []
+
+
+def test_a_failed_repository_download_falls_back_then_alerts():
+    # Every image reply is tampered with for 200 s and no deadline is set,
+    # so only failed downloads move the vehicles on: a failed repository
+    # download starts the one cellular fallback round, and the next failure
+    # raises the alert, once per vehicle.
+    config = mixed_config(attacks=(AttackRule(
+        "tamper", frozenset({"fetch_ok", "serve_ok"}), t_end=200_000.0),))
+    assert config.image_deadline_ms is None
+    built = build_scenario(config)
+    built.world.run(config.horizon_ms)
+    assert [[reason for _, reason in vehicle.alerts]
+            for vehicle in built.vehicles] == [["image_timeout"]] * 3
+    assert liveness_failures(built) == []
+    assert safety_violations(built) == []
 
 
 def _late_station_reply_run(tampered: bool):
@@ -307,7 +324,8 @@ def _late_station_reply_run(tampered: bool):
     fetched = [rec.time for rec in built.world.trace if rec.kind == "fetch_ok"]
     assert len(served) == len(fetched) == 1 and served[0] < fetched[0]
     (at, _, _, software, _, data_digest), = built.world.install_log
-    assert data_digest == built.truth[software][1]
+    item, = built.items
+    assert (software, data_digest) == (item.software, item.manifest.theta.h)
     vehicle = built.vehicles[0]
     assert vehicle.records["complete"] == at and not vehicle.alerts
     return at, served[0], fetched[0]
