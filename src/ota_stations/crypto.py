@@ -36,9 +36,11 @@ entry, which the entry keeps.  An image's digest is kept on the image:
 manifest, and the image's split, which carries it
 (`messages.split_buckets`).  A built image has no buffer: `digest`
 streams its virtual source once, block by block, so each image is hashed
-once per world; a sender's own chunk and whole image are recognised by
-identity, and a bucket digest is computed only to check a foreign chunk.
-`digest` itself keeps no state.  A failed check or a refused input is
+once per world, by the build's thread or, in a build of 8 MiB of images
+or more, by one helper thread beside it; a sender's own chunk and whole
+image are recognised by identity, and a bucket digest is computed only to
+check a foreign chunk.  `digest` itself keeps no state, so two threads may
+hash two images at once.  A failed check or a refused input is
 never turned into a pass: a signature passes without the provider only
 when it is the exact bytes its registered key issued, and an image digest
 is kept only with the immutable source it was computed from.

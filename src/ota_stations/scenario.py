@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import hashlib
 import struct
+import threading
 from dataclasses import dataclass, field, fields
 from typing import Optional
 
@@ -116,6 +117,20 @@ class ScenarioConfig:
                      "backhaul_mbps", "invehicle_mbps"):
             need(getattr(self, attr) > 0, f"{attr} must be positive")
         need(self.horizon_ms > 0, "horizon_ms must be positive")
+        # Each of these is a `World.schedule` delay.  A negative one moves
+        # the clock back; a zero ignition period re-arms at the same
+        # instant forever, and a zero deadline fires before any reply.
+        for attr in ("ignition_period_ms", "status_deadline_ms",
+                     "image_deadline_ms"):
+            need(getattr(self, attr) is None or getattr(self, attr) > 0,
+                 f"{attr} must be positive")
+        for attr in ("first_ignition_ms", "ignition_stagger_ms",
+                     "publish_at_ms", "flash_latency_ms"):
+            need(getattr(self, attr) >= 0, f"{attr} must be >= 0")
+        need(all(at_ms >= 0 for _, at_ms in self.revocations),
+             "revocation times must be >= 0")
+        need(self.ignition_limit is None or self.ignition_limit >= 0,
+             "ignition_limit must be >= 0")
         need(self.crypto in PROVIDERS, f"unknown crypto provider {self.crypto}")
         for rule in self.attacks:
             need(rule.kind in ATTACK_KINDS,
@@ -411,15 +426,58 @@ def _image_runs(run: bytes, base: int, stop: int) -> bytearray:
     return out
 
 
+# Images totalling at least this many bytes are hashed on two threads.
+# The helper costs about 130 us to start and join, and its blocks raise
+# peak RSS, which a build of a few MB of images barely repays.
+_THREADED_DIGEST_BYTES = 8 * 1024 * 1024
+
+
+def _digest_images(images: list) -> None:
+    """Hash `images` (`UpdateImage.data_digest`) on this thread and, when
+    they total at least `_THREADED_DIGEST_BYTES`, on one helper thread too.
+
+    Both threads take images, largest first, from one shared iterator,
+    whose `next` is atomic under the GIL, so each image is hashed once, by
+    one thread; SHA-256 releases the GIL on large updates, so the two
+    streams overlap.  The helper is joined before this returns.  An image
+    whose hash fails on the helper keeps no digest, and the caller's read
+    of `data_digest` hashes it again on this thread, so the failure raises
+    from the build and no wrong digest is kept."""
+    if sum(len(image.source) for image in images) < _THREADED_DIGEST_BYTES:
+        return
+    largest_first = iter(sorted(images, key=lambda image: len(image.source),
+                                reverse=True))
+
+    def drain():
+        for image in largest_first:
+            image.data_digest
+
+    def helper():
+        try:
+            drain()
+        except Exception:
+            pass    # the build's thread hashes the image again, and raises
+
+    thread = threading.Thread(target=helper, name="build-digest")
+    thread.start()
+    try:
+        drain()
+    finally:
+        thread.join()
+
+
 def build_scenario(config: ScenarioConfig) -> Scenario:
     """Build the world of `config`: keys, actors, links, images, signed
     manifests and the fleet, preseeded unless `live_publish` is set.
 
     Each image is an `ImageSource`, whose bytes are made only when read.
-    The build reads them once, to stream them through `digest` for the
-    manifest, and the image keeps that digest.  Nothing keeps the bytes,
-    so the build holds about three 124 KiB blocks of image bytes at most,
-    whatever the images' sizes, and runs on one thread.
+    The build makes every image first and reads each once, to stream it
+    through `digest` for its manifest, and the image keeps that digest.
+    Nothing keeps the bytes, so each hashing thread holds about three
+    124 KiB blocks of image bytes at most, whatever the images' sizes.
+    Images of 8 MiB or more in all are hashed on the build's thread and
+    one helper thread (`_digest_images`), which is joined before any
+    manifest is made; the rest of the build runs on one thread.
     """
     config.validate()
     world = World(seed=config.seed)
@@ -480,12 +538,13 @@ def build_scenario(config: ScenarioConfig) -> Scenario:
     labels = _mix_labels(config, served_count)
     sizes = [per_image] * (config.image_count - 1)
     sizes.append(config.bundle_bytes - sum(sizes))
+    images = [msg.UpdateImage(f"sw{i}", ImageSource(
+        b"image:" + seed_bytes + f"sw{i}".encode(), size), config.bucket_size)
+        for i, size in enumerate(sizes)]
+    _digest_images(images)
     items: list = []
-    for i, size in enumerate(sizes):
-        software = f"sw{i}"
-        image = msg.UpdateImage(
-            software, ImageSource(b"image:" + seed_bytes + software.encode(),
-                                  size), config.bucket_size)
+    for i, image in enumerate(images):
+        software = image.s
         ecu = ecus[i % len(ecus)]
         version = 2
         location = location_for("repo0", software, version)

@@ -4,9 +4,10 @@ a request/reply layer with bounded retransmission, and the one resumable
 image download that vehicles, stations and the director share, whether
 they pull from a repository or from a station.
 
-A world is built and run on one thread, and its event loop is strictly
-single-threaded, so identical (scenario, seed) pairs produce identical
-event traces.
+A world's event loop is single-threaded; the build's helper thread, which
+hashes a large build's images (`scenario.build_scenario`), is joined before
+any event.  So identical (scenario, seed) pairs produce identical event
+traces.
 
 Events run in (time, seq) order, where seq is the order in which they were
 scheduled: of two events due at the same instant, the one scheduled first

@@ -3,6 +3,8 @@ one director, and helper constructors for signed artifacts, and a small
 scenario that takes every download path."""
 from __future__ import annotations
 
+import threading
+
 from ota_stations import messages as msg
 from ota_stations.crypto import PROVIDERS, KeyRegistry
 from ota_stations.director import Director
@@ -69,3 +71,17 @@ def mixed_config(**kwargs) -> ScenarioConfig:
         mix_miss=33, mix_unknown=33, secondaries_per_vehicle=1,
         ignition_period_ms=60_000.0, ignition_limit=3, horizon_ms=900_000)
     return ScenarioConfig(**{**fields, **kwargs})
+
+
+def count_thread_starts(monkeypatch) -> list:
+    """Record every `threading.Thread` started until `monkeypatch` undoes
+    it; returns the list the threads are appended to."""
+    started = []
+    start = threading.Thread.start
+
+    def counting_start(thread):
+        started.append(thread)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", counting_start)
+    return started

@@ -11,7 +11,7 @@ digest of the bytes they install.  Bytes that fail a check are hashed
 every time and never kept."""
 import hashlib
 
-from helpers import Rig
+from helpers import Rig, count_thread_starts
 from ota_stations import (broker, crypto, director, image_repo, messages,
                           scenario, vehicle)
 from ota_stations.adversary import Adversary, AttackRule, _tamper
@@ -375,3 +375,14 @@ def test_untampered_run_hashes_no_image_byte(monkeypatch):
             assert counts["split"] > 0
             assert counts["run_image"] == 0, live_publish
             _assert_each_image_hashed_once(built, counts)
+
+
+def test_a_large_build_hashes_each_image_once_on_two_threads(monkeypatch):
+    # 9 MB of images, over the 8 MiB from which the build hashes on a
+    # helper thread too.  Which thread hashes which image is not fixed.
+    started = count_thread_starts(monkeypatch)
+    built, counts = _count_hashing(monkeypatch, ScenarioConfig(
+        vehicles=1, coverage_pct=0, image_count=2, bundle_bytes=9_000_000))
+    assert len(started) == 1
+    assert built.world.install_log and not built.all_alerts()
+    _assert_each_image_hashed_once(built, counts)

@@ -4,6 +4,7 @@ import threading
 
 import pytest
 
+from helpers import count_thread_starts
 from ota_stations import messages, scenario
 from ota_stations.adversary import AttackRule
 from ota_stations.scenario import (ConfigError, ImageSource, ScenarioConfig,
@@ -91,6 +92,25 @@ def test_validation_rules():
         ScenarioConfig(crypto="rot13").validate()
     with pytest.raises(ConfigError, match="unknown attack kind"):
         ScenarioConfig(attacks=(AttackRule("teleport"),)).validate()
+
+
+@pytest.mark.parametrize("field, value", [
+    ("ignition_period_ms", 0.0), ("ignition_period_ms", -5.0),
+    ("status_deadline_ms", 0.0), ("image_deadline_ms", -1.0),
+    ("first_ignition_ms", -1.0), ("ignition_stagger_ms", -1.0),
+    ("publish_at_ms", -1.0), ("flash_latency_ms", -1.0),
+    ("revocations", (("station0", -1.0),)), ("ignition_limit", -1),
+])
+def test_validation_refuses_a_delay_that_stalls_or_reverses_the_clock(
+        field, value):
+    # A zero ignition period reschedules each ignition at +0 forever, so
+    # this world would never reach its horizon; a negative delay schedules
+    # an event in the past.  No world is built here.
+    config = ScenarioConfig(vehicles=1, coverage_pct=0, image_count=1,
+                            bundle_bytes=1000, horizon_ms=1000.0,
+                            **{field: value})
+    with pytest.raises(ConfigError, match="must be"):
+        config.validate()
 
 
 def test_mix_labels_cover_all_served_items():
@@ -243,26 +263,14 @@ def test_the_build_draws_nothing_from_the_world_rng():
 
 
 # ---------------------------------------------------------------------------
-# One thread
+# Threads
 # ---------------------------------------------------------------------------
 
-def _count_thread_starts(monkeypatch) -> list:
-    started = []
-    start = threading.Thread.start
-
-    def counting_start(thread):
-        started.append(thread)
-        start(thread)
-
-    monkeypatch.setattr(threading.Thread, "start", counting_start)
-    return started
-
-
 def test_small_images_start_no_thread(monkeypatch):
-    # Nor do large ones: a build streams each image through SHA-256 on its
-    # own thread, and a run is single-threaded.
-    started = _count_thread_starts(monkeypatch)
-    for bundle_bytes in (2_000_000, 2_400_000):
+    # Below 8 MiB of images a build hashes them on its own thread, and a
+    # run is single-threaded.  4 MB is cellular_fleet's build.
+    started = count_thread_starts(monkeypatch)
+    for bundle_bytes in (2_000_000, 2_400_000, 4_000_000):
         config = ScenarioConfig(vehicles=1, coverage_pct=0, image_count=2,
                                 bundle_bytes=bundle_bytes)
         built = build_scenario(config)
@@ -272,13 +280,48 @@ def test_small_images_start_no_thread(monkeypatch):
 
 
 def test_a_build_leaves_no_thread_running():
+    # 9 MB of images are hashed on two threads, 2.4 MB on one.
     before = threading.active_count()
-    built = build_scenario(ScenarioConfig(vehicles=1, coverage_pct=0,
-                                          image_count=2,
-                                          bundle_bytes=2_400_000))
+    for bundle_bytes in (2_400_000, 9_000_000):
+        built = build_scenario(ScenarioConfig(vehicles=1, coverage_pct=0,
+                                              image_count=2,
+                                              bundle_bytes=bundle_bytes))
+        assert threading.active_count() == before
+        assert [len(item.image.source) for item in built.items] \
+            == [bundle_bytes // 2] * 2
+
+
+def test_a_failed_image_hash_fails_the_build_and_keeps_no_digest(
+        monkeypatch):
+    # 9 MB of images are hashed on two threads.  Whichever thread hashes
+    # sw1, its failure reaches the caller, the helper is joined, and no
+    # image keeps a digest other than its SHA-256.
+    class HashFailed(Exception):
+        pass
+
+    real_digest = messages.digest
+    images = []
+    real_digest_images = scenario._digest_images
+
+    def failing_digest(data):
+        if isinstance(data, ImageSource) and data.key.endswith(b"sw1"):
+            raise HashFailed
+        return real_digest(data)
+
+    def recording_digest_images(built_images):
+        images.extend(built_images)
+        real_digest_images(built_images)
+
+    monkeypatch.setattr(messages, "digest", failing_digest)
+    monkeypatch.setattr(scenario, "_digest_images", recording_digest_images)
+    before = threading.active_count()
+    with pytest.raises(HashFailed):
+        build_scenario(ScenarioConfig(vehicles=1, coverage_pct=0,
+                                      image_count=2, bundle_bytes=9_000_000))
     assert threading.active_count() == before
-    assert [len(item.image.source) for item in built.items] \
-        == [1_200_000] * 2
+    assert [image.s for image in images] == ["sw0", "sw1"]
+    assert images[1]._digest is None
+    assert images[0]._digest in (None, hashlib.sha256(images[0].data).digest())
 
 
 # ---------------------------------------------------------------------------
