@@ -44,6 +44,18 @@ class ConfigError(Exception):
     pass
 
 
+# The fixed links of every scenario.  The station's backhaul to the
+# repository is metered with the engine cables.
+CELLULAR_PROFILE = LinkProfile(5e6, 30.0, CELLULAR)
+STATION_WIRE_PROFILE = LinkProfile(100e6, 2.0, STATION_WIRE)
+ENGINE_CABLE_PROFILE = LinkProfile(100e6, 5.0, ENGINE_CABLE)
+BACKHAUL_PROFILE = LinkProfile(10e6, 10.0, ENGINE_CABLE)
+IN_VEHICLE_PROFILE = LinkProfile(100e6, 1.0, IN_VEHICLE)
+
+PRODUCER = "producer0"          # the one producer, which signs every image
+FIRST_IGNITION_MS = 100.0       # the first vehicle's first ignition
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
     name: str = "scenario"
@@ -54,7 +66,6 @@ class ScenarioConfig:
     vehicles: int = 1
     stations: int = 1
     models: int = 1
-    producers: int = 1
     secondaries_per_vehicle: int = 1
 
     image_count: int = 5
@@ -66,25 +77,12 @@ class ScenarioConfig:
     mix_unknown: int = 0
     cache_capacity_bytes: int = 1_000_000_000
 
-    cellular_mbps: float = 5.0
-    cellular_latency_ms: float = 30.0
-    wire_mbps: float = 100.0
-    wire_latency_ms: float = 2.0
-    cable_mbps: float = 100.0
-    cable_latency_ms: float = 5.0
-    backhaul_mbps: float = 10.0
-    backhaul_latency_ms: float = 10.0
-    invehicle_mbps: float = 100.0
-    invehicle_latency_ms: float = 1.0
-
     untrusted_secondaries: bool = False
     live_publish: bool = False
-    flash_latency_ms: float = 50.0
     status_deadline_ms: Optional[float] = None
     image_deadline_ms: Optional[float] = None
     ignition_period_ms: Optional[float] = None
     ignition_limit: Optional[int] = None
-    first_ignition_ms: float = 100.0
     ignition_stagger_ms: float = 0.0
     publish_at_ms: float = 50.0
 
@@ -100,7 +98,6 @@ class ScenarioConfig:
         need(self.vehicles >= 1, "vehicles must be >= 1")
         need(self.stations >= 0, "stations must be >= 0")
         need(self.models >= 1, "models must be >= 1")
-        need(self.producers >= 1, "producers must be >= 1")
         need(self.secondaries_per_vehicle >= 0,
              "secondaries_per_vehicle must be >= 0")
         need(self.image_count >= 1, "image_count must be >= 1")
@@ -113,9 +110,6 @@ class ScenarioConfig:
         need(self.mix_hit + self.mix_miss + self.mix_unknown == 100,
              "cache mix percentages must sum to 100")
         need(self.cache_capacity_bytes >= 0, "cache capacity must be >= 0")
-        for attr in ("cellular_mbps", "wire_mbps", "cable_mbps",
-                     "backhaul_mbps", "invehicle_mbps"):
-            need(getattr(self, attr) > 0, f"{attr} must be positive")
         need(self.horizon_ms > 0, "horizon_ms must be positive")
         # Each of these is a `World.schedule` delay.  A negative one moves
         # the clock back; a zero ignition period re-arms at the same
@@ -124,8 +118,7 @@ class ScenarioConfig:
                      "image_deadline_ms"):
             need(getattr(self, attr) is None or getattr(self, attr) > 0,
                  f"{attr} must be positive")
-        for attr in ("first_ignition_ms", "ignition_stagger_ms",
-                     "publish_at_ms", "flash_latency_ms"):
+        for attr in ("ignition_stagger_ms", "publish_at_ms"):
             need(getattr(self, attr) >= 0, f"{attr} must be >= 0")
         need(all(at_ms >= 0 for _, at_ms in self.revocations),
              "revocation times must be >= 0")
@@ -135,6 +128,9 @@ class ScenarioConfig:
         for rule in self.attacks:
             need(rule.kind in ATTACK_KINDS,
                  f"unknown attack kind {rule.kind}")
+            # A rule's delay is a `World.schedule` delay too; `>= 0` also
+            # refuses NaN.
+            need(rule.delay_ms >= 0, "attack delay_ms must be >= 0")
         return self
 
 
@@ -492,27 +488,15 @@ def build_scenario(config: ScenarioConfig) -> Scenario:
         keys[signer_id] = key
         return key
 
-    def profile(mbps: float, latency: float, cls: str) -> LinkProfile:
-        return LinkProfile(mbps * 1e6, latency, cls)
-
-    cellular = Link("cellular", profile(config.cellular_mbps,
-                                        config.cellular_latency_ms, CELLULAR))
-    cable = lambda tag: Link(tag, profile(config.cable_mbps,
-                                          config.cable_latency_ms,
-                                          ENGINE_CABLE))
-    backhaul = lambda tag: Link(tag, profile(config.backhaul_mbps,
-                                             config.backhaul_latency_ms,
-                                             ENGINE_CABLE))
-
-    producer_ids = {f"producer{i}" for i in range(config.producers)}
-    for pid in sorted(producer_ids):
-        make_key(pid)
+    cellular = Link("cellular", CELLULAR_PROFILE)
+    producer_key = make_key(PRODUCER)
     role_keys = {role: make_key(msg.ROLE_IDS[role]) for role in msg.ROLE_NAMES}
-    trust = msg.TrustContext(registry, producer_ids)
+    trust = msg.TrustContext(registry, (PRODUCER,))
 
     repo = ImageRepo("repo0", world, trust)
     director = Director("sud0", world, trust, role_keys,
-                        repo="repo0", repo_link=cable("sud-repo"),
+                        repo="repo0",
+                        repo_link=Link("sud-repo", ENGINE_CABLE_PROFILE),
                         untrusted_secondaries=config.untrusted_secondaries)
 
     engine = None
@@ -520,13 +504,16 @@ def build_scenario(config: ScenarioConfig) -> Scenario:
     if config.stations > 0:
         engine_key = make_key("engine0")
         engine = UpdateEngine("engine0", world, trust, engine_key,
-                              sud="sud0", sud_link=cable("engine-sud"))
+                              sud="sud0",
+                              sud_link=Link("engine-sud", ENGINE_CABLE_PROFILE))
         for i in range(config.stations):
             sid = f"station{i}"
             station = Station(sid, world, trust, make_key(sid),
                               engine="engine0",
-                              engine_link=cable(f"{sid}-engine"),
-                              repo="repo0", repo_link=backhaul(f"{sid}-repo"),
+                              engine_link=Link(f"{sid}-engine",
+                                               ENGINE_CABLE_PROFILE),
+                              repo="repo0",
+                              repo_link=Link(f"{sid}-repo", BACKHAUL_PROFILE),
                               capacity_bytes=config.cache_capacity_bytes)
             stations.append(station)
 
@@ -551,8 +538,7 @@ def build_scenario(config: ScenarioConfig) -> Scenario:
         theta = msg.MetaRecord(image.data_digest, ecu, software)
         mu = msg.UpdateManifest(location, theta,
                                 msg.TimestampRecord(2, version))
-        producer = sorted(producer_ids)[i % len(producer_ids)]
-        mu = msg.sign_message(mu, keys[producer])
+        mu = msg.sign_message(mu, producer_key)
         served = i < served_count
         items.append(SoftwareItem(software, ecu, version, image, mu, served,
                                   labels[i] if served else "cellular"))
@@ -576,22 +562,17 @@ def build_scenario(config: ScenarioConfig) -> Scenario:
         station_link = None
         if stations and config.coverage_pct > 0:
             station_name = stations[i % len(stations)].name
-            station_link = Link(f"wire-{vin}",
-                                profile(config.wire_mbps,
-                                        config.wire_latency_ms, STATION_WIRE))
+            station_link = Link(f"wire-{vin}", STATION_WIRE_PROFILE)
         vehicle_secondaries = {}
         secondary_actors = []
         for ecu in ecus[1:]:
             key = make_key(f"{vin}.{ecu}")
-            link = Link(f"bus-{vin}-{ecu}",
-                        profile(config.invehicle_mbps,
-                                config.invehicle_latency_ms, IN_VEHICLE))
+            link = Link(f"bus-{vin}-{ecu}", IN_VEHICLE_PROFILE)
             secondary = SecondaryEcu(
                 vin, ecu, world, trust, key,
                 initial={item.software: msg.TimestampRecord(1, 1)
                          for item in items if item.ecu == ecu},
                 untrusted=config.untrusted_secondaries,
-                flash_latency_ms=config.flash_latency_ms,
                 status_deadline_ms=config.status_deadline_ms,
                 image_deadline_ms=config.image_deadline_ms)
             secondary_actors.append(secondary)
@@ -603,7 +584,6 @@ def build_scenario(config: ScenarioConfig) -> Scenario:
             secondaries=vehicle_secondaries,
             station=station_name, station_link=station_link,
             untrusted=config.untrusted_secondaries,
-            flash_latency_ms=config.flash_latency_ms,
             status_deadline_ms=config.status_deadline_ms,
             image_deadline_ms=config.image_deadline_ms,
             ignition_period_ms=config.ignition_period_ms,
@@ -624,16 +604,15 @@ def build_scenario(config: ScenarioConfig) -> Scenario:
 
     producers: list = []
     if config.live_publish:
-        for i in range(config.producers):
-            producer = Producer(f"producer{i}", world, keys[f"producer{i}"],
-                                repo="repo0", repo_link=cable(f"prod{i}-repo"),
-                                sud="sud0", sud_link=cable(f"prod{i}-sud"))
-            producers.append(producer)
+        producer = Producer(PRODUCER, world, producer_key, repo="repo0",
+                            repo_link=Link("prod0-repo", ENGINE_CABLE_PROFILE),
+                            sud="sud0",
+                            sud_link=Link("prod0-sud", ENGINE_CABLE_PROFILE))
+        producers.append(producer)
         for i, item in enumerate(items):
-            producer = producers[i % len(producers)]
             world.schedule(config.publish_at_ms + i,
-                           lambda p=producer, m=item.manifest, im=item.image:
-                           p.publish(m, im))
+                           lambda m=item.manifest, im=item.image:
+                           producer.publish(m, im))
     else:
         _preseed(repo, director, engine, stations, items, model_mins)
 
@@ -652,8 +631,8 @@ def build_scenario(config: ScenarioConfig) -> Scenario:
     for signer_id, at_ms in config.revocations:
         world.schedule(at_ms, lambda s=signer_id: scenario.revoke_now(s))
     for i, vehicle in enumerate(vehicles):
-        world.schedule(config.first_ignition_ms
-                       + i * config.ignition_stagger_ms, vehicle.ignition)
+        world.schedule(FIRST_IGNITION_MS + i * config.ignition_stagger_ms,
+                       vehicle.ignition)
     return scenario
 
 

@@ -95,7 +95,6 @@ def family_config(seed: int, attack_label: Optional[str] = None,
         vehicles=rng.randint(1, 2),
         stations=1,
         models=1,
-        producers=1,
         secondaries_per_vehicle=rng.randint(0, 2),
         image_count=rng.randint(1, 3),
         bundle_bytes=rng.choice((64_000, 256_000, 1_000_000)),

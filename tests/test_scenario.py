@@ -74,9 +74,17 @@ def test_parse_rejects_unknown_key_with_line_number():
     with pytest.raises(ConfigError, match="line 2: unknown key warp"):
         parse_config("name = x\nwarp = 9\n")
     # Request timeouts and retries are each request's own, not config keys.
-    for key, value in (("request_timeout_ms", "5"), ("request_retries", "1")):
+    # The links, the one producer, the first ignition and the flash latency
+    # are constants, so a config that sets one fails instead of being
+    # ignored.
+    for key in ("request_timeout_ms", "request_retries", "cellular_mbps",
+                "cellular_latency_ms", "wire_mbps", "wire_latency_ms",
+                "cable_mbps", "cable_latency_ms", "backhaul_mbps",
+                "backhaul_latency_ms", "invehicle_mbps",
+                "invehicle_latency_ms", "producers", "first_ignition_ms",
+                "flash_latency_ms"):
         with pytest.raises(ConfigError, match=f"line 2: unknown key {key}$"):
-            parse_config(f"name = x\n{key} = {value}\n")
+            parse_config(f"name = x\n{key} = 1\n")
     with pytest.raises(ConfigError, match="line 1: expected key = value"):
         parse_config("just words\n")
     with pytest.raises(ConfigError, match="unknown attack key"):
@@ -97,9 +105,11 @@ def test_validation_rules():
 @pytest.mark.parametrize("field, value", [
     ("ignition_period_ms", 0.0), ("ignition_period_ms", -5.0),
     ("status_deadline_ms", 0.0), ("image_deadline_ms", -1.0),
-    ("first_ignition_ms", -1.0), ("ignition_stagger_ms", -1.0),
-    ("publish_at_ms", -1.0), ("flash_latency_ms", -1.0),
+    ("ignition_stagger_ms", -1.0), ("publish_at_ms", -1.0),
     ("revocations", (("station0", -1.0),)), ("ignition_limit", -1),
+    ("attacks", (AttackRule("delay", frozenset({"status_reply"}),
+                            delay_ms=-500.0),)),
+    ("attacks", (AttackRule("delay", delay_ms=float("nan")),)),
 ])
 def test_validation_refuses_a_delay_that_stalls_or_reverses_the_clock(
         field, value):
